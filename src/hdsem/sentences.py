@@ -5,6 +5,13 @@ integer sum of its (pipeline-processed) word vectors, and a query is
 scored against all sentences by cosine.  Because sums and dots are
 integers, a query that exactly reproduces a sentence's bag of words
 scores exactly 1.0 against it.
+
+Sentence bundles are stored as int32, and build_sentence_index records
+their largest |component|.  A query q is scored in int32 while
+max|component| * sum(|q|) < 2^31, which bounds every partial sum of
+the dot products, so no sum can overflow; past that bound the scan
+falls back to int64, block by block.  Either way the numerators are
+exact integers.
 """
 
 import re
@@ -41,7 +48,9 @@ def split_sentences(text):
         if end < len(text) and not text[end].isspace():
             continue
         if m.group(0) == ".":
-            wm = _WORD_BEFORE_RE.search(text, 0, m.start())
+            # a letter run cut short by the 64-char window is longer than
+            # any abbreviation or initial, so the decision is unchanged
+            wm = _WORD_BEFORE_RE.search(text, max(0, m.start() - 64), m.start())
             if wm:
                 w = wm.group(1)
                 if w.lower() in _ABBREVIATIONS:
@@ -63,18 +72,20 @@ class SentenceIndex:
 
     Sentences whose tokens are all removed by the pipeline (or that
     contain no tokens at all) are excluded; sentence_index in query
-    results is the 0-based position among the kept sentences.
+    results is the 0-based position among the kept sentences.  max_abs
+    is the largest |component| of matrix; it bounds the int32 query scan.
     """
 
-    __slots__ = ("vocabulary", "config", "sentences", "token_ids", "matrix", "norms_sq")
+    __slots__ = ("vocabulary", "config", "sentences", "token_ids", "matrix", "norms_sq", "max_abs")
 
-    def __init__(self, vocabulary, config, sentences, token_ids, matrix, norms_sq):
+    def __init__(self, vocabulary, config, sentences, token_ids, matrix, norms_sq, max_abs):
         self.vocabulary = vocabulary
         self.config = config
         self.sentences = tuple(sentences)
         self.token_ids = tuple(tuple(int(i) for i in ids) for ids in token_ids)
         self.matrix = matrix
         self.norms_sq = norms_sq
+        self.max_abs = int(max_abs)
 
     @property
     def dim(self):
@@ -106,14 +117,16 @@ def build_sentence_index(text, dim, seed, config=None):
     s = len(docs)
     matrix = np.empty((s, dim), dtype=np.int32)
     norms_sq = np.empty(s, dtype=np.int64)
+    max_abs = 0
     # row blocks keep the int64 intermediate small at large dim
     for r in range(0, s, 1024):
         block = vocab.bow_matrix(docs[r : r + 1024])
-        if np.abs(block).max(initial=0) >= 2**31:
+        max_abs = max(max_abs, int(np.abs(block).max(initial=0)))
+        if max_abs >= 2**31:
             raise ValueError("sentence counts exceed int32 range")
         matrix[r : r + 1024] = block
         norms_sq[r : r + 1024] = np.einsum("ij,ij->i", block, block)
-    return SentenceIndex(vocab, config, kept_texts, docs, matrix, norms_sq)
+    return SentenceIndex(vocab, config, kept_texts, docs, matrix, norms_sq, max_abs)
 
 
 @dataclass(frozen=True)
@@ -159,10 +172,12 @@ def query_sentences(index, query_text, top_n=3, normalize=True):
         )
     q = index.vocabulary.bow_matrix([np.asarray(ids, dtype=np.int64)])[0]
 
-    s = len(index)
-    num = np.empty(s, dtype=np.int64)
-    for r in range(0, s, 1024):
-        num[r : r + 1024] = index.matrix[r : r + 1024].astype(np.int64) @ q
+    if index.max_abs * int(np.abs(q).sum()) < 2**31:
+        num = index.matrix @ q.astype(np.int32)
+    else:
+        num = np.empty(len(index), dtype=np.int64)
+        for r in range(0, len(index), 1024):
+            num[r : r + 1024] = index.matrix[r : r + 1024].astype(np.int64) @ q
     qq = int(q @ q)
     numf = num.astype(np.float64)
     nf = index.norms_sq.astype(np.float64)

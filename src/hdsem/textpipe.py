@@ -350,7 +350,12 @@ class Vocabulary:
         return self._packed
 
     def sign_matrix(self):
-        """Unpacked sign matrix, int8 [n, dim].  Recomputed per call."""
+        """Unpacked sign matrix of the whole vocabulary, int8 [n, dim].
+
+        Recomputed per call and n * dim bytes large; only a context build,
+        which touches every row, needs it.  bow_matrix unpacks only the
+        rows its documents use.
+        """
         if len(self.words) == 0:
             return np.zeros((0, self.dim), dtype=np.int8)
         return packed_signs(self.packed(), self.dim)
@@ -368,7 +373,9 @@ class Vocabulary:
         """Sum of word vectors per document, int64 [m, dim].
 
         documents is a sequence of index arrays as produced by encode().
-        Repeated indices add their vector once per occurrence.
+        Repeated indices add their vector once per occurrence.  Only the
+        sign rows of words the documents use are unpacked, so the cost
+        follows the documents, not the vocabulary size.
         """
         m = len(documents)
         n = len(self.words)
@@ -379,13 +386,14 @@ class Vocabulary:
         cols = np.concatenate([np.asarray(doc, dtype=np.int64) for doc in documents if len(doc)])
         if cols.min() < 0 or cols.max() >= n:
             raise IndexError("document index out of vocabulary range")
+        used, local = np.unique(cols, return_inverse=True)
         data = np.ones(len(cols), dtype=np.int64)
-        counts = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(m, n)).tocsr()
-        signs = self.sign_matrix()
+        counts = scipy.sparse.coo_matrix((data, (rows, local)), shape=(m, len(used))).tocsr()
+        signs = packed_signs(self.packed()[used], self.dim)
         out = np.empty((m, self.dim), dtype=np.int64)
         # sparse @ dense upcasts the dense block to int64, so bound the
         # transient to ~200MB by slicing columns
-        step = max(64, 25_000_000 // max(1, n))
+        step = max(64, 25_000_000 // len(used))
         for c in range(0, self.dim, step):
             out[:, c : c + step] = counts @ signs[:, c : c + step].astype(np.int64)
         return out

@@ -7,6 +7,7 @@ only agree by both being right.
 """
 
 import math
+import re
 from collections import Counter
 
 MASK64 = (1 << 64) - 1
@@ -116,6 +117,44 @@ def brute_tokenize(text):
     if current:
         tokens.append("".join(current))
     return tokens
+
+
+_SPLIT_BOUNDARY_RE = re.compile(r"[.!?]+[\"')\]]*")
+_SPLIT_ABBREVIATIONS = frozenset(
+    "mr mrs ms dr st prof rev col gen capt lt sgt maj mme mlle vs etc jr sr".split()
+)
+_SPLIT_WORD_BEFORE_RE = re.compile(r"([A-Za-z]+)$")
+
+
+def reference_split_sentences(text):
+    """Sentence splitter with an unbounded look-back for the word before a period.
+
+    The splitting contract of hdsem.sentences.split_sentences, written the
+    direct way: the whole text before every bare period is searched for
+    the letter run that ends there, which is quadratic in the text length.
+    """
+    sentences = []
+    start = 0
+    for m in _SPLIT_BOUNDARY_RE.finditer(text):
+        end = m.end()
+        if end < len(text) and not text[end].isspace():
+            continue
+        if m.group(0) == ".":
+            wm = _SPLIT_WORD_BEFORE_RE.search(text, 0, m.start())
+            if wm:
+                w = wm.group(1)
+                if w.lower() in _SPLIT_ABBREVIATIONS:
+                    continue
+                if len(w) == 1 and w.isupper() and w != "I":
+                    continue
+        piece = text[start:end].strip()
+        if piece:
+            sentences.append(piece)
+        start = end
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
 
 
 def normal_cdf_quadrature(x, steps=200_000, lower=-40.0):

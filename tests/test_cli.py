@@ -6,6 +6,7 @@ subprocess test pins byte-identical output across thread-count settings.
 
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -135,6 +136,26 @@ def test_rho_curve_k_list(capsys):
     assert lines[0] == "k,sigma,rho_analytic,precision_emp,recall_emp"
     assert [l.split(",")[0] for l in lines[1:]] == ["2", "5", "20"]
     assert "rho-curve:" in err
+
+
+def test_rho_curve_stderr_reports_noise_and_rho_gap(capsys):
+    # at threshold 1/2 precision and recall converge to 1 - fn_rate, which
+    # exceeds the paper's rho by s^2 / (2 (2 - s)) = 0.040 at k = 300
+    code, out, err = run_cli(
+        ["rho-curve", "--dim", "1000", "--k", "46,140,300", "--trials", "10000", "--seed", "42"], capsys
+    )
+    assert code == 0
+    m = re.search(
+        r"max \|empirical - \(1 - fn_rate\)\| = (\d\.\d{4}) at k=(\d+), "
+        r"max \|empirical - rho\| = (\d\.\d{4}) at k=(\d+)$",
+        err.strip(),
+    )
+    assert m, err
+    noise, gap, gap_k = float(m.group(1)), float(m.group(3)), int(m.group(4))
+    assert noise < 0.015
+    assert gap > 0.03 and gap_k == 300
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert gap == pytest.approx(max(abs(float(r[i]) - float(r[2])) for r in rows for i in (3, 4)), abs=1e-4)
 
 
 def test_rho_curve_range(capsys):

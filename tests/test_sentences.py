@@ -7,21 +7,25 @@ seed where the noise margin is enormous.
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdsem.errors import EmptyIndexError, EmptyQueryError
 from hdsem.sentences import (
     QueryOutcome,
+    SentenceIndex,
     SentenceMatch,
     build_sentence_index,
     query_sentences,
     split_sentences,
 )
-from hdsem.textpipe import bare_config, default_config
+from hdsem.textpipe import Vocabulary, bare_config, default_config
 
-from oracles import brute_bundle, brute_cosine
+from oracles import brute_bundle, brute_cosine, reference_split_sentences
 
 
 # ------------------------------------------------------------ segmentation
@@ -77,6 +81,40 @@ def test_split_newlines_inside_sentence():
     assert split_sentences(text) == ["It was a dark\nand stormy night.", "The end."]
 
 
+_SPLIT_PIECES = st.one_of(
+    # letter runs around the 64-char look-back window, right before a period
+    st.builds(lambda n, c: c * n, st.one_of(st.integers(1, 6), st.integers(60, 70)), st.sampled_from("aZ")),
+    st.sampled_from(["Mr", "mrs", "Dr", "St", "etc", "vs", "H", "I", "J", "x"]),
+    st.sampled_from([".", ". ", ".\n", '." ', ".) ", ".'] ", "! ", "? ", "... ", " ", "\n", "\t", "1"]),
+)
+
+
+@given(st.lists(_SPLIT_PIECES, max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_split_matches_unbounded_lookback_oracle(text):
+    assert split_sentences(text) == reference_split_sentences(text)
+
+
+def test_split_long_runs_before_abbreviations_and_initials():
+    for n in (61, 62, 63, 64, 65, 66, 200):
+        for word in ("Mr", "dr", "H", "I"):
+            text = "a" * n + word + ". Next one. " + "b" * n + " " + word + ". Last."
+            assert split_sentences(text) == reference_split_sentences(text)
+
+
+def test_split_multi_megabyte_paragraph_is_fast():
+    # one paragraph, no newlines: an unbounded look-back rescans the text
+    # before every period and needs hours here
+    unit = 'Mr. Holmes looked up. "Was it J. Smith?" asked Dr. Watson (twice). It was. '
+    text = unit * (3_000_000 // len(unit))
+    t0 = time.perf_counter()
+    out = split_sentences(text)
+    elapsed = time.perf_counter() - t0
+    assert len(out) == 4 * (3_000_000 // len(unit))
+    assert out[:4] == ["Mr. Holmes looked up.", '"Was it J. Smith?"', "asked Dr. Watson (twice).", "It was."]
+    assert elapsed < 30.0
+
+
 # -------------------------------------------------------------------- build
 
 
@@ -104,6 +142,23 @@ def test_build_multiplicity_counts():
     v_dog = idx.vocabulary.vector_of("dog").signs().astype(np.int64)
     np.testing.assert_array_equal(idx.matrix[0], 2 * v_cat + v_dog)
     assert idx.norms_sq[0] == int(((2 * v_cat + v_dog) ** 2).sum())
+
+
+def test_build_records_max_abs():
+    idx = build_sentence_index("cat cat cat dog. dog bird.", dim=96, seed=5)
+    assert idx.max_abs == int(np.abs(idx.matrix).max())
+    assert idx.max_abs >= 2
+
+
+def test_build_int32_guard(monkeypatch):
+    def crafted(value):
+        return lambda self, docs: np.full((len(docs), self.dim), value, dtype=np.int64)
+
+    monkeypatch.setattr(Vocabulary, "bow_matrix", crafted(2**31 - 1))
+    assert build_sentence_index("a b. c.", dim=8, seed=0).max_abs == 2**31 - 1
+    monkeypatch.setattr(Vocabulary, "bow_matrix", crafted(-(2**31)))
+    with pytest.raises(ValueError, match="sentence counts exceed int32 range"):
+        build_sentence_index("a b. c.", dim=8, seed=0)
 
 
 def test_build_empty_document():
@@ -249,3 +304,55 @@ def test_match_and_outcome_types():
     assert isinstance(out, QueryOutcome)
     assert isinstance(out.matches[0], SentenceMatch)
     assert out.matches[0].rank == 1
+
+
+class _CastRecorder(np.ndarray):
+    """ndarray that records the dtypes it is cast to."""
+
+    casts = []
+
+    def astype(self, dtype, *args, **kwargs):
+        type(self).casts.append(np.dtype(dtype))
+        return super().astype(dtype, *args, **kwargs)
+
+
+def _crafted_index(max_abs):
+    """Index whose rows are scaled +-1 patterns against the query "a".
+
+    With dim 8, Sigma|q| = 8 for the one-word query, so the int32 bound
+    max_abs * Sigma|q| < 2^31 holds iff max_abs < 2^28.  Row 0 is
+    parallel to the query, so its numerator is max_abs * 8: at
+    max_abs = 2^28 it is 2^31 and would wrap in int32.
+    """
+    dim = 8
+    vocab = Vocabulary(["a", "b"], dim=dim, seed=3)
+    qs = vocab.vector_of("a").signs().astype(np.int64)
+    bs = vocab.vector_of("b").signs().astype(np.int64)
+    flip = qs.copy()
+    flip[0] = -flip[0]
+    rows = np.array(
+        [max_abs * qs, -max_abs * qs, max_abs * flip, max_abs * bs, (max_abs // 3) * qs + bs, bs],
+        dtype=np.int64,
+    )
+    matrix = rows.astype(np.int32).view(_CastRecorder)
+    norms_sq = np.array([sum(int(x) ** 2 for x in r) for r in rows], dtype=np.int64)
+    texts = [f"s{i}" for i in range(len(rows))]
+    index = SentenceIndex(vocab, bare_config(), texts, [(0,)] * len(rows), matrix, norms_sq, max_abs)
+    return index, rows, qs
+
+
+@pytest.mark.parametrize("max_abs, wide", [((2**31 - 1) // 8, False), (2**28, True)])
+def test_query_exactness_guard_at_int32_bound(max_abs, wide):
+    index, rows, qs = _crafted_index(max_abs)
+    assert (max_abs * int(np.abs(qs).sum()) >= 2**31) == wide
+    _CastRecorder.casts.clear()
+    out = query_sentences(index, "a", top_n=len(rows))
+    assert (np.dtype(np.int64) in _CastRecorder.casts) == wide
+    got = {m.sentence_index: m.score for m in out.matches}
+    assert sorted(got) == list(range(len(rows)))
+    for i, row in enumerate(rows):
+        expected = brute_cosine(row.tolist(), qs.tolist())
+        if abs(expected) == 1.0:
+            assert got[i] == expected
+        else:
+            assert got[i] == pytest.approx(expected, abs=1e-12)

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from hdsem.core import dot, generate_hypervector
 from hdsem.errors import CorpusFormatError, UnknownWordError
+from hdsem.sentences import build_sentence_index, query_sentences
+from hdsem.spam import Message, classify_many, train_filter
 from hdsem.textpipe import (
     PipelineConfig,
     SuffixLemmatizer,
@@ -33,7 +35,7 @@ from hdsem.textpipe import (
     tokenize,
 )
 
-from oracles import brute_tokenize
+from oracles import brute_bundle, brute_tokenize, reference_signs
 
 
 # ---------------------------------------------------------------- tokenize
@@ -424,6 +426,45 @@ def test_bow_matrix_against_sign_sums():
     np.testing.assert_array_equal(bow[1], s[2])
     np.testing.assert_array_equal(bow[2], np.zeros(64, dtype=np.int64))
     assert bow.dtype == np.int64
+
+
+@st.composite
+def _sparse_documents(draw):
+    """(vocab size, dim, seed, documents) drawing ids from a sparse subset."""
+    n = draw(st.integers(1, 300))
+    dim = draw(st.integers(1, 140))
+    seed = draw(st.integers(0, 2**64 - 1))
+    used = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8, unique=True))
+    docs = draw(st.lists(st.lists(st.sampled_from(used), max_size=12), min_size=1, max_size=5))
+    return n, dim, seed, docs
+
+
+@given(_sparse_documents())
+@settings(max_examples=80, deadline=None)
+def test_bow_matrix_matches_sign_sum_oracle(case):
+    n, dim, seed, docs = case
+    vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
+    bow = vocab.bow_matrix([np.array(doc, dtype=np.int64) for doc in docs])
+    assert bow.dtype == np.int64
+    assert bow.shape == (len(docs), dim)
+    signs = {i: reference_signs(dim, seed, i) for doc in docs for i in doc}
+    for row, doc in zip(bow, docs):
+        expected = brute_bundle([signs[i] for i in doc]) if doc else [0] * dim
+        assert row.tolist() == expected
+
+
+def test_bundles_never_unpack_the_whole_vocabulary(monkeypatch):
+    def refuse(self):
+        raise AssertionError("full sign matrix unpacked")
+
+    monkeypatch.setattr(Vocabulary, "sign_matrix", refuse)
+    index = build_sentence_index("Red fox runs. Blue bird sings. Red bird.", dim=256, seed=1)
+    assert query_sentences(index, "red bird", top_n=1).matches[0].score == 1.0
+    train = [Message("s", 1, ("cash", "prize")), Message("h", 0, ("paper", "draft"))]
+    spam_filter = train_filter(train, dim=256, seed=1)
+    verdicts = classify_many(spam_filter, [Message("t", 0, ("draft", "unknown")), Message("u", 0, ())])
+    assert [v.label for v in verdicts] == [0, 0]
+    assert [v.unclassifiable for v in verdicts] == [False, True]
 
 
 def test_bow_matrix_empty_inputs():
