@@ -6,7 +6,8 @@ committed as experiment artifacts.  All randomness is controlled by
 --seed (default 42); identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 usage or invalid arguments, 2 I/O failure,
-3 bad input data (unknown word, malformed corpus, empty query, ...).
+3 bad input data (unknown word, malformed corpus, text that is not
+UTF-8, empty query, ...).
 """
 
 import argparse
@@ -371,7 +372,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -6,9 +6,9 @@ excluded) contribute their sign vectors to the word's context row.  The
 row is therefore an integer bundle; membership queries and cosines
 against it follow the bundle algebra from the core module.
 
-Scoring stays exact: rows are integer vectors, and every float64 matmul
-below operates on integer values whose products and partial sums are
-far below 2**53, so ranking is reproducible bit for bit.
+Scoring stays exact: core.cosines multiplies the integer rows in float64
+only while max|entry| * sum(|q|) < 2**53 and in int64 past it, so
+ranking is reproducible bit for bit.
 """
 
 import json
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .core import BundleVector, Hypervector, cosine_int, membership_score
-from .errors import CorpusFormatError, DimensionMismatchError, EmptyQueryError
+from .core import BundleVector, Hypervector, cosines, membership_score, squared_norms, top_rows
+from .errors import CorpusFormatError, DimensionMismatchError, EmptyContextError, EmptyQueryError
 from .textpipe import Vocabulary
 
 MODEL_FORMAT_VERSION = 1
@@ -214,9 +214,12 @@ def context_similarity(model, word_a, word_b):
     Raises EmptyContextError when either word has an empty context
     (the cosine is undefined for a zero vector).
     """
-    va = model.context_vector(word_a)
-    vb = model.context_vector(word_b)
-    return cosine_int(va, vb)
+    va = model.context_vector(word_a)[None]
+    max_abs = int(np.abs(va).max())
+    score = cosines(va, squared_norms(va, max_abs), model.context_vector(word_b)[None], max_abs)[0, 0]
+    if score == -np.inf:
+        raise EmptyContextError("cosine undefined for a zero vector")
+    return float(score)
 
 
 @dataclass(frozen=True)
@@ -229,25 +232,15 @@ class WordMatch:
 def _rank_against(model, query_vec, exclude_idx, top_n):
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    qf = query_vec.astype(np.float64)
-    qnsq = float(qf @ qf)
-    if qnsq == 0.0:
+    if not query_vec.any():
         raise EmptyQueryError("query context vector is zero")
-    mf = model.matrix.astype(np.float64)
-    num = mf @ qf
-    nsq = np.einsum("ij,ij->i", mf, mf)
-    scores = np.full(len(model.vocabulary), -np.inf)
-    defined = nsq > 0
-    scores[defined] = num[defined] / np.sqrt(nsq[defined] * qnsq)
-    for i in exclude_idx:
-        scores[i] = -np.inf
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    out = []
-    for i in order:
-        if len(out) >= top_n or scores[i] == -np.inf:
-            break
-        out.append(WordMatch(len(out) + 1, model.vocabulary.words[i], float(scores[i])))
-    return out
+    # the matrix's own bound: a loaded file's totals are never checked against it
+    max_abs = max(int(model.matrix.max(initial=0)), -int(model.matrix.min(initial=0)))
+    norms_sq = squared_norms(model.matrix, max_abs)
+    scores = cosines(model.matrix, norms_sq, query_vec[None], max_abs)[0]
+    scores[exclude_idx] = -np.inf
+    ranked = [i for i in top_rows(scores, top_n) if scores[i] > -np.inf]
+    return [WordMatch(r + 1, model.vocabulary.words[i], float(scores[i])) for r, i in enumerate(ranked)]
 
 
 def context_arithmetic(model, plus, minus=(), top_n=5):

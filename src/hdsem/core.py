@@ -381,24 +381,68 @@ def analytics_for_sigma(sigma: float) -> FilterAnalytics:
     )
 
 
-def cosine_int(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of two integer vectors, exact where it matters.
+# Every cosine and ranking of integer bundles goes through the scoring
+# kernel below, so one exactness guard covers them all.
 
-    Dot and squared norms are computed in arbitrary-precision Python ints;
-    a Cauchy-Schwarz equality check pins exactly parallel vectors to +-1.0
-    so self-similarity is 1.0 with no rounding.  Raises on a zero vector.
+
+def exact_dots(rows, queries, max_abs):
+    """Dots of (m, d) integer queries with (n, d) integer-valued rows, (m, n).
+
+    rows may be int32, int64 or float64, every |entry| at most max_abs.
+    max_abs * sum(|q|) bounds every partial sum of a dot: below 2^31 int32
+    rows multiply in int32, below 2^53 other rows multiply in float64,
+    past that int64 row blocks do, and from 2^63 on it raises ValueError.
+    Either way every returned value is the exact integer.
     """
-    from .errors import EmptyContextError
+    queries = np.asarray(queries, dtype=np.int64)
+    bound = int(max_abs) * int(np.abs(queries).sum(axis=1).max(initial=0))
+    fast, limit = (np.int32, 2**31) if rows.dtype == np.int32 else (np.float64, 2**53)
+    if bound < limit:
+        return queries.astype(fast) @ rows.astype(fast, copy=False).T
+    if bound >= 2**63:
+        raise ValueError("integer dot products exceed int64 range")
+    out = np.empty((len(queries), len(rows)), dtype=np.int64)
+    for r in range(0, len(rows), 1024):  # blocks keep the int64 copy small
+        out[:, r : r + 1024] = queries @ rows[r : r + 1024].astype(np.int64).T
+    return out
 
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    ab = int(a.astype(object) @ b.astype(object))
-    aa = int(a.astype(object) @ a.astype(object))
-    bb = int(b.astype(object) @ b.astype(object))
-    if aa == 0 or bb == 0:
-        raise EmptyContextError("cosine undefined for a zero vector")
-    if ab * ab == aa * bb:
-        return 1.0 if ab > 0 else -1.0
-    return ab / math.sqrt(aa * bb)
+
+def squared_norms(rows, max_abs):
+    """Exact int64 squared norms of integer-valued rows with |entries| <= max_abs.
+
+    Raises ValueError once max_abs^2 * d reaches 2^63, where the sum could wrap.
+    """
+    if int(max_abs) ** 2 * rows.shape[-1] >= 2**63:
+        raise ValueError("integer squared norms exceed int64 range")
+    r = rows.astype(np.int64, copy=False)
+    return np.einsum("ij,ij->i", r, r)
+
+
+def cosines(rows, norms_sq, queries, max_abs):
+    """Cosine of every query against every row, shape (m, n).
+
+    Arguments are as in exact_dots, plus the rows' exact squared norms.  A
+    zero norm on either side scores -inf.  Integer-parallel pairs score
+    exactly +-1, checked with Python ints near +-1, so float rounding never
+    ranks a perfect match below a near-duplicate.
+    """
+    queries = np.asarray(queries, dtype=np.int64)
+    dots = exact_dots(rows, queries, max_abs)
+    qq = squared_norms(queries, int(np.abs(queries).max(initial=0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = dots / np.sqrt(qq[:, None] * norms_sq.astype(np.float64))
+    scores[(qq[:, None] == 0) | (norms_sq == 0)] = -np.inf
+    for i, j in zip(*np.nonzero(np.abs(np.abs(scores) - 1.0) < 1e-9)):
+        if int(dots[i, j]) ** 2 == int(qq[i]) * int(norms_sq[j]):
+            scores[i, j] = 1.0 if dots[i, j] > 0 else -1.0
+    return scores
+
+
+def top_rows(scores, top_n):
+    """Indices of the top_n highest scores along the last axis, best first.
+
+    Ties go to the lowest index; callers drop rows scored -inf.
+    """
+    if top_n == 1:
+        return np.argmax(scores, axis=-1)[..., None]
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :top_n]

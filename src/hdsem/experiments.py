@@ -16,9 +16,11 @@ import numpy as np
 from .core import (
     DEFAULT_SEED,
     analytics_for_sigma,
-    dot_int_rows,
     generate_packed,
+    words_per_vector,
 )
+
+_BATCH_WORDS = 2**17  # packed words per batch (1 MB): one trial at d = 10 000, k = 1000
 
 
 @dataclass(frozen=True)
@@ -63,22 +65,38 @@ class MembershipSimResult:
         return float(self.nonmember_scores.std(ddof=1))
 
 
-def membership_sim(config: MembershipSimConfig) -> MembershipSimResult:
-    """Member and non-member score samples over fresh bundles.
+def _prefix_scores(dim, seed, ks, trials):
+    """Member and outsider scores per bundle size k in ascending ks, one
+    (b, len(ks)) pair per batch of trials.
 
-    Trial t uses vector indices [t*(k+1), (t+1)*(k+1)): the first k form
-    the bundle, the member probe is the first of them, the non-member
-    probe is the extra one.
+    Trial t draws vectors [t*(kmax+1), (t+1)*(kmax+1)) for kmax = ks[-1]:
+    a stream whose first k vectors form the size-k bundle, then one
+    outsider probe.  The member probe is the stream's first vector, which
+    belongs to every prefix, so prefix sums of pairwise dots score every
+    k at once.
     """
-    dim, k = config.dim, config.k
-    member = np.empty(config.trials)
-    outsider = np.empty(config.trials)
-    base = 0
-    for t in range(config.trials):
-        rows = generate_packed(dim, config.seed, np.arange(base, base + k + 1))
-        base += k + 1
-        member[t] = int(dot_int_rows(rows[:k], rows[0], dim).sum()) / dim
-        outsider[t] = int(dot_int_rows(rows[:k], rows[k], dim).sum()) / dim
+    kmax, k_idx = ks[-1], np.asarray(ks) - 1
+    per_trial = kmax + 1
+    batch = max(1, _BATCH_WORDS // (per_trial * words_per_vector(dim)))
+    for start in range(0, trials, batch):
+        b = min(batch, trials - start)
+        idx = np.arange(start * per_trial, (start + b) * per_trial)
+        rows = generate_packed(dim, seed, idx).reshape(b, per_trial, -1)
+        stream = rows[:, :kmax, :]
+        dm = dim - 2 * np.bitwise_count(stream ^ rows[:, :1, :]).sum(axis=-1, dtype=np.int64)
+        dn = dim - 2 * np.bitwise_count(stream ^ rows[:, kmax:, :]).sum(axis=-1, dtype=np.int64)
+        yield dm.cumsum(axis=1)[:, k_idx] / dim, dn.cumsum(axis=1)[:, k_idx] / dim
+
+
+def membership_sim(config: MembershipSimConfig) -> MembershipSimResult:
+    """Member and non-member score samples over fresh size-k bundles.
+
+    Trial t bundles vectors [t*(k+1), t*(k+1)+k); the member probe is the
+    first of them and the non-member probe the next vector.
+    """
+    batches = list(_prefix_scores(config.dim, config.seed, [config.k], config.trials))
+    member = np.concatenate([m[:, 0] for m, _ in batches])
+    outsider = np.concatenate([o[:, 0] for _, o in batches])
     return MembershipSimResult(config, member, outsider)
 
 
@@ -123,57 +141,26 @@ class RhoCurvePoint:
         return self.tp / (self.tp + self.fn) if (self.tp + self.fn) else None
 
 
-def rho_curve(config: RhoCurveConfig, batch: int = 64) -> list[RhoCurvePoint]:
+def rho_curve(config: RhoCurveConfig) -> list[RhoCurvePoint]:
     """Confusion counts per bundle size from shared prefix streams.
 
-    Each trial draws one stream of max(ks) fresh vectors plus one outside
-    probe; the size-k bundle is the stream's first k vectors, so prefix
-    sums of pairwise dots give every k at once.  The member probe is the
-    stream's first vector, which belongs to every prefix.  Marginal score
-    distributions per k are exactly those of independent fresh bundles;
-    only the coupling across k within a trial is shared.
+    Each trial scores every k in ks on one stream of max(ks) fresh vectors
+    (see _prefix_scores).  Marginal score distributions per k are exactly
+    those of independent fresh bundles; only the coupling across k within
+    a trial is shared.
     """
     dim, ks, thr = config.dim, config.ks, config.threshold
-    kmax = ks[-1]
-    k_idx = np.array(ks) - 1  # cumsum position of each requested k
     tp = np.zeros(len(ks), dtype=np.int64)
     fp = np.zeros(len(ks), dtype=np.int64)
     fn = np.zeros(len(ks), dtype=np.int64)
     tn = np.zeros(len(ks), dtype=np.int64)
-
-    base = 0
-    done = 0
-    per_trial = kmax + 1
-    while done < config.trials:
-        b = min(batch, config.trials - done)
-        idx = np.arange(base, base + b * per_trial)
-        base += b * per_trial
-        rows = generate_packed(dim, config.seed, idx).reshape(b, per_trial, -1)
-        stream = rows[:, :kmax, :]
-        member_q = rows[:, :1, :]
-        outside_q = rows[:, kmax:, :]
-        dm = dim - 2 * np.bitwise_count(stream ^ member_q).sum(axis=-1, dtype=np.int64)
-        dn = dim - 2 * np.bitwise_count(stream ^ outside_q).sum(axis=-1, dtype=np.int64)
-        member_scores = dm.cumsum(axis=1)[:, k_idx] / dim
-        outside_scores = dn.cumsum(axis=1)[:, k_idx] / dim
+    for member_scores, outside_scores in _prefix_scores(dim, config.seed, ks, config.trials):
         tp += (member_scores > thr).sum(axis=0)
         fn += (member_scores <= thr).sum(axis=0)
         fp += (outside_scores > thr).sum(axis=0)
         tn += (outside_scores <= thr).sum(axis=0)
-        done += b
-
-    points = []
-    for i, k in enumerate(ks):
-        fa = analytics_for_sigma(np.sqrt(k / dim))
-        points.append(
-            RhoCurvePoint(
-                k=k,
-                sigma=float(np.sqrt(k / dim)),
-                rho_analytic=fa.precision_recall,
-                tp=int(tp[i]),
-                fp=int(fp[i]),
-                fn=int(fn[i]),
-                tn=int(tn[i]),
-            )
-        )
-    return points
+    return [
+        RhoCurvePoint(k, float(np.sqrt(k / dim)), analytics_for_sigma(np.sqrt(k / dim)).precision_recall,
+                      int(tp[i]), int(fp[i]), int(fn[i]), int(tn[i]))
+        for i, k in enumerate(ks)
+    ]

@@ -7,11 +7,10 @@ integers, a query that exactly reproduces a sentence's bag of words
 scores exactly 1.0 against it.
 
 Sentence bundles are stored as int32, and build_sentence_index records
-their largest |component|.  A query q is scored in int32 while
-max|component| * sum(|q|) < 2^31, which bounds every partial sum of
-the dot products, so no sum can overflow; past that bound the scan
-falls back to int64, block by block.  Either way the numerators are
-exact integers.
+their largest |component|.  Queries are scored by core.cosines and
+core.exact_dots, whose guard keeps the int32 product while
+max|component| * sum(|q|) < 2^31 and falls back to int64 row blocks
+past it, so the numerators are exact integers either way.
 """
 
 import re
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import cosines, exact_dots, top_rows
 from .errors import EmptyIndexError, EmptyQueryError
 from .textpipe import bare_config, build_vocabulary, preprocess
 
@@ -73,7 +73,7 @@ class SentenceIndex:
     Sentences whose tokens are all removed by the pipeline (or that
     contain no tokens at all) are excluded; sentence_index in query
     results is the 0-based position among the kept sentences.  max_abs
-    is the largest |component| of matrix; it bounds the int32 query scan.
+    is the largest |component| of matrix; it bounds the query dots.
     """
 
     __slots__ = ("vocabulary", "config", "sentences", "token_ids", "matrix", "norms_sq", "max_abs")
@@ -170,34 +170,11 @@ def query_sentences(index, query_text, top_n=3, normalize=True):
         raise EmptyQueryError(
             f"no query token is present in the document (dropped: {dropped!r})"
         )
-    q = index.vocabulary.bow_matrix([np.asarray(ids, dtype=np.int64)])[0]
-
-    if index.max_abs * int(np.abs(q).sum()) < 2**31:
-        num = index.matrix @ q.astype(np.int32)
-    else:
-        num = np.empty(len(index), dtype=np.int64)
-        for r in range(0, len(index), 1024):
-            num[r : r + 1024] = index.matrix[r : r + 1024].astype(np.int64) @ q
-    qq = int(q @ q)
-    numf = num.astype(np.float64)
-    nf = index.norms_sq.astype(np.float64)
-    scores = np.full(len(index), -np.inf)
+    q = index.vocabulary.bow_matrix([np.asarray(ids, dtype=np.int64)])
     if normalize:
-        defined = index.norms_sq > 0
-        scores[defined] = numf[defined] / np.sqrt(nf[defined] * float(qq))
-        # exact +-1 for integer-parallel vectors; float rounding must not
-        # push a perfect match below a near-duplicate
-        near = defined & (np.abs(np.abs(scores) - 1.0) < 1e-9)
-        for i in np.nonzero(near)[0]:
-            if int(num[i]) ** 2 == int(index.norms_sq[i]) * qq:
-                scores[i] = 1.0 if num[i] > 0 else -1.0
+        scores = cosines(index.matrix, index.norms_sq, q, index.max_abs)[0]
     else:
-        scores = numf / index.dim
-
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    matches = []
-    for i in order[: min(top_n, len(order))]:
-        if scores[i] == -np.inf:
-            break
-        matches.append(SentenceMatch(len(matches) + 1, float(scores[i]), int(i), index.sentences[i]))
+        scores = exact_dots(index.matrix, q, index.max_abs)[0] / index.dim
+    ranked = [i for i in top_rows(scores, top_n) if scores[i] > -np.inf]
+    matches = (SentenceMatch(r + 1, float(scores[i]), int(i), index.sentences[i]) for r, i in enumerate(ranked))
     return QueryOutcome(tuple(matches), tuple(dropped))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import cosines, squared_norms, top_rows
 from .errors import CorpusFormatError, EmptyClassError
 from .textpipe import Vocabulary, bare_config, preprocess
 
@@ -70,31 +71,24 @@ class SpamFilter:
 
     Training messages whose bundle is the zero vector (no usable tokens,
     or exact cancellation) are excluded: they can never be a meaningful
-    nearest neighbor.  Both classes must survive the exclusion.
+    nearest neighbor.  Both classes must survive the exclusion.  matrix is
+    float64, exact since no |entry| exceeds a message's word count, and
+    max_abs is its largest |entry|.
     """
 
-    __slots__ = ("vocabulary", "matrix", "norms_sq", "labels", "message_ids")
+    __slots__ = ("vocabulary", "matrix", "norms_sq", "labels", "message_ids", "max_abs")
 
-    def __init__(self, vocabulary, matrix, norms_sq, labels, message_ids):
+    def __init__(self, vocabulary, matrix, norms_sq, labels, message_ids, max_abs):
         self.vocabulary = vocabulary
         self.matrix = matrix
         self.norms_sq = norms_sq
         self.labels = labels
         self.message_ids = tuple(message_ids)
+        self.max_abs = int(max_abs)
 
     @property
     def dim(self):
         return self.vocabulary.dim
-
-
-def build_message_vocabulary(messages, dim, seed):
-    """Vocabulary over every word of the given messages, in corpus order."""
-    seen = {}
-    for msg in messages:
-        for w in msg.words:
-            if w not in seen:
-                seen[w] = None
-    return Vocabulary(tuple(seen), dim, seed)
 
 
 def train_filter(messages, dim, seed, vocabulary=None):
@@ -105,12 +99,13 @@ def train_filter(messages, dim, seed, vocabulary=None):
     """
     messages = list(messages)
     if vocabulary is None:
-        vocabulary = build_message_vocabulary(messages, dim, seed)
+        vocabulary = Vocabulary.from_tokens((w for m in messages for w in m.words), dim, seed)
     elif vocabulary.dim != dim or vocabulary.seed != seed:
         raise ValueError("vocabulary dim/seed do not match the requested filter")
     docs = [vocabulary.encode(m.words, skip_unknown=True) for m in messages]
     matrix = vocabulary.bow_matrix(docs)
-    norms_sq = np.einsum("ij,ij->i", matrix, matrix)
+    max_abs = int(np.abs(matrix).max(initial=0))
+    norms_sq = squared_norms(matrix, max_abs)
     keep = norms_sq > 0
     if not np.any(keep[np.fromiter((m.label == 1 for m in messages), bool, len(messages))]):
         raise EmptyClassError("no spam training message survives encoding")
@@ -119,10 +114,11 @@ def train_filter(messages, dim, seed, vocabulary=None):
     idx = np.nonzero(keep)[0]
     return SpamFilter(
         vocabulary,
-        matrix[idx],
+        matrix[idx].astype(np.float64),
         norms_sq[idx],
         np.fromiter((messages[i].label for i in idx), np.int64, len(idx)),
         [messages[i].message_id for i in idx],
+        max_abs,
     )
 
 
@@ -142,27 +138,20 @@ def classify_many(spam_filter, messages):
     ties resolve to the earliest training message.
     """
     docs = [spam_filter.vocabulary.encode(m.words, skip_unknown=True) for m in messages]
-    results = [None] * len(messages)
+    results = [ClassifyResult(0, 0.0, None, True)] * len(messages)
     live = [i for i, d in enumerate(docs) if len(d)]
     if live:
         q = spam_filter.vocabulary.bow_matrix([docs[i] for i in live])
-        qq = np.einsum("ij,ij->i", q, q)
-        num = q.astype(np.float64) @ spam_filter.matrix.astype(np.float64).T
-        denom = np.sqrt(qq.astype(np.float64)[:, None] * spam_filter.norms_sq.astype(np.float64)[None, :])
-        for row, i in enumerate(live):
-            if qq[row] == 0:
-                continue  # exact cancellation: same as no usable tokens
-            scores = num[row] / denom[row]
-            best = int(np.argmax(scores))
-            results[i] = ClassifyResult(
-                int(spam_filter.labels[best]),
-                float(scores[best]),
-                spam_filter.message_ids[best],
-                False,
-            )
-    for i in range(len(messages)):
-        if results[i] is None:
-            results[i] = ClassifyResult(0, 0.0, None, True)
+        scores = cosines(spam_filter.matrix, spam_filter.norms_sq, q, spam_filter.max_abs)
+        for row, (i, best) in enumerate(zip(live, top_rows(scores, 1)[:, 0])):
+            # -inf: the bundle cancelled exactly, same as no usable tokens
+            if scores[row, best] > -np.inf:
+                results[i] = ClassifyResult(
+                    int(spam_filter.labels[best]),
+                    float(scores[row, best]),
+                    spam_filter.message_ids[best],
+                    False,
+                )
     return results
 
 
@@ -238,8 +227,7 @@ def cross_validate(folds, dim, seed, vocab_mode="per-fold", progress=None):
         raise ValueError("need at least two folds")
     shared = None
     if vocab_mode == "global":
-        everything = [m for fold in folds for m in fold]
-        shared = build_message_vocabulary(everything, dim, seed)
+        shared = Vocabulary.from_tokens((w for fold in folds for m in fold for w in m.words), dim, seed)
     results = []
     for k, test in enumerate(folds):
         train = [m for j, fold in enumerate(folds) if j != k for m in fold]

@@ -80,6 +80,15 @@ def brute_cosine(a, b):
     return ab / math.sqrt(aa * bb)
 
 
+def brute_top(scores, top_n):
+    """Indices of the top_n highest scores, best first, ties to the lowest index.
+
+    None marks a row that must not rank.
+    """
+    ranked = sorted((-s, i) for i, s in enumerate(scores) if s is not None)
+    return [i for _, i in ranked[:top_n]]
+
+
 def brute_context_counts(words, half_window):
     """Per-word Counter of context words within +-half_window, center excluded.
 

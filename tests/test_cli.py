@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +87,39 @@ def test_missing_model_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["context-build", "sentence-query"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, command):
+    doc = tmp_path / "latin1.txt"
+    doc.write_bytes("Le caf\u00e9 du chien. Un chien.".encode("latin-1"))
+    argv = {
+        "context-build": ["context", "build", "--input", str(doc), "--out", str(tmp_path / "m.npz")],
+        "sentence-query": ["sentence-query", "--input", str(doc), "chien"],
+    }[command]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert "codec can't decode" in err
+    assert out == ""
+
+
 # ------------------------------------------------------------ membership
+
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["membership-sim"], "membership_scores.csv"),
+        (["rho-curve", "--k", "10,25,46,70,100,140,200,300"], "rho_curve.csv"),
+    ],
+)
+def test_committed_results_reproduce(tmp_path, capsys, argv, table):
+    # the shapes scripts/run_experiments.py publishes, at their defaults
+    out = tmp_path / table
+    code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_bytes() == (RESULTS / table).read_bytes()
 
 
 def test_membership_sim_csv_layout(capsys):

@@ -16,7 +16,7 @@ from hdsem.core import (
     MembershipScore,
     analytics_for_sigma,
     bundle_add,
-    cosine_int,
+    cosines,
     decide_membership,
     dot,
     dot_int_rows,
@@ -28,8 +28,9 @@ from hdsem.core import (
     packed_signs,
     popcount_words,
     predict_filter_analytics,
+    squared_norms,
 )
-from hdsem.errors import DimensionMismatchError, EmptyContextError
+from hdsem.errors import DimensionMismatchError
 
 
 # ---------------------------------------------------------------- generation
@@ -460,15 +461,13 @@ def test_analytics_validation():
 # -------------------------------------------------------------------- cosine
 
 
-def test_cosine_int_exact_cases():
+def test_cosines_exact_cases():
     a = np.array([2, -4, 6], dtype=np.int64)
-    assert cosine_int(a, a) == 1.0
-    assert cosine_int(a, 3 * a) == 1.0
-    assert cosine_int(a, -a) == -1.0
-    with pytest.raises(EmptyContextError):
-        cosine_int(a, np.zeros(3, dtype=np.int64))
-    with pytest.raises(DimensionMismatchError):
-        cosine_int(a, np.array([1, 2], dtype=np.int64))
+    rows = np.array([a, 3 * a, -a, np.zeros(3), [1, 1, 1]], dtype=np.int64)
+    scores = cosines(rows, squared_norms(rows, 18), a[None], 18)[0]
+    assert scores[:4].tolist() == [1.0, 1.0, -1.0, -np.inf]
+    assert -1.0 < scores[4] < 1.0
+    assert np.all(cosines(rows, squared_norms(rows, 18), np.zeros((1, 3), dtype=np.int64), 18) == -np.inf)
 
 
 @given(
@@ -476,12 +475,13 @@ def test_cosine_int_exact_cases():
     st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=12),
 )
 @settings(max_examples=80, deadline=None)
-def test_cosine_int_matches_brute(a, b):
+def test_cosines_match_brute(a, b):
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
     if not any(a) or not any(b):
         return
-    got = cosine_int(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    rows = np.array([a], dtype=np.int64)
+    got = cosines(rows, squared_norms(rows, 50), np.array([b], dtype=np.int64), 50)[0, 0]
     assert got == oracles.brute_cosine(a, b)
     assert -1.0 <= got <= 1.0
 

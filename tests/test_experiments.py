@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hdsem import experiments
 from hdsem.core import BundleVector, Hypervector, membership_score
 from hdsem.experiments import (
     MembershipSimConfig,
@@ -76,9 +77,11 @@ def test_rho_curve_tiny_bundles_are_perfect():
     assert p.precision_emp == 1.0 and p.recall_emp == 1.0
 
 
-def test_rho_curve_counts_are_complete_and_deterministic():
+def test_rho_curve_counts_are_complete_and_deterministic(monkeypatch):
     cfg = RhoCurveConfig(dim=500, ks=(5, 20, 60), trials=123, seed=9)
-    pts1, pts2 = rho_curve(cfg), rho_curve(cfg, batch=17)
+    pts1 = rho_curve(cfg)  # one batch: 123 trials of 61 vectors of 8 words
+    monkeypatch.setattr(experiments, "_BATCH_WORDS", 17 * 61 * 8)
+    pts2 = rho_curve(cfg)  # batches of 17 trials, the last one short
     for p1, p2 in zip(pts1, pts2):
         assert (p1.tp, p1.fp, p1.fn, p1.tn) == (p2.tp, p2.fp, p2.fn, p2.tn)
         assert p1.tp + p1.fn == cfg.trials

@@ -16,14 +16,13 @@ from hdsem.spam import (
     EvaluationReport,
     FoldResult,
     Message,
-    build_message_vocabulary,
     classify,
     classify_many,
     cross_validate,
     ingest_lingspam,
     train_filter,
 )
-from hdsem.textpipe import PipelineConfig
+from hdsem.textpipe import PipelineConfig, Vocabulary
 
 from oracles import brute_bundle, brute_cosine
 
@@ -142,7 +141,7 @@ def test_train_empty_class_raises():
 
 
 def test_train_vocabulary_mismatch():
-    vocab = build_message_vocabulary([Message("a", 1, ("x",))], dim=32, seed=0)
+    vocab = Vocabulary.from_tokens(Message("a", 1, ("x",)).words, dim=32, seed=0)
     with pytest.raises(ValueError):
         train_filter([Message("a", 1, ("x",))], dim=64, seed=0, vocabulary=vocab)
     with pytest.raises(ValueError):
