@@ -1,31 +1,22 @@
 """hdsem: high-dimensional bipolar vector semantics.
 
-Deterministic bit-packed hypervectors, bundle-sum set membership with
+Deterministic bit-packed sign vectors, bundle-sum set membership with
 closed-form precision/recall analytics, and three applications built on
-them: word context embeddings, sentence retrieval, and a 1-NN spam filter.
+integer bundles of them: word context embeddings, sentence retrieval,
+and a 1-NN spam filter.
 """
 
 from .context import (
     ContextModel,
     build_context_model,
     context_arithmetic,
-    context_contains,
     context_similarity,
     context_stats,
     similar_words,
 )
 from .core import (
     DEFAULT_SEED,
-    BundleVector,
     FilterAnalytics,
-    Hypervector,
-    MembershipScore,
-    bundle_add,
-    decide_membership,
-    dot,
-    generate_hypervector,
-    membership_score,
-    nearest_in_set,
     normal_cdf,
     orthogonality_bound,
     predict_filter_analytics,
@@ -38,7 +29,7 @@ from .experiments import (
     rho_curve,
 )
 from .sentences import build_sentence_index, query_sentences, split_sentences
-from .spam import classify, cross_validate, ingest_lingspam, train_filter
+from .spam import classify_many, cross_validate, ingest_lingspam, train_filter
 from .textpipe import (
     PipelineConfig,
     Vocabulary,
@@ -50,16 +41,13 @@ from .textpipe import (
     tokenize,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DEFAULT_SEED",
-    "BundleVector",
     "ContextModel",
     "DataError",
     "FilterAnalytics",
-    "Hypervector",
-    "MembershipScore",
     "MembershipSimConfig",
     "PipelineConfig",
     "RhoCurveConfig",
@@ -67,22 +55,15 @@ __all__ = [
     "build_context_model",
     "build_sentence_index",
     "build_vocabulary",
-    "bundle_add",
-    "classify",
+    "classify_many",
     "context_arithmetic",
-    "context_contains",
     "context_similarity",
     "context_stats",
     "cross_validate",
-    "decide_membership",
     "default_config",
-    "dot",
-    "generate_hypervector",
     "ingest_lingspam",
     "load_stopwords",
-    "membership_score",
     "membership_sim",
-    "nearest_in_set",
     "normal_cdf",
     "orthogonality_bound",
     "predict_filter_analytics",

@@ -3,8 +3,10 @@
 For every occurrence of a word, the words inside a symmetric window
 around it (up to half_window on each side, clipped at the ends, center
 excluded) contribute their sign vectors to the word's context row.  The
-row is therefore an integer bundle; membership queries and cosines
-against it follow the bundle algebra from the core module.
+row is therefore an integer bundle: the model's matrix is the sparse
+co-occurrence counts times the vocabulary's sign matrix.  Words are
+compared by the cosine of their rows, and context arithmetic ranks every
+row against a sum and difference of rows.
 
 Scoring stays exact: core.cosines multiplies the integer rows in float64
 only while max|entry| * sum(|q|) < 2**53 and in int64 past it, so
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .core import BundleVector, Hypervector, cosines, membership_score, squared_norms, top_rows
-from .errors import CorpusFormatError, DimensionMismatchError, EmptyContextError, EmptyQueryError
+from .core import cosines, squared_norms, top_rows
+from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError
 from .textpipe import Vocabulary
 
 MODEL_FORMAT_VERSION = 1
@@ -77,10 +79,6 @@ class ContextModel:
     def context_vector(self, word):
         """Integer context row for a word, as a copy."""
         return self.matrix[self.vocabulary.index_of(word)].copy()
-
-    def context_bundle(self, word):
-        i = self.vocabulary.index_of(word)
-        return BundleVector(self.dim, self.matrix[i].copy(), int(self.context_totals[i]))
 
     def save(self, path):
         meta = {
@@ -192,20 +190,6 @@ def build_context_model(tokens, vocabulary, half_window=5):
         context_distinct,
         occurrences.astype(np.int64),
     )
-
-
-def _probe_vector(model, probe):
-    if isinstance(probe, Hypervector):
-        if probe.dim != model.dim:
-            raise DimensionMismatchError(f"probe dim {probe.dim} != model dim {model.dim}")
-        return probe
-    return model.vocabulary.vector_of(probe)
-
-
-def context_contains(model, word, probe, threshold=0.5):
-    """Bundle membership score of probe against word's context."""
-    bundle = model.context_bundle(word)
-    return membership_score(bundle, _probe_vector(model, probe), threshold=threshold)
 
 
 def context_similarity(model, word_a, word_b):

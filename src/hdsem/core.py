@@ -1,33 +1,32 @@
-"""Bit-packed bipolar hypervectors, bundle sums, and membership analytics.
+"""Sign words, packed dots, filter analytics and the exact scoring kernel.
 
-A hypervector is a dense pattern of d signs, each -1 or +1, carrying an
-implicit 1/sqrt(d) scale so that every vector has unit norm and the scaled
-dot product of two vectors is (matches - mismatches) / d.  Signs are stored
-bit-packed, 64 per machine word, with bit j of the vector living at bit
-position (63 - (j mod 64)) of word floor(j / 64); a set bit means +1.  The
-dot product is then one XOR plus a popcount, and the result is exact
-integer arithmetic divided by d once at the end.
+Every vector is a dense pattern of d signs, each -1 or +1, carrying an
+implicit 1/sqrt(d) scale, so the scaled dot of two vectors is
+(matches - mismatches) / d.  Signs live bit-packed in uint64 rows, 64 per
+word, with bit j of a vector at bit position (63 - (j mod 64)) of word
+floor(j / 64); a set bit means +1.  dot_int_rows scores packed rows with
+one XOR and a popcount; packed_signs unpacks rows to -1/+1 for the
+integer bundles (sums of sign vectors) the applications build.
 
-Sums of k hypervectors (bundles) keep plain signed integer components.
-The membership score of a query against a bundle is the scaled dot of the
-query with the component sums; it concentrates around 1 for bundled
-vectors and around 0 for fresh ones, with noise sigma = sqrt(k/d).
+Generation is deterministic: word w of vector (seed, index) is draw w of
+a SplitMix64 stream whose initial state is seed XOR (index * GOLDEN), so
+the same (dim, seed, index) triple always regenerates the same vector
+and large vector sets never need to be stored.
 
-Vector generation is deterministic: word w of vector (seed, index) is draw
-w of a SplitMix64 stream whose initial state is seed XOR (index * GOLDEN).
-The same (dim, seed, index) triple always regenerates the same vector, so
-large vector sets never need to be stored.
+The membership score of a query against a bundle of k vectors is their
+scaled dot; it concentrates around 1 for bundled vectors and around 0
+for fresh ones, with noise sigma = sqrt(k/d), from which
+predict_filter_analytics derives the threshold-1/2 filter's rates.
+Bundles are ranked against integer queries by exact_dots, cosines and
+top_rows, whose guards keep every dot an exact integer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import DimensionMismatchError
 
 MASK64 = (1 << 64) - 1
 
@@ -89,11 +88,6 @@ def generate_packed(dim: int, seed: int, indices) -> np.ndarray:
     return words
 
 
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Total set bits along the last axis."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-
 def packed_bits(words: np.ndarray, dim: int) -> np.ndarray:
     """Unpack sign words to a 0/1 uint8 array of shape (..., dim).
 
@@ -112,83 +106,13 @@ def packed_signs(words: np.ndarray, dim: int) -> np.ndarray:
 
 
 def dot_int_rows(rows: np.ndarray, query_words: np.ndarray, dim: int) -> np.ndarray:
-    """Unscaled integer dots (matches - mismatches) of packed rows vs one query."""
-    return dim - 2 * popcount_words(rows ^ query_words)
+    """Unscaled integer dots (matches - mismatches) of packed sign words.
 
-
-class Hypervector:
-    """One d-dimensional bipolar vector, immutable, bit-packed."""
-
-    __slots__ = ("dim", "words")
-
-    def __init__(self, dim: int, words: np.ndarray):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        words = np.asarray(words, dtype=np.uint64)
-        if words.shape != (words_per_vector(dim),):
-            raise ValueError(
-                f"expected {words_per_vector(dim)} words for dim {dim}, got shape {words.shape}"
-            )
-        if int(words[-1]) & ~_tail_mask(dim) & MASK64:
-            raise ValueError("stray bits beyond dim in the last word")
-        words = words.copy()
-        words.flags.writeable = False
-        self.dim = dim
-        self.words = words
-
-    @classmethod
-    def generate(cls, dim: int, seed: int, index: int) -> "Hypervector":
-        """The deterministic vector for (dim, seed, index)."""
-        if index < 0:
-            raise ValueError(f"index must be >= 0, got {index}")
-        hv = cls.__new__(cls)
-        hv.dim = dim
-        w = generate_packed(dim, seed, np.array([index], dtype=np.uint64))[0]
-        w.flags.writeable = False
-        hv.words = w
-        return hv
-
-    def signs(self) -> np.ndarray:
-        """Components as -1/+1 int8, length dim."""
-        return packed_signs(self.words, self.dim)
-
-    def bit(self, j: int) -> int:
-        """Raw bit of component j (1 means the component is +1)."""
-        if not 0 <= j < self.dim:
-            raise IndexError(j)
-        return (int(self.words[j >> 6]) >> (63 - (j & 63))) & 1
-
-    def negated(self) -> "Hypervector":
-        """The antipodal vector (every sign flipped)."""
-        flipped = self.words.copy()
-        flipped ^= _U(MASK64)
-        flipped[-1] &= _U(_tail_mask(self.dim))
-        return Hypervector(self.dim, flipped)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hypervector)
-            and self.dim == other.dim
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.words.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Hypervector(dim={self.dim})"
-
-
-def generate_hypervector(dim: int, seed: int, index: int) -> Hypervector:
-    return Hypervector.generate(dim, seed, index)
-
-
-def dot(a: Hypervector, b: Hypervector) -> float:
-    """Scaled dot product, exactly (matches - mismatches) / dim."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    mismatches = int(popcount_words(a.words ^ b.words))
-    return (a.dim - 2 * mismatches) / a.dim
+    XOR marks the mismatching bits and the popcount along the last axis
+    counts them; rows and query_words broadcast against each other, so
+    one call scores (..., w) rows against (..., 1, w) queries.
+    """
+    return dim - 2 * np.bitwise_count(rows ^ query_words).sum(axis=-1, dtype=np.int64)
 
 
 def orthogonality_bound(dim: int, delta: float) -> float:
@@ -204,118 +128,6 @@ def orthogonality_bound(dim: int, delta: float) -> float:
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     return 1.0 - math.exp(-dim * delta * delta)
-
-
-class BundleVector:
-    """Integer component sums of the hypervectors added so far.
-
-    Invariants: every component has the same parity as count, and its
-    magnitude never exceeds count.  Construction is single-writer; treat a
-    bundle as read-only once it is being scored.
-    """
-
-    __slots__ = ("dim", "components", "count")
-
-    def __init__(self, dim: int, components: np.ndarray | None = None, count: int = 0):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if components is None:
-            components = np.zeros(dim, dtype=np.int64)
-            count = 0
-        else:
-            components = np.asarray(components)
-            if components.shape != (dim,):
-                raise ValueError(f"components shape {components.shape} != ({dim},)")
-            if not np.issubdtype(components.dtype, np.integer):
-                raise ValueError("components must be an integer array")
-        self.dim = dim
-        self.components = components
-        self.count = int(count)
-
-    @classmethod
-    def empty(cls, dim: int) -> "BundleVector":
-        return cls(dim)
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[Hypervector]) -> "BundleVector":
-        bundle = None
-        for v in vectors:
-            if bundle is None:
-                bundle = cls(v.dim)
-            bundle.add(v)
-        if bundle is None:
-            raise ValueError("from_vectors needs at least one vector")
-        return bundle
-
-    @classmethod
-    def from_packed(cls, dim: int, rows: np.ndarray) -> "BundleVector":
-        """Bundle of all packed rows at once.  Exactly equals repeated add()."""
-        k = rows.shape[0]
-        if k == 0:
-            return cls(dim)
-        ones = packed_bits(rows, dim).sum(axis=0, dtype=np.int64)
-        return cls(dim, 2 * ones - k, k)
-
-    def add(self, v: Hypervector, times: int = 1) -> "BundleVector":
-        """Accumulate v (times > 1 realizes an integer weight by repetition)."""
-        if v.dim != self.dim:
-            raise DimensionMismatchError(f"dims differ: {self.dim} vs {v.dim}")
-        if times < 1:
-            raise ValueError(f"times must be >= 1, got {times}")
-        self.components = self.components + times * v.signs().astype(np.int64)
-        self.count += times
-        return self
-
-    def copy(self) -> "BundleVector":
-        return BundleVector(self.dim, self.components.copy(), self.count)
-
-    def __repr__(self) -> str:
-        return f"BundleVector(dim={self.dim}, count={self.count})"
-
-
-def bundle_add(bundle: BundleVector, v: Hypervector) -> BundleVector:
-    """Add one vector into the bundle; returns the same bundle for chaining."""
-    return bundle.add(v)
-
-
-@dataclass(frozen=True)
-class MembershipScore:
-    """A scaled bundle/query dot plus the decision threshold it was scored at."""
-
-    value: float
-    threshold: float = 0.5
-
-
-def membership_score(
-    bundle: BundleVector, query: Hypervector, threshold: float = 0.5
-) -> MembershipScore:
-    """Scaled dot of the query signs with the bundle components.
-
-    The value is exactly (sum_i sign(query, i) * components[i]) / dim; it
-    estimates the weight with which the query was bundled (1 for a single
-    membership, 0 for an unrelated vector).
-    """
-    if bundle.dim != query.dim:
-        raise DimensionMismatchError(f"dims differ: {bundle.dim} vs {query.dim}")
-    raw = int(query.signs().astype(np.int64) @ bundle.components)
-    return MembershipScore(raw / bundle.dim, threshold)
-
-
-def decide_membership(score: MembershipScore) -> bool:
-    """True when the score clears its threshold (strictly)."""
-    return score.value > score.threshold
-
-
-def nearest_in_set(candidates: Sequence[Hypervector], query: Hypervector) -> int:
-    """Index of the candidate with the largest dot; ties go to the lowest index."""
-    if len(candidates) == 0:
-        raise ValueError("candidates must be non-empty")
-    dims = {c.dim for c in candidates}
-    if dims != {query.dim}:
-        raise DimensionMismatchError(f"candidate dims {dims} vs query dim {query.dim}")
-    rows = np.stack([c.words for c in candidates])
-    dots = dot_int_rows(rows, query.words, query.dim)
-    return int(np.argmax(dots))
 
 
 def normal_cdf(x: float) -> float:

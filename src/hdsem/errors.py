@@ -9,10 +9,6 @@ class DataError(Exception):
     """Invalid input data (bad corpus layout, unknown word, empty query, ...)."""
 
 
-class DimensionMismatchError(DataError):
-    """Two objects with incompatible dimensions were combined."""
-
-
 class UnknownWordError(DataError):
     """A token is not present in the vocabulary that was supposed to cover it."""
 

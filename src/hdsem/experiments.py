@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     DEFAULT_SEED,
     analytics_for_sigma,
+    dot_int_rows,
     generate_packed,
     words_per_vector,
 )
@@ -83,8 +84,8 @@ def _prefix_scores(dim, seed, ks, trials):
         idx = np.arange(start * per_trial, (start + b) * per_trial)
         rows = generate_packed(dim, seed, idx).reshape(b, per_trial, -1)
         stream = rows[:, :kmax, :]
-        dm = dim - 2 * np.bitwise_count(stream ^ rows[:, :1, :]).sum(axis=-1, dtype=np.int64)
-        dn = dim - 2 * np.bitwise_count(stream ^ rows[:, kmax:, :]).sum(axis=-1, dtype=np.int64)
+        dm = dot_int_rows(stream, rows[:, :1, :], dim)
+        dn = dot_int_rows(stream, rows[:, kmax:, :], dim)
         yield dm.cumsum(axis=1)[:, k_idx] / dim, dn.cumsum(axis=1)[:, k_idx] / dim
 
 

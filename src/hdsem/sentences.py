@@ -7,7 +7,9 @@ integers, a query that exactly reproduces a sentence's bag of words
 scores exactly 1.0 against it.
 
 Sentence bundles are stored as int32, and build_sentence_index records
-their largest |component|.  Queries are scored by core.cosines and
+their largest |component|; their squared norms come from
+core.squared_norms, which raises rather than wrap once
+max|component|^2 * d reaches 2^63.  Queries are scored by core.cosines and
 core.exact_dots, whose guard keeps the int32 product while
 max|component| * sum(|q|) < 2^31 and falls back to int64 row blocks
 past it, so the numerators are exact integers either way.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cosines, exact_dots, top_rows
+from .core import cosines, exact_dots, squared_norms, top_rows
 from .errors import EmptyIndexError, EmptyQueryError
 from .textpipe import bare_config, build_vocabulary, preprocess
 
@@ -125,7 +127,7 @@ def build_sentence_index(text, dim, seed, config=None):
         if max_abs >= 2**31:
             raise ValueError("sentence counts exceed int32 range")
         matrix[r : r + 1024] = block
-        norms_sq[r : r + 1024] = np.einsum("ij,ij->i", block, block)
+        norms_sq[r : r + 1024] = squared_norms(block, max_abs)
     return SentenceIndex(vocab, config, kept_texts, docs, matrix, norms_sq, max_abs)
 
 

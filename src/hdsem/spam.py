@@ -155,11 +155,6 @@ def classify_many(spam_filter, messages):
     return results
 
 
-def classify(spam_filter, message):
-    """Single-message form of classify_many."""
-    return classify_many(spam_filter, [message])[0]
-
-
 @dataclass(frozen=True)
 class FoldResult:
     fold: int

@@ -7,13 +7,14 @@ is acceptable here because downstream consumers only need stable,
 shared identifiers for related surface forms, not dictionary lemmas.
 
 A Vocabulary assigns each distinct word a row index and derives the
-word's random sign vector from (seed, index), so a saved vocabulary
-is enough to reconstruct every word vector exactly.
+word's random sign vector from (seed, index), so the word list, dim and
+seed (what a saved context model stores) reconstruct every word vector
+exactly.  packed() holds those vectors as sign words, and bow_matrix()
+sums them into one integer bundle per document.
 """
 
 import functools
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -21,7 +22,7 @@ from importlib import resources
 import numpy as np
 import scipy.sparse
 
-from .core import Hypervector, generate_packed, packed_signs
+from .core import generate_packed, packed_signs
 from .errors import CorpusFormatError, UnknownWordError
 
 TOKEN_RE = re.compile(r"[^\W_]+")
@@ -263,17 +264,14 @@ def strip_gutenberg_boilerplate(text):
     return "\n".join(body).strip("\n") + "\n"
 
 
-VOCAB_FORMAT_VERSION = 1
-
-
 class Vocabulary:
     """Distinct words in first-appearance order, each owning one row index.
 
     The (seed, index) pair fully determines a word's sign vector, so two
     vocabularies with equal word lists, dim, and seed produce identical
     embeddings.  lemmatizer and stopword_digest are provenance fields
-    recorded so a saved vocabulary can be matched against the pipeline
-    that produced it; they do not affect the vectors.
+    that a saved context model records, so it can be matched against the
+    pipeline that produced it; they do not affect the vectors.
     """
 
     __slots__ = ("words", "dim", "seed", "lemmatizer", "stopword_digest", "_index", "_packed")
@@ -360,15 +358,6 @@ class Vocabulary:
             return np.zeros((0, self.dim), dtype=np.int8)
         return packed_signs(self.packed(), self.dim)
 
-    def vector_of(self, word):
-        return self.vector_at(self.index_of(word))
-
-    def vector_at(self, i):
-        n = len(self.words)
-        if not 0 <= i < n:
-            raise IndexError(f"row {i} out of range for vocabulary of {n}")
-        return Hypervector(self.dim, self.packed()[i].copy())
-
     def bow_matrix(self, documents):
         """Sum of word vectors per document, int64 [m, dim].
 
@@ -397,47 +386,6 @@ class Vocabulary:
         for c in range(0, self.dim, step):
             out[:, c : c + step] = counts @ signs[:, c : c + step].astype(np.int64)
         return out
-
-    def save(self, path):
-        payload = {
-            "format_version": VOCAB_FORMAT_VERSION,
-            "dim": self.dim,
-            "seed": self.seed,
-            "lemmatizer": self.lemmatizer,
-            "stopword_digest": self.stopword_digest,
-            "words": list(self.words),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"vocabulary file {path}: not valid JSON ({exc})") from None
-        if not isinstance(payload, dict):
-            raise CorpusFormatError(f"vocabulary file {path}: expected a JSON object")
-        version = payload.get("format_version")
-        if version != VOCAB_FORMAT_VERSION:
-            raise CorpusFormatError(
-                f"vocabulary file {path}: unsupported format_version {version!r}"
-            )
-        missing = {"dim", "seed", "words"} - payload.keys()
-        if missing:
-            raise CorpusFormatError(f"vocabulary file {path}: missing keys {sorted(missing)}")
-        try:
-            return cls(
-                payload["words"],
-                payload["dim"],
-                payload["seed"],
-                lemmatizer=payload.get("lemmatizer", "identity"),
-                stopword_digest=payload.get("stopword_digest"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"vocabulary file {path}: {exc}") from None
 
 
 def stopword_digest_of_empty():

@@ -36,23 +36,24 @@ from oracles import (
 from hdsem.cli import main as cli_main
 from hdsem.context import build_context_model, context_stats
 from hdsem.core import (
-    BundleVector,
     analytics_for_sigma,
-    generate_hypervector,
+    dot_int_rows,
+    exact_dots,
     generate_packed,
-    membership_score,
-    nearest_in_set,
-    popcount_words,
+    packed_signs,
+    top_rows,
 )
 from hdsem.experiments import (
     MembershipSimConfig,
     RhoCurveConfig,
+    _prefix_scores,
     membership_sim,
     rho_curve,
 )
 from hdsem.sentences import build_sentence_index, query_sentences
 from hdsem.spam import cross_validate, ingest_lingspam
 from hdsem.textpipe import (
+    Vocabulary,
     build_vocabulary,
     default_config,
     preprocess,
@@ -85,7 +86,7 @@ def test_almost_orthogonality_bound():
     t0 = time.perf_counter()
     a = generate_packed(dim, seed, np.arange(pairs))
     b = generate_packed(dim, seed, np.arange(pairs, 2 * pairs))
-    dots = (dim - 2 * popcount_words(a ^ b)) / dim
+    dots = dot_int_rows(a, b, dim) / dim
     rate = float(np.mean(np.abs(dots) > delta))
     elapsed = time.perf_counter() - t0
     advertised = math.exp(-dim * delta**2)
@@ -113,7 +114,7 @@ def test_dot_product_statistics():
     dim, pairs, seed = 1000, 10_000, 42
     a = generate_packed(dim, seed, np.arange(pairs))
     b = generate_packed(dim, seed, np.arange(pairs, 2 * pairs))
-    dots = (dim - 2 * popcount_words(a ^ b)) / dim
+    dots = dot_int_rows(a, b, dim) / dim
     mean = float(dots.mean())
     var = float(dots.var(ddof=1))
 
@@ -187,26 +188,32 @@ def test_precision_recall_curve_agreement():
 
 
 def _check_bundle_instance(dim, k, seed):
-    vectors = [generate_hypervector(dim, seed, i) for i in range(k)]
-    signs = [reference_signs(dim, seed, i) for i in range(k)]
-    for v, s in zip(vectors, signs):
-        assert v.signs().tolist() == s
+    # word i of the vocabulary owns vector i: k bundled vectors, then the
+    # outsider probe k, one more probe and the nearest-exemplar query
+    vocab = Vocabulary([f"v{i}" for i in range(k + 3)], dim, seed)
+    signs = [reference_signs(dim, seed, i) for i in range(k + 3)]
+    unpacked = packed_signs(vocab.packed(), dim)
+    assert unpacked.tolist() == signs
 
-    bundle = BundleVector.from_vectors(vectors)
-    comps = brute_bundle(signs)
-    assert bundle.components.tolist() == comps
-    assert bundle.count == k
+    bundle = vocab.bow_matrix([np.arange(k)])
+    comps = brute_bundle(signs[:k])
+    assert bundle[0].tolist() == comps
 
-    probe_vecs = vectors + [generate_hypervector(dim, seed, k + j) for j in range(2)]
-    probe_signs = signs + [reference_signs(dim, seed, k + j) for j in range(2)]
-    for pv, ps in zip(probe_vecs, probe_signs):
-        assert membership_score(bundle, pv).value == brute_membership(comps, ps)
+    max_abs = int(np.abs(bundle).max())
+    scores = exact_dots(bundle, unpacked[: k + 2], max_abs)[:, 0] / dim
+    assert scores.tolist() == [brute_membership(comps, ps) for ps in signs[: k + 2]]
 
-    query = generate_hypervector(dim, seed, k + 2)
-    qs = reference_signs(dim, seed, k + 2)
-    dots = [sum(a * b for a, b in zip(qs, s)) for s in signs]
+    # the Monte Carlo engine: trial 0 bundles vectors [0, j) for every
+    # prefix size j, probes member 0 and outsider k
+    [(member, outsider)] = _prefix_scores(dim, seed, list(range(1, k + 1)), 1)
+    prefixes = [brute_bundle(signs[:j]) for j in range(1, k + 1)]
+    assert member[0].tolist() == [brute_membership(c, signs[0]) for c in prefixes]
+    assert outsider[0].tolist() == [brute_membership(c, signs[k]) for c in prefixes]
+
+    qs = signs[k + 2]
+    dots = [sum(a * b for a, b in zip(qs, s)) for s in signs[:k]]
     best = max(range(k), key=lambda i: (dots[i], -i))
-    assert nearest_in_set(vectors, query) == best
+    assert top_rows(exact_dots(unpacked[:k], unpacked[k + 2 :], 1), 1)[0, 0] == best
 
 
 def test_exact_small_instance_oracles():

@@ -1,4 +1,4 @@
-"""Context model tests: window accumulation, bundle queries, ranking, persistence.
+"""Context model tests: window accumulation, membership in rows, ranking, persistence.
 
 The build algorithm is checked exhaustively against a dictionary-counting
 oracle on small random streams, then statistical behavior is checked at
@@ -16,22 +16,20 @@ from hdsem.context import (
     WordMatch,
     build_context_model,
     context_arithmetic,
-    context_contains,
     context_similarity,
     context_stats,
     similar_words,
 )
-from hdsem.core import decide_membership, generate_hypervector
+from hdsem.core import exact_dots
 from hdsem.errors import (
     CorpusFormatError,
-    DimensionMismatchError,
     EmptyContextError,
     EmptyQueryError,
     UnknownWordError,
 )
 from hdsem.textpipe import Vocabulary, build_vocabulary, tokenize
 
-from oracles import brute_context_counts, brute_cosine
+from oracles import brute_context_counts, brute_cosine, brute_membership, reference_signs
 
 # exact binomial value: probe bundled once among 140 context pairs at d=1000,
 # P(score > 1/2) = P(Binom(139000, 1/2) >= 69251)
@@ -44,12 +42,23 @@ def make_model(text, dim, seed, half_window):
     return build_context_model(toks, vocab, half_window=half_window)
 
 
+def word_signs(vocab, word):
+    """The word's sign vector from the pure-Python generator, int64."""
+    return np.array(reference_signs(vocab.dim, vocab.seed, vocab.index_of(word)), dtype=np.int64)
+
+
+def row_membership(model, word, probe):
+    """Scaled dot of the probe word's signs with word's context row."""
+    row = model.context_vector(word).tolist()
+    return brute_membership(row, reference_signs(model.dim, model.vocabulary.seed, model.vocabulary.index_of(probe)))
+
+
 # ------------------------------------------------------------------- build
 
 
 def test_build_tiny_hand_case():
     model = make_model("a b c", dim=64, seed=3, half_window=2)
-    v = {w: model.vocabulary.vector_of(w).signs().astype(np.int64) for w in "abc"}
+    v = {w: word_signs(model.vocabulary, w) for w in "abc"}
     np.testing.assert_array_equal(model.context_vector("a"), v["b"] + v["c"])
     np.testing.assert_array_equal(model.context_vector("b"), v["a"] + v["c"])
     np.testing.assert_array_equal(model.context_vector("c"), v["a"] + v["b"])
@@ -61,7 +70,7 @@ def test_build_tiny_hand_case():
 def test_build_repeated_word_neighbors_count():
     # same word at a neighboring position is a genuine neighbor
     model = make_model("a a a", dim=32, seed=0, half_window=1)
-    v = model.vocabulary.vector_of("a").signs().astype(np.int64)
+    v = word_signs(model.vocabulary, "a")
     np.testing.assert_array_equal(model.context_vector("a"), 4 * v)
     assert model.context_totals[0] == 4
     assert model.context_distinct[0] == 1
@@ -78,7 +87,7 @@ def test_build_matches_counting_oracle(trial):
     vocab = build_vocabulary(stream, dim=dim, seed=trial)
     model = build_context_model(stream, vocab, half_window=half_window)
     expected = brute_context_counts(stream, half_window)
-    signs = {w: vocab.vector_of(w).signs().astype(np.int64) for w in vocab.words}
+    signs = {w: word_signs(vocab, w) for w in vocab.words}
     for w in vocab.words:
         ctr = expected.get(w, {})
         row = np.zeros(dim, dtype=np.int64)
@@ -122,9 +131,7 @@ def test_build_single_token_empty_context():
     model = build_context_model(["a"], vocab, half_window=2)
     np.testing.assert_array_equal(model.matrix, np.zeros((1, 32), dtype=np.int64))
     assert model.context_totals[0] == 0
-    score = context_contains(model, "a", "a")
-    assert score.value == 0.0
-    assert not decide_membership(score)
+    assert exact_dots(model.matrix, vocab.sign_matrix(), 0).tolist() == [[0]]
     with pytest.raises(EmptyContextError):
         context_similarity(model, "a", "a")
 
@@ -141,27 +148,9 @@ def test_build_empty_stream():
 
 def test_contains_direct_neighbors():
     model = make_model("x c y z w", dim=10_000, seed=11, half_window=1)
-    assert decide_membership(context_contains(model, "c", "x"))
-    assert decide_membership(context_contains(model, "c", "y"))
-    assert not decide_membership(context_contains(model, "c", "w"))
-
-
-def test_contains_accepts_hypervector_probe():
-    model = make_model("x c y", dim=256, seed=2, half_window=1)
-    probe = model.vocabulary.vector_of("x")
-    s1 = context_contains(model, "c", probe)
-    s2 = context_contains(model, "c", "x")
-    assert s1.value == s2.value
-    with pytest.raises(DimensionMismatchError):
-        context_contains(model, "c", generate_hypervector(128, 2, 0))
-    with pytest.raises(UnknownWordError):
-        context_contains(model, "c", "zz")
-
-
-def test_contains_threshold_plumbing():
-    model = make_model("x c y", dim=256, seed=2, half_window=1)
-    score = context_contains(model, "c", "x", threshold=0.25)
-    assert score.threshold == 0.25
+    assert row_membership(model, "c", "x") > 0.5
+    assert row_membership(model, "c", "y") > 0.5
+    assert not row_membership(model, "c", "w") > 0.5
 
 
 def test_contains_probability_at_140_pairs():
@@ -175,9 +164,8 @@ def test_contains_probability_at_140_pairs():
         vocab = build_vocabulary(stream, dim=1000, seed=5000 + t)
         model = build_context_model(stream, vocab, half_window=70)
         assert model.context_totals[vocab.index_of("c")] == 140
-        for f in fillers:
-            if context_contains(model, "c", f).value > 0.5:
-                hits += 1
+        scores = exact_dots(model.matrix[[vocab.index_of("c")]], vocab.sign_matrix(), 140)[:, 0] / 1000
+        hits += sum(scores[vocab.index_of(f)] > 0.5 for f in fillers)
     rate = hits / (builds * per)
     assert abs(rate - P_CONTAINS_140_D1000) < 0.03
 

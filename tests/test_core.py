@@ -1,4 +1,9 @@
-"""Unit tests for the hypervector core: generation, dot, bundles, analytics."""
+"""Unit tests for the core: generation, packed dots, bundles, analytics.
+
+Bundles are built the way the applications build them, through
+Vocabulary.bow_matrix, and scored through core.exact_dots, top_rows and
+the Monte Carlo engine's _prefix_scores, against the pure-Python oracles.
+"""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -10,27 +15,38 @@ from hypothesis import strategies as st
 
 import oracles
 from hdsem.core import (
-    BundleVector,
     FilterAnalytics,
-    Hypervector,
-    MembershipScore,
     analytics_for_sigma,
-    bundle_add,
     cosines,
-    decide_membership,
-    dot,
     dot_int_rows,
+    exact_dots,
     generate_packed,
-    membership_score,
-    nearest_in_set,
     normal_cdf,
     orthogonality_bound,
+    packed_bits,
     packed_signs,
-    popcount_words,
     predict_filter_analytics,
     squared_norms,
+    top_rows,
 )
-from hdsem.errors import DimensionMismatchError
+from hdsem.experiments import RhoCurveConfig, _prefix_scores, rho_curve
+from hdsem.textpipe import Vocabulary
+
+
+def _signs(dim, seed, indices):
+    """Unpacked -1/+1 rows of the deterministic vectors, int8 (n, dim)."""
+    return packed_signs(generate_packed(dim, seed, indices), dim)
+
+
+def _vocab(n, dim, seed):
+    """Vocabulary whose word i owns the vector (dim, seed, i)."""
+    return Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
+
+
+def _membership(bundle, probes, dim):
+    """Scaled dots of probe sign rows with one integer bundle, as floats."""
+    bundle = np.asarray(bundle, dtype=np.int64)[None]
+    return (exact_dots(bundle, probes, int(np.abs(bundle).max())) / dim)[:, 0].tolist()
 
 
 # ---------------------------------------------------------------- generation
@@ -50,17 +66,16 @@ def test_splitmix_stream_matches_frozen_goldens():
 )
 @settings(max_examples=60, deadline=None)
 def test_generated_signs_match_pure_python_reference(seed, index, dim):
-    hv = Hypervector.generate(dim, seed, index)
-    assert hv.signs().tolist() == oracles.reference_signs(dim, seed, index)
+    assert _signs(dim, seed, [index])[0].tolist() == oracles.reference_signs(dim, seed, index)
 
 
 def test_bit_convention_word_msb_first():
     # bit j of the vector is bit (63 - (j mod 64)) of draw floor(j/64)
     draws = oracles.splitmix64_draws(99, 7, 2)
-    hv = Hypervector.generate(100, 99, 7)
+    bits = packed_bits(generate_packed(100, 99, [7]), 100)[0]
     for j in [0, 1, 63, 64, 65, 99]:
         expected = (draws[j >> 6] >> (63 - (j & 63))) & 1
-        assert hv.bit(j) == expected
+        assert bits[j] == expected
 
 
 def test_tail_bits_beyond_dim_are_zero():
@@ -72,41 +87,34 @@ def test_tail_bits_beyond_dim_are_zero():
 
 
 def test_generation_is_deterministic_and_index_sensitive():
-    a1 = Hypervector.generate(256, 11, 4)
-    a2 = Hypervector.generate(256, 11, 4)
-    b = Hypervector.generate(256, 11, 5)
-    c = Hypervector.generate(256, 12, 4)
-    assert a1 == a2 and hash(a1) == hash(a2)
-    assert a1 != b and a1 != c
+    a1 = generate_packed(256, 11, [4])
+    a2 = generate_packed(256, 11, [4])
+    b = generate_packed(256, 11, [5])
+    c = generate_packed(256, 12, [4])
+    assert np.array_equal(a1, a2)
+    assert not np.array_equal(a1, b) and not np.array_equal(a1, c)
+    # a batch regenerates exactly the rows of single draws, in index order
+    assert np.array_equal(generate_packed(256, 11, [5, 4]), np.concatenate([b, a1]))
 
 
 def test_generation_input_validation():
     with pytest.raises(ValueError):
-        Hypervector.generate(0, 1, 0)
-    with pytest.raises(ValueError):
-        Hypervector.generate(16, 1, -1)
-    with pytest.raises(ValueError):
         generate_packed(0, 1, [0])
-
-
-def test_hypervector_rejects_stray_tail_bits():
-    w = generate_packed(100, 1, [0])[0].copy()
-    w[-1] |= np.uint64(1)  # bit below the valid range for dim=100
     with pytest.raises(ValueError):
-        Hypervector(100, w)
+        Vocabulary(["a"], dim=0, seed=1)
 
 
-def test_hypervector_words_are_read_only():
-    hv = Hypervector.generate(64, 1, 0)
+def test_vocabulary_packed_words_are_read_only():
+    packed = _vocab(1, 64, 1).packed()
     with pytest.raises(ValueError):
-        hv.words[0] = np.uint64(0)
+        packed[0, 0] = np.uint64(0)
 
 
 def test_component_means_concentrate_near_zero():
     # d = 10^4: per-vector sign mean has sd 0.01, so |mean| <= 0.03 for ~99.7%
     dim, n = 10_000, 1000
     words = generate_packed(dim, 2024, np.arange(n))
-    sums = 2 * popcount_words(words) - dim
+    sums = packed_signs(words, dim).sum(axis=1, dtype=np.int64)
     means = sums / dim
     assert np.mean(np.abs(means) <= 0.03) >= 0.99
 
@@ -115,9 +123,13 @@ def test_component_means_concentrate_near_zero():
 
 
 def test_dot_identities():
-    a = Hypervector.generate(1000, 42, 0)
-    assert dot(a, a) == 1.0
-    assert dot(a, a.negated()) == -1.0
+    dim = 1000
+    a = generate_packed(dim, 42, [0])
+    negated = ~a
+    negated[:, -1] &= np.uint64(((1 << (dim % 64)) - 1) << (64 - dim % 64))  # keep tail bits zero
+    assert np.array_equal(packed_signs(negated, dim), -packed_signs(a, dim))
+    assert dot_int_rows(a, a, dim).tolist() == [dim]
+    assert dot_int_rows(a, negated, dim).tolist() == [-dim]
 
 
 @given(
@@ -128,14 +140,21 @@ def test_dot_identities():
 )
 @settings(max_examples=60, deadline=None)
 def test_dot_equals_brute_force_exactly(dim, seed, i, j):
-    a = Hypervector.generate(dim, seed, i)
-    b = Hypervector.generate(dim, seed, j)
-    assert dot(a, b) == oracles.brute_dot(a.signs().tolist(), b.signs().tolist())
+    rows = generate_packed(dim, seed, [i, j])
+    got = dot_int_rows(rows[:1], rows[1], dim)[0] / dim
+    ref = oracles.reference_signs
+    assert got == oracles.brute_dot(ref(dim, seed, i), ref(dim, seed, j))
 
 
-def test_dot_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        dot(Hypervector.generate(64, 1, 0), Hypervector.generate(65, 1, 0))
+def test_dot_int_rows_broadcasts_over_trials():
+    # (b, k, w) streams against (b, 1, w) probes, as the Monte Carlo engine
+    # calls it, equal one call per trial
+    dim, b, k = 130, 4, 6
+    rows = generate_packed(dim, 17, np.arange(b * (k + 1))).reshape(b, k + 1, -1)
+    got = dot_int_rows(rows[:, :k, :], rows[:, k:, :], dim)
+    assert got.shape == (b, k) and got.dtype == np.int64
+    for t in range(b):
+        assert got[t].tolist() == dot_int_rows(rows[t, :k], rows[t, k], dim).tolist()
 
 
 def test_dot_sample_statistics_at_d1000():
@@ -143,7 +162,7 @@ def test_dot_sample_statistics_at_d1000():
     dim, pairs = 1000, 10_000
     a = generate_packed(dim, 7, np.arange(pairs))
     b = generate_packed(dim, 7, np.arange(pairs, 2 * pairs))
-    dots = (dim - 2 * popcount_words(a ^ b)) / dim
+    dots = dot_int_rows(a, b, dim) / dim
     assert abs(dots.mean()) <= 0.01
     assert abs(dots.var(ddof=1) - 1.0 / dim) <= 0.2 / dim
 
@@ -157,7 +176,7 @@ def test_dot_tail_matches_exact_binomial():
     for dim, delta in [(500, 0.05), (1000, 0.05), (2000, 0.05), (500, 0.1)]:
         a = generate_packed(dim, 31, np.arange(pairs))
         b = generate_packed(dim, 31, np.arange(pairs, 2 * pairs))
-        dots = (dim - 2 * popcount_words(a ^ b)) / dim
+        dots = dot_int_rows(a, b, dim) / dim
         emp = float(np.mean(np.abs(dots) > delta))
         hi = math.floor(dim * (1 + delta) / 2)
         lo = math.ceil(dim * (1 - delta) / 2)
@@ -182,48 +201,30 @@ def test_orthogonality_bound_formula():
 
 
 def test_empty_bundle_plus_vector_equals_its_signs():
-    v = Hypervector.generate(96, 3, 0)
-    bundle = bundle_add(BundleVector.empty(96), v)
-    assert bundle.count == 1
-    assert np.array_equal(bundle.components, v.signs().astype(np.int64))
-
-
-def test_vector_plus_negation_cancels():
-    v = Hypervector.generate(96, 3, 1)
-    bundle = BundleVector.empty(96).add(v).add(v.negated())
-    assert bundle.count == 2
-    assert not bundle.components.any()
+    bundle = _vocab(1, 96, 3).bow_matrix([[0]])[0]
+    assert bundle.tolist() == oracles.reference_signs(96, 3, 0)
 
 
 def test_bundle_linearity_small():
-    vs = [Hypervector.generate(32, 9, i) for i in range(5)]
-    bundle = BundleVector.from_vectors(vs)
-    expected = oracles.brute_bundle([v.signs().tolist() for v in vs])
-    assert bundle.components.tolist() == expected
-    assert bundle.count == 5
+    bundle = _vocab(5, 32, 9).bow_matrix([np.arange(5)])[0]
+    expected = oracles.brute_bundle([oracles.reference_signs(32, 9, i) for i in range(5)])
+    assert bundle.tolist() == expected
 
 
-def test_from_packed_equals_repeated_add():
+def test_one_bundle_equals_sum_of_single_bundles():
     dim = 77
-    rows = generate_packed(dim, 13, np.arange(9))
-    fast = BundleVector.from_packed(dim, rows)
-    slow = BundleVector.empty(dim)
-    for i in range(9):
-        slow.add(Hypervector.generate(dim, 13, i))
-    assert np.array_equal(fast.components, slow.components)
-    assert fast.count == slow.count == 9
+    vocab = _vocab(9, dim, 13)
+    fast = vocab.bow_matrix([np.arange(9)])[0]
+    slow = vocab.bow_matrix([[i] for i in range(9)]).sum(axis=0)
+    assert np.array_equal(fast, slow)
 
 
 def test_weighted_add_equals_repetition():
-    v1 = Hypervector.generate(64, 21, 0)
-    v2 = Hypervector.generate(64, 21, 1)
-    a = BundleVector.empty(64).add(v1, times=3).add(v2, times=2)
-    b = BundleVector.empty(64)
-    for _ in range(3):
-        b.add(v1)
-    for _ in range(2):
-        b.add(v2)
-    assert np.array_equal(a.components, b.components) and a.count == b.count
+    vocab = _vocab(2, 64, 21)
+    a, b = vocab.bow_matrix([[0, 0, 0, 1, 1], [1, 0, 1, 0, 0]])
+    s0, s1 = (np.array(oracles.reference_signs(64, 21, i)) for i in range(2))
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, 3 * s0 + 2 * s1)
 
 
 @given(
@@ -233,34 +234,18 @@ def test_weighted_add_equals_repetition():
 )
 @settings(max_examples=60, deadline=None)
 def test_bundle_parity_and_magnitude_invariants(dim, seed, picks):
-    bundle = BundleVector.empty(dim)
-    for i in picks:
-        bundle.add(Hypervector.generate(dim, seed, i))
-    comps = bundle.components
-    assert np.all((comps - bundle.count) % 2 == 0)
-    assert np.all(np.abs(comps) <= bundle.count)
-
-
-def test_bundle_validation():
-    with pytest.raises(ValueError):
-        BundleVector(0)
-    with pytest.raises(ValueError):
-        BundleVector(4, np.zeros(5, dtype=np.int64))
-    with pytest.raises(ValueError):
-        BundleVector(4, np.zeros(4, dtype=np.float64))
-    with pytest.raises(DimensionMismatchError):
-        BundleVector.empty(8).add(Hypervector.generate(9, 0, 0))
-    with pytest.raises(ValueError):
-        BundleVector.empty(8).add(Hypervector.generate(8, 0, 0), times=0)
+    comps = _vocab(13, dim, seed).bow_matrix([picks])[0]
+    count = len(picks)
+    assert np.all((comps - count) % 2 == 0)
+    assert np.all(np.abs(comps) <= count)
 
 
 # ---------------------------------------------------------------- membership
 
 
 def test_single_member_scores_exactly_one():
-    v = Hypervector.generate(256, 5, 0)
-    bundle = BundleVector.empty(256).add(v)
-    assert membership_score(bundle, v).value == 1.0
+    [(member, _)] = _prefix_scores(256, 5, [1], 1)
+    assert member.tolist() == [[1.0]]
 
 
 def test_membership_matches_brute_force_random_cases():
@@ -269,19 +254,13 @@ def test_membership_matches_brute_force_random_cases():
         dim = int(rng.integers(1, 65))
         k = int(rng.integers(1, 9))
         seed = int(rng.integers(0, 2**32))
-        vs = [Hypervector.generate(dim, seed, i) for i in range(k)]
+        vocab = _vocab(k + 2, dim, seed)
         weights = [int(w) for w in rng.integers(1, 4, size=k)]
-        bundle = BundleVector.empty(dim)
-        for v, w in zip(vs, weights):
-            bundle.add(v, times=w)
-        comps = oracles.brute_bundle(
-            [v.signs().tolist() for v, w in zip(vs, weights) for _ in range(w)]
-        )
-        for qi in range(k + 2):
-            q = Hypervector.generate(dim, seed, qi)
-            got = membership_score(bundle, q).value
-            want = oracles.brute_membership(comps, q.signs().tolist())
-            assert got == want
+        bundle = vocab.bow_matrix([[i for i, w in enumerate(weights) for _ in range(w)]])[0]
+        signs = [oracles.reference_signs(dim, seed, i) for i in range(k + 2)]
+        comps = oracles.brute_bundle([signs[i] for i, w in enumerate(weights) for _ in range(w)])
+        got = _membership(bundle, packed_signs(vocab.packed(), dim), dim)
+        assert got == [oracles.brute_membership(comps, q) for q in signs]
 
 
 def test_membership_exhaustive_small_grid():
@@ -289,44 +268,36 @@ def test_membership_exhaustive_small_grid():
     for seed in (0, 1, 2):
         for dim in range(1, 17):
             for k in range(1, 5):
-                vs = [Hypervector.generate(dim, seed, i) for i in range(k)]
-                bundle = BundleVector.from_vectors(vs)
-                comps = oracles.brute_bundle([v.signs().tolist() for v in vs])
-                assert bundle.components.tolist() == comps
-                for qi in range(k + 2):
-                    q = Hypervector.generate(dim, seed, qi)
-                    want = oracles.brute_membership(comps, q.signs().tolist())
-                    assert membership_score(bundle, q).value == want
-
-
-def test_membership_score_threshold_and_mismatch():
-    v = Hypervector.generate(32, 1, 0)
-    b = BundleVector.empty(32).add(v)
-    s = membership_score(b, v, threshold=0.75)
-    assert s.threshold == 0.75 and decide_membership(s)
-    with pytest.raises(DimensionMismatchError):
-        membership_score(b, Hypervector.generate(33, 1, 0))
+                vocab = _vocab(k + 2, dim, seed)
+                bundle = vocab.bow_matrix([np.arange(k)])[0]
+                signs = [oracles.reference_signs(dim, seed, i) for i in range(k + 2)]
+                comps = oracles.brute_bundle(signs[:k])
+                assert bundle.tolist() == comps
+                got = _membership(bundle, packed_signs(vocab.packed(), dim), dim)
+                assert got == [oracles.brute_membership(comps, q) for q in signs]
 
 
 def test_scaling_convention_equivalence():
     # integer components / d equals the dot of 1/sqrt(d)-scaled real vectors
     dim, seed = 500, 77
-    vs = [Hypervector.generate(dim, seed, i) for i in range(20)]
-    bundle = BundleVector.from_vectors(vs)
-    q = Hypervector.generate(dim, seed, 3)
-    int_path = membership_score(bundle, q).value
-    scaled_q = q.signs() / math.sqrt(dim)
-    scaled_bundle = bundle.components / math.sqrt(dim)
+    vocab = _vocab(20, dim, seed)
+    bundle = vocab.bow_matrix([np.arange(20)])[0]
+    q = vocab.sign_matrix()[3]
+    [int_path] = _membership(bundle, q[None], dim)
+    scaled_q = q / math.sqrt(dim)
+    scaled_bundle = bundle / math.sqrt(dim)
     float_path = float(scaled_q @ scaled_bundle)
     assert math.isclose(int_path, float_path, rel_tol=0, abs_tol=1e-9)
     assert (int_path > 0.5) == (float_path > 0.5)
 
 
-def test_decide_membership_thresholding():
-    assert decide_membership(MembershipScore(0.51))
-    assert not decide_membership(MembershipScore(0.5))
-    assert not decide_membership(MembershipScore(0.49))
-    assert decide_membership(MembershipScore(0.2, threshold=0.1))
+def test_membership_decision_is_strict():
+    # a k = 1 bundle scores its member exactly 1.0: a threshold of 1.0
+    # rejects every member, and any threshold below it accepts them all
+    strict = rho_curve(RhoCurveConfig(dim=64, ks=(1,), trials=20, seed=0, threshold=1.0))[0]
+    assert (strict.tp, strict.fn) == (0, 20)
+    below = rho_curve(RhoCurveConfig(dim=64, ks=(1,), trials=20, seed=0, threshold=0.99))[0]
+    assert (below.tp, below.fn) == (20, 0)
 
 
 def test_decision_error_rate_matches_gaussian_prediction():
@@ -363,22 +334,18 @@ def test_membership_distribution_quick_sanity():
     assert abs(np.mean(outsider)) < 0.1
 
 
-# ------------------------------------------------------------ nearest_in_set
+# ----------------------------------------------------------- nearest exemplar
 
 
-def test_nearest_singleton_and_validation():
-    a = Hypervector.generate(64, 8, 0)
-    assert nearest_in_set([a], a) == 0
-    with pytest.raises(ValueError):
-        nearest_in_set([], a)
-    with pytest.raises(DimensionMismatchError):
-        nearest_in_set([a], Hypervector.generate(65, 8, 0))
+def test_nearest_singleton():
+    signs = _signs(64, 8, [0])
+    assert top_rows(exact_dots(signs, signs, 1), 1).tolist() == [[0]]
 
 
 def test_nearest_tie_breaks_to_lowest_index():
-    a = Hypervector.generate(64, 8, 1)
-    b = Hypervector.generate(64, 8, 2)
-    assert nearest_in_set([b, a, a, b], a) == 1
+    a, b = _signs(64, 8, [1, 2])
+    rows = np.stack([b, a, a, b])
+    assert top_rows(exact_dots(rows, a[None], 1), 1).tolist() == [[1]]
 
 
 def test_nearest_always_finds_the_member():
@@ -491,11 +458,10 @@ def test_cosines_match_brute(a, b):
 
 def test_parallel_scoring_equals_sequential():
     dim = 512
-    bundle = BundleVector.from_vectors(
-        Hypervector.generate(dim, 4, i) for i in range(10)
-    )
-    queries = [Hypervector.generate(dim, 4, i) for i in range(50)]
-    sequential = [membership_score(bundle, q).value for q in queries]
+    vocab = _vocab(50, dim, 4)
+    bundle = vocab.bow_matrix([np.arange(10)])[0]
+    queries = packed_signs(vocab.packed(), dim)
+    sequential = [_membership(bundle, q[None], dim)[0] for q in queries]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda q: membership_score(bundle, q).value, queries))
+        parallel = list(pool.map(lambda q: _membership(bundle, q[None], dim)[0], queries))
     assert parallel == sequential

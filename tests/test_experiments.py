@@ -7,11 +7,11 @@ import pytest
 
 import oracles
 from hdsem import experiments
-from hdsem.core import BundleVector, Hypervector, membership_score
 from hdsem.experiments import (
     MembershipSimConfig,
     MembershipSimResult,
     RhoCurveConfig,
+    _prefix_scores,
     membership_sim,
     rho_curve,
 )
@@ -23,12 +23,10 @@ def test_membership_sim_scores_equal_direct_bundle_scoring():
     res = membership_sim(cfg)
     for t in range(cfg.trials):
         base = t * (cfg.k + 1)
-        vs = [Hypervector.generate(cfg.dim, cfg.seed, base + i) for i in range(cfg.k)]
-        bundle = BundleVector.from_vectors(vs)
-        member = Hypervector.generate(cfg.dim, cfg.seed, base)
-        outsider = Hypervector.generate(cfg.dim, cfg.seed, base + cfg.k)
-        assert res.member_scores[t] == membership_score(bundle, member).value
-        assert res.nonmember_scores[t] == membership_score(bundle, outsider).value
+        vs = [oracles.reference_signs(cfg.dim, cfg.seed, base + i) for i in range(cfg.k + 1)]
+        comps = oracles.brute_bundle(vs[: cfg.k])
+        assert res.member_scores[t] == oracles.brute_membership(comps, vs[0])
+        assert res.nonmember_scores[t] == oracles.brute_membership(comps, vs[cfg.k])
 
 
 def test_membership_sim_k1_members_score_exactly_one():
@@ -88,6 +86,15 @@ def test_rho_curve_counts_are_complete_and_deterministic(monkeypatch):
         assert p1.fp + p1.tn == cfg.trials
 
 
+def test_membership_sim_scores_do_not_depend_on_batching(monkeypatch):
+    cfg = MembershipSimConfig(dim=200, k=9, trials=25, seed=4)
+    one = membership_sim(cfg)  # one batch of 25 trials
+    monkeypatch.setattr(experiments, "_BATCH_WORDS", 3 * 10 * 4)
+    small = membership_sim(cfg)  # batches of 3 trials, the last one short
+    assert one.member_scores.tolist() == small.member_scores.tolist()
+    assert one.nonmember_scores.tolist() == small.nonmember_scores.tolist()
+
+
 def test_rho_curve_member_scores_match_direct_bundles():
     # spot-check the prefix construction against direct scoring for one trial
     dim, ks, seed = 64, (1, 3, 6), 21
@@ -95,16 +102,12 @@ def test_rho_curve_member_scores_match_direct_bundles():
     # threshold -2 turns every member and outsider probe into a "positive",
     # so counts alone cannot check scores; recompute the scores by hand
     kmax = max(ks)
-    vs = [Hypervector.generate(dim, seed, i) for i in range(kmax)]
-    outsider = Hypervector.generate(dim, seed, kmax)
-    member = vs[0]
-    for k in ks:
-        bundle = BundleVector.from_vectors(vs[:k])
-        m = membership_score(bundle, member).value
-        o = membership_score(bundle, outsider).value
-        comps = oracles.brute_bundle([v.signs().tolist() for v in vs[:k]])
-        assert m == oracles.brute_membership(comps, member.signs().tolist())
-        assert o == oracles.brute_membership(comps, outsider.signs().tolist())
+    vs = [oracles.reference_signs(dim, seed, i) for i in range(kmax + 1)]
+    [(member, outsider)] = _prefix_scores(dim, seed, list(ks), 1)
+    for j, k in enumerate(ks):
+        comps = oracles.brute_bundle(vs[:k])
+        assert member[0, j] == oracles.brute_membership(comps, vs[0])
+        assert outsider[0, j] == oracles.brute_membership(comps, vs[kmax])
     pts = rho_curve(pts_cfg)
     assert all(p.tp == 1 and p.fp == 1 for p in pts)
 

@@ -20,7 +20,7 @@ from hdsem.sentences import SentenceIndex, query_sentences
 from hdsem.spam import ClassifyResult, Message, SpamFilter, classify_many
 from hdsem.textpipe import Vocabulary, bare_config
 
-from oracles import brute_cosine, brute_top
+from oracles import brute_cosine, brute_top, reference_signs
 
 WORDS = ("alpha", "beta", "gamma", "delta")
 
@@ -53,7 +53,8 @@ def _model(rows):
 
 
 def _signs(vocab, words):
-    return [sum(int(vocab.vector_of(w).signs()[j]) for w in words) for j in range(vocab.dim)]
+    signs = [reference_signs(vocab.dim, vocab.seed, vocab.index_of(w)) for w in words]
+    return [sum(v[j] for v in signs) for j in range(vocab.dim)]
 
 
 def _dot(a, b):

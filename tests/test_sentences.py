@@ -25,7 +25,7 @@ from hdsem.sentences import (
 )
 from hdsem.textpipe import Vocabulary, bare_config, default_config
 
-from oracles import brute_bundle, brute_cosine, reference_split_sentences
+from oracles import brute_bundle, brute_cosine, reference_signs, reference_split_sentences
 
 
 # ------------------------------------------------------------ segmentation
@@ -138,8 +138,8 @@ def test_build_excludes_emptied_sentences():
 
 def test_build_multiplicity_counts():
     idx = build_sentence_index("cat cat dog.", dim=48, seed=3)
-    v_cat = idx.vocabulary.vector_of("cat").signs().astype(np.int64)
-    v_dog = idx.vocabulary.vector_of("dog").signs().astype(np.int64)
+    v_cat = np.array(reference_signs(48, 3, idx.vocabulary.index_of("cat")), dtype=np.int64)
+    v_dog = np.array(reference_signs(48, 3, idx.vocabulary.index_of("dog")), dtype=np.int64)
     np.testing.assert_array_equal(idx.matrix[0], 2 * v_cat + v_dog)
     assert idx.norms_sq[0] == int(((2 * v_cat + v_dog) ** 2).sum())
 
@@ -155,10 +155,17 @@ def test_build_int32_guard(monkeypatch):
         return lambda self, docs: np.full((len(docs), self.dim), value, dtype=np.int64)
 
     monkeypatch.setattr(Vocabulary, "bow_matrix", crafted(2**31 - 1))
-    assert build_sentence_index("a b. c.", dim=8, seed=0).max_abs == 2**31 - 1
-    monkeypatch.setattr(Vocabulary, "bow_matrix", crafted(-(2**31)))
-    with pytest.raises(ValueError, match="sentence counts exceed int32 range"):
+    # at dim 1 the squared norm (2^31 - 1)^2 fits int64 and is stored exactly
+    idx = build_sentence_index("a b. c.", dim=1, seed=0)
+    assert idx.max_abs == 2**31 - 1
+    assert idx.norms_sq.tolist() == [(2**31 - 1) ** 2] * 2
+    # at dim 8 it is 8 (2^31 - 1)^2 > 2^63, which int64 cannot hold
+    with pytest.raises(ValueError, match="integer squared norms exceed int64 range"):
         build_sentence_index("a b. c.", dim=8, seed=0)
+    monkeypatch.setattr(Vocabulary, "bow_matrix", crafted(-(2**31)))
+    for dim in (1, 8):  # the int32 check comes first, whatever the norms
+        with pytest.raises(ValueError, match="sentence counts exceed int32 range"):
+            build_sentence_index("a b. c.", dim=dim, seed=0)
 
 
 def test_build_empty_document():
@@ -211,7 +218,7 @@ def test_scores_match_cosine_oracle():
     query = "w1 w3 w3 w5"
     out = query_sentences(idx, query, top_n=8)
 
-    signs = {w: idx.vocabulary.vector_of(w).signs().tolist() for w in idx.vocabulary.words}
+    signs = {w: reference_signs(32, 11, i) for i, w in enumerate(idx.vocabulary.words)}
     q = brute_bundle([signs["w1"], signs["w3"], signs["w3"], signs["w5"]])
     expected = []
     for i, s in enumerate(sentences):
@@ -326,8 +333,7 @@ def _crafted_index(max_abs):
     """
     dim = 8
     vocab = Vocabulary(["a", "b"], dim=dim, seed=3)
-    qs = vocab.vector_of("a").signs().astype(np.int64)
-    bs = vocab.vector_of("b").signs().astype(np.int64)
+    qs, bs = vocab.sign_matrix().astype(np.int64)
     flip = qs.copy()
     flip[0] = -flip[0]
     rows = np.array(

@@ -16,7 +16,6 @@ from hdsem.spam import (
     EvaluationReport,
     FoldResult,
     Message,
-    classify,
     classify_many,
     cross_validate,
     ingest_lingspam,
@@ -24,7 +23,7 @@ from hdsem.spam import (
 )
 from hdsem.textpipe import PipelineConfig, Vocabulary
 
-from oracles import brute_bundle, brute_cosine
+from oracles import brute_bundle, brute_cosine, reference_signs
 
 SPAM_WORDS = ["cash", "winner", "prize", "claim", "offer", "free"]
 HAM_WORDS = ["meeting", "linguistics", "paper", "corpus", "study", "draft"]
@@ -168,7 +167,7 @@ def test_classify_matches_linear_scan():
     got = classify_many(f, tests)
 
     signs = {
-        w: f.vocabulary.vector_of(w).signs().tolist()
+        w: reference_signs(32, 21, f.vocabulary.index_of(w))
         for w in f.vocabulary.words
     }
     kept = list(train)
@@ -191,11 +190,11 @@ def test_classify_matches_linear_scan():
 def test_classify_tie_goes_to_earliest_exemplar():
     train = [Message("first", 1, ("x",)), Message("second", 0, ("x",))]
     f = train_filter(train, dim=64, seed=3)
-    res = classify(f, Message("q", 0, ("x",)))
+    [res] = classify_many(f, [Message("q", 0, ("x",))])
     assert res.best_match_id == "first"
     assert res.label == 1
     f2 = train_filter(list(reversed(train)), dim=64, seed=3)
-    assert classify(f2, Message("q", 0, ("x",))).label == 0
+    assert classify_many(f2, [Message("q", 0, ("x",))])[0].label == 0
 
 
 def test_classify_unclassifiable_defaults_to_ham():
@@ -203,7 +202,7 @@ def test_classify_unclassifiable_defaults_to_ham():
         [Message("a", 1, ("cash",)), Message("b", 0, ("paper",))], dim=32, seed=0
     )
     for words in [(), ("zzz", "qqq")]:
-        res = classify(f, Message("q", 1, words))
+        [res] = classify_many(f, [Message("q", 1, words)])
         assert res == ClassifyResult(0, 0.0, None, True)
 
 
@@ -212,7 +211,7 @@ def test_classify_single_equals_batch():
     f = train_filter(train, dim=128, seed=5)
     queries = [Message("q1", 0, ("cash",)), Message("q2", 0, ("study", "paper"))]
     batch = classify_many(f, queries)
-    singles = [classify(f, q) for q in queries]
+    singles = [classify_many(f, [q])[0] for q in queries]
     assert batch == singles
 
 

