@@ -118,21 +118,20 @@ class ContextModel:
             meta = json.loads(bytes(members["meta"]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorpusFormatError(f"context model {path}: bad metadata ({exc})") from None
-        if not isinstance(meta, dict) or meta.get("format_version") != MODEL_FORMAT_VERSION:
-            raise CorpusFormatError(
-                f"context model {path}: unsupported format_version {meta.get('format_version')!r}"
-            )
+        version = meta.get("format_version") if isinstance(meta, dict) else None
+        if version != MODEL_FORMAT_VERSION:
+            raise CorpusFormatError(f"context model {path}: unsupported format_version {version!r}")
         needed = {"dim", "seed", "half_window", "words"} - meta.keys()
         if needed:
             raise CorpusFormatError(f"context model {path}: metadata missing {sorted(needed)}")
-        vocab = Vocabulary(
-            meta["words"],
-            meta["dim"],
-            meta["seed"],
-            lemmatizer=meta.get("lemmatizer", "identity"),
-            stopword_digest=meta.get("stopword_digest"),
-        )
         try:
+            vocab = Vocabulary(
+                meta["words"],
+                meta["dim"],
+                meta["seed"],
+                lemmatizer=meta.get("lemmatizer", "identity"),
+                stopword_digest=meta.get("stopword_digest"),
+            )
             return cls(
                 vocab,
                 meta["half_window"],

@@ -110,8 +110,12 @@ def dot_int_rows(rows: np.ndarray, query_words: np.ndarray, dim: int) -> np.ndar
 
     XOR marks the mismatching bits and the popcount along the last axis
     counts them; rows and query_words broadcast against each other, so
-    one call scores (..., w) rows against (..., 1, w) queries.
+    one call scores (..., w) rows against (..., 1, w) queries.  Both must
+    hold words_per_vector(dim) words, else ValueError.
     """
+    w = words_per_vector(dim)
+    if rows.shape[-1] != w or query_words.shape[-1] != w:
+        raise ValueError(f"packed rows must hold {w} words for dim {dim}")
     return dim - 2 * np.bitwise_count(rows ^ query_words).sum(axis=-1, dtype=np.int64)
 
 

@@ -20,7 +20,7 @@ from hdsem.context import (
     context_stats,
     similar_words,
 )
-from hdsem.core import exact_dots
+from hdsem.core import exact_dots, generate_packed, packed_signs
 from hdsem.errors import (
     CorpusFormatError,
     EmptyContextError,
@@ -151,6 +151,18 @@ def test_contains_direct_neighbors():
     assert row_membership(model, "c", "x") > 0.5
     assert row_membership(model, "c", "y") > 0.5
     assert not row_membership(model, "c", "w") > 0.5
+
+
+def test_contains_accepts_hypervector_probe():
+    # a raw sign vector probes a context row as its word does
+    model = make_model("x c y", dim=256, seed=2, half_window=1)
+    row = model.matrix[[model.vocabulary.index_of("c")]]
+    probe = packed_signs(model.vocabulary.packed()[[model.vocabulary.index_of("x")]], 256)
+    assert exact_dots(row, probe, 2)[0, 0] / 256 == row_membership(model, "c", "x")
+    with pytest.raises(ValueError):
+        exact_dots(row, packed_signs(generate_packed(128, 2, [0]), 128), 2)
+    with pytest.raises(UnknownWordError):
+        row_membership(model, "c", "zz")
 
 
 def test_contains_probability_at_140_pairs():

@@ -104,7 +104,8 @@ def test_generation_input_validation():
         Vocabulary(["a"], dim=0, seed=1)
 
 
-def test_vocabulary_packed_words_are_read_only():
+def test_hypervector_words_are_read_only():
+    # word vectors are shared by every caller of Vocabulary.packed()
     packed = _vocab(1, 64, 1).packed()
     with pytest.raises(ValueError):
         packed[0, 0] = np.uint64(0)
@@ -144,6 +145,17 @@ def test_dot_equals_brute_force_exactly(dim, seed, i, j):
     got = dot_int_rows(rows[:1], rows[1], dim)[0] / dim
     ref = oracles.reference_signs
     assert got == oracles.brute_dot(ref(dim, seed, i), ref(dim, seed, j))
+
+
+def test_dot_dimension_mismatch():
+    a64, a65 = generate_packed(64, 1, [0]), generate_packed(65, 1, [0])
+    with pytest.raises(ValueError):
+        dot_int_rows(a64, a65, 64)
+    with pytest.raises(ValueError):
+        dot_int_rows(a65, a65, 64)
+    # a one-word query never broadcasts against two-word rows
+    with pytest.raises(ValueError):
+        dot_int_rows(a65, a64, 65)
 
 
 def test_dot_int_rows_broadcasts_over_trials():
@@ -205,13 +217,23 @@ def test_empty_bundle_plus_vector_equals_its_signs():
     assert bundle.tolist() == oracles.reference_signs(96, 3, 0)
 
 
+def test_vector_plus_negation_cancels():
+    dim = 96
+    v = generate_packed(dim, 3, [1])
+    negated = ~v
+    negated[:, -1] &= np.uint64(((1 << (dim % 64)) - 1) << (64 - dim % 64))  # keep tail bits zero
+    signs = [oracles.reference_signs(dim, 3, 1), packed_signs(negated, dim)[0].tolist()]
+    assert oracles.brute_bundle(signs) == [0] * dim
+
+
 def test_bundle_linearity_small():
     bundle = _vocab(5, 32, 9).bow_matrix([np.arange(5)])[0]
     expected = oracles.brute_bundle([oracles.reference_signs(32, 9, i) for i in range(5)])
     assert bundle.tolist() == expected
 
 
-def test_one_bundle_equals_sum_of_single_bundles():
+def test_from_packed_equals_repeated_add():
+    # one document of n words bundles to the sum of n one-word documents
     dim = 77
     vocab = _vocab(9, dim, 13)
     fast = vocab.bow_matrix([np.arange(9)])[0]
@@ -238,6 +260,15 @@ def test_bundle_parity_and_magnitude_invariants(dim, seed, picks):
     count = len(picks)
     assert np.all((comps - count) % 2 == 0)
     assert np.all(np.abs(comps) <= count)
+
+
+def test_bundle_validation():
+    with pytest.raises(ValueError):
+        Vocabulary(["a"], dim=0, seed=0)
+    vocab = _vocab(2, 8, 0)
+    for bad in ([2], [-1], [0, 5]):
+        with pytest.raises(IndexError):
+            vocab.bow_matrix([[0], bad])
 
 
 # ---------------------------------------------------------------- membership
@@ -277,6 +308,17 @@ def test_membership_exhaustive_small_grid():
                 assert got == [oracles.brute_membership(comps, q) for q in signs]
 
 
+def test_membership_score_threshold_and_mismatch():
+    # the member of a one-vector bundle scores 1.0, above a 0.75 threshold
+    [(member, _)] = _prefix_scores(32, 1, [1], 1)
+    assert member.tolist() == [[1.0]]
+    [point] = rho_curve(RhoCurveConfig(dim=32, ks=(1,), trials=10, seed=1, threshold=0.75))
+    assert (point.tp, point.fn) == (10, 0)
+    bundle = _vocab(1, 32, 1).bow_matrix([[0]])
+    with pytest.raises(ValueError):
+        exact_dots(bundle, _signs(33, 1, [0]), 1)
+
+
 def test_scaling_convention_equivalence():
     # integer components / d equals the dot of 1/sqrt(d)-scaled real vectors
     dim, seed = 500, 77
@@ -291,7 +333,7 @@ def test_scaling_convention_equivalence():
     assert (int_path > 0.5) == (float_path > 0.5)
 
 
-def test_membership_decision_is_strict():
+def test_decide_membership_thresholding():
     # a k = 1 bundle scores its member exactly 1.0: a threshold of 1.0
     # rejects every member, and any threshold below it accepts them all
     strict = rho_curve(RhoCurveConfig(dim=64, ks=(1,), trials=20, seed=0, threshold=1.0))[0]
@@ -337,9 +379,13 @@ def test_membership_distribution_quick_sanity():
 # ----------------------------------------------------------- nearest exemplar
 
 
-def test_nearest_singleton():
+def test_nearest_singleton_and_validation():
     signs = _signs(64, 8, [0])
     assert top_rows(exact_dots(signs, signs, 1), 1).tolist() == [[0]]
+    with pytest.raises(ValueError):  # an empty exemplar set has no nearest
+        top_rows(exact_dots(signs[:0], signs, 1), 1)
+    with pytest.raises(ValueError):
+        exact_dots(signs, _signs(65, 8, [0]), 1)
 
 
 def test_nearest_tie_breaks_to_lowest_index():

@@ -5,11 +5,14 @@ rule table (rule order, min-stem checks, terminal rules, fixpoint reruns)
 before the implementation existed, and are frozen here.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdsem.context import ContextModel, build_context_model
 from hdsem.core import dot_int_rows, generate_packed, packed_signs
 from hdsem.errors import CorpusFormatError, UnknownWordError
 from hdsem.sentences import build_sentence_index, query_sentences
@@ -398,6 +401,14 @@ def test_vocabulary_vectors_match_direct_generation():
         assert packed_signs(row, 200).tolist() == reference_signs(200, 99, i)
 
 
+def test_vocabulary_vector_at_range():
+    vocab = Vocabulary(["x"], dim=8, seed=0)
+    with pytest.raises(IndexError):
+        vocab.bow_matrix([[1]])
+    with pytest.raises(IndexError):
+        vocab.bow_matrix([[-1]])
+
+
 def test_sign_matrix_values():
     vocab = Vocabulary(["x", "y"], dim=70, seed=3)
     s = vocab.sign_matrix()
@@ -475,6 +486,46 @@ def test_vocabulary_records_pipeline_provenance():
     vocab = build_vocabulary(toks, dim=16, seed=0, config=cfg)
     assert vocab.lemmatizer == "suffix"
     assert vocab.stopword_digest == stopword_digest(cfg.stopwords)
+
+
+def test_vocabulary_save_load_round_trip(tmp_path):
+    # a vocabulary is saved as part of the context model built on it
+    cfg = default_config("suffix")
+    toks = preprocess("The cats were running quickly near the houses", cfg)
+    vocab = build_vocabulary(toks, dim=128, seed=17, config=cfg)
+    path = tmp_path / "model.npz"
+    build_context_model(toks, vocab, half_window=2).save(path)
+    loaded = ContextModel.load(path).vocabulary
+    assert loaded.words == vocab.words
+    assert loaded.dim == vocab.dim
+    assert loaded.seed == vocab.seed
+    assert loaded.lemmatizer == vocab.lemmatizer
+    assert loaded.stopword_digest == vocab.stopword_digest
+    np.testing.assert_array_equal(loaded.packed(), vocab.packed())
+
+
+def test_vocabulary_load_rejects_bad_files(tmp_path):
+    p = tmp_path / "v.npz"
+
+    def write(meta_text):
+        counts = {k: np.zeros(1, dtype=np.int64) for k in ("context_totals", "context_distinct", "occurrences")}
+        meta = np.frombuffer(meta_text.encode(), dtype=np.uint8)
+        np.savez(p, meta=meta, matrix=np.zeros((1, 8), dtype=np.int64), **counts)
+
+    good = {"format_version": 1, "dim": 8, "seed": 0, "half_window": 1, "words": ["a"]}
+    write(json.dumps(good))
+    assert ContextModel.load(p).vocabulary.words == ("a",)
+    for bad in (
+        "not json",
+        json.dumps([1, 2]),
+        json.dumps({**good, "format_version": 2}),
+        json.dumps({"format_version": 1, "dim": 8, "half_window": 1}),
+        json.dumps({**good, "words": ["a", "a"]}),
+        json.dumps({**good, "dim": 0}),
+    ):
+        write(bad)
+        with pytest.raises(CorpusFormatError):
+            ContextModel.load(p)
 
 
 def test_word_vectors_pairwise_near_orthogonal():
