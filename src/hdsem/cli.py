@@ -176,10 +176,6 @@ def cmd_context_build(args):
     return 0
 
 
-def _load_model(args):
-    return ContextModel.load(args.model)
-
-
 def _write_word_matches(out, matches):
     with _open_out(out) as fh:
         w = _writer(fh)
@@ -189,7 +185,7 @@ def _write_word_matches(out, matches):
 
 
 def cmd_context_similar(args):
-    model = _load_model(args)
+    model = ContextModel.load(args.model)
     _write_word_matches(args.out, similar_words(model, args.word, top_n=args.top))
     return 0
 
@@ -212,14 +208,14 @@ def _parse_arith_terms(terms):
 
 
 def cmd_context_arith(args):
-    model = _load_model(args)
+    model = ContextModel.load(args.model)
     plus, minus = _parse_arith_terms(args.terms)
     _write_word_matches(args.out, context_arithmetic(model, plus, minus, top_n=args.top))
     return 0
 
 
 def cmd_context_stats(args):
-    model = _load_model(args)
+    model = ContextModel.load(args.model)
     rows = context_stats(model)
     with _open_out(args.out) as fh:
         w = _writer(fh)

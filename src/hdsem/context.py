@@ -3,8 +3,11 @@
 For every occurrence of a word, the words inside a symmetric window
 around it (up to half_window on each side, clipped at the ends, center
 excluded) contribute their sign vectors to the word's context row.  The
-row is therefore an integer bundle: the model's matrix is the sparse
-co-occurrence counts times the vocabulary's sign matrix.  Words are
+row is therefore an integer bundle, and the model is its sparse
+co-occurrence counts: the matrix of rows is the counts times the
+vocabulary's sign matrix, derived by Vocabulary.bundle whenever a model
+is built or loaded.  A saved model (format 2) holds the counts, the word
+occurrences and the vocabulary metadata, nothing derived.  Words are
 compared by the cosine of their rows, and context arithmetic ranks every
 row against a sum and difference of rows.
 
@@ -24,50 +27,60 @@ from .core import cosines, squared_norms, top_rows
 from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError
 from .textpipe import Vocabulary
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ContextModel:
-    """Per-word context bundles over a fixed vocabulary.
+    """Per-word context bundles over a fixed vocabulary, derived from counts.
 
-    matrix[i] is the integer sum of neighbor sign vectors for word i;
-    context_totals[i] counts the contributing (occurrence, neighbor)
-    pairs, context_distinct[i] the distinct neighbor words, and
-    occurrences[i] how often word i itself appeared.
+    counts[i, j] is how often word j fell in a window around word i and
+    occurrences[i] how often word i itself appeared; both are validated
+    here, and they are all a saved model stores.  Derived from them once:
+    matrix[i], the sum of neighbor sign vectors for word i, as float64
+    (exact, since no |entry| reaches 2^31); its largest |entry| max_abs
+    and exact squared norms norms_sq; context_totals[i], the contributing
+    (occurrence, neighbor) pairs; and context_distinct[i], the distinct
+    neighbor words.
     """
 
     __slots__ = (
         "vocabulary",
         "half_window",
+        "counts",
+        "occurrences",
         "matrix",
+        "max_abs",
+        "norms_sq",
         "context_totals",
         "context_distinct",
-        "occurrences",
     )
 
-    def __init__(self, vocabulary, half_window, matrix, context_totals, context_distinct, occurrences):
+    def __init__(self, vocabulary, half_window, counts, occurrences):
         n = len(vocabulary)
         if half_window < 1:
             raise ValueError("half_window must be >= 1")
-        matrix = np.asarray(matrix, dtype=np.int64)
-        if matrix.shape != (n, vocabulary.dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not match ({n}, {vocabulary.dim})")
-        context_totals = np.asarray(context_totals, dtype=np.int64)
-        context_distinct = np.asarray(context_distinct, dtype=np.int64)
-        occurrences = np.asarray(occurrences, dtype=np.int64)
-        for name, arr in (
-            ("context_totals", context_totals),
-            ("context_distinct", context_distinct),
-            ("occurrences", occurrences),
+        counts = scipy.sparse.csr_matrix(counts)
+        counts.check_format(full_check=True)
+        if (
+            counts.shape != (n, n)
+            or counts.dtype.kind not in "iu"
+            or not counts.has_canonical_format
+            or np.any(counts.data < 1)
         ):
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
+            raise ValueError(f"counts must be a canonical ({n}, {n}) CSR matrix of integer counts >= 1")
+        occurrences = np.asarray(occurrences)
+        if occurrences.shape != (n,) or occurrences.dtype.kind not in "iu" or np.any(occurrences < 0):
+            raise ValueError(f"occurrences must be {n} integers >= 0")
+        matrix = vocabulary.bundle(counts)
         self.vocabulary = vocabulary
         self.half_window = int(half_window)
-        self.matrix = matrix
-        self.context_totals = context_totals
-        self.context_distinct = context_distinct
-        self.occurrences = occurrences
+        self.counts = counts
+        self.occurrences = occurrences.astype(np.int64)
+        self.max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
+        self.norms_sq = squared_norms(matrix, self.max_abs)
+        self.matrix = matrix.astype(np.float64)
+        self.context_totals = np.asarray(counts.sum(axis=1, dtype=np.int64)).ravel()
+        self.context_distinct = np.diff(counts.indptr).astype(np.int64)
 
     @property
     def dim(self):
@@ -77,8 +90,8 @@ class ContextModel:
         return len(self.vocabulary)
 
     def context_vector(self, word):
-        """Integer context row for a word, as a copy."""
-        return self.matrix[self.vocabulary.index_of(word)].copy()
+        """Integer context row for a word, as an int64 copy."""
+        return self.matrix[self.vocabulary.index_of(word)].astype(np.int64)
 
     def save(self, path):
         meta = {
@@ -96,9 +109,9 @@ class ContextModel:
         np.savez_compressed(
             path,
             meta=meta_bytes,
-            matrix=self.matrix,
-            context_totals=self.context_totals,
-            context_distinct=self.context_distinct,
+            indptr=self.counts.indptr,
+            indices=self.counts.indices,
+            data=self.counts.data,
             occurrences=self.occurrences,
         )
 
@@ -111,19 +124,26 @@ class ContextModel:
             raise
         except (OSError, ValueError, zipfile.BadZipFile) as exc:
             raise CorpusFormatError(f"context model {path}: not a readable npz file ({exc})") from None
-        missing = {"meta", "matrix", "context_totals", "context_distinct", "occurrences"} - members.keys()
-        if missing:
-            raise CorpusFormatError(f"context model {path}: missing arrays {sorted(missing)}")
         try:
             meta = json.loads(bytes(members["meta"]).decode("utf-8"))
+        except KeyError:
+            raise CorpusFormatError(f"context model {path}: missing arrays ['meta']") from None
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorpusFormatError(f"context model {path}: bad metadata ({exc})") from None
         version = meta.get("format_version") if isinstance(meta, dict) else None
         if version != MODEL_FORMAT_VERSION:
             raise CorpusFormatError(f"context model {path}: unsupported format_version {version!r}")
+        missing = {"indptr", "indices", "data", "occurrences"} - members.keys()
+        if missing:
+            raise CorpusFormatError(f"context model {path}: missing arrays {sorted(missing)}")
         needed = {"dim", "seed", "half_window", "words"} - meta.keys()
         if needed:
             raise CorpusFormatError(f"context model {path}: metadata missing {sorted(needed)}")
+        # a bool is an int to Python, and Vocabulary would split a string into letters
+        if not isinstance(meta["words"], list) or any(
+            type(meta[key]) is not int for key in ("dim", "seed", "half_window")
+        ):
+            raise CorpusFormatError(f"context model {path}: need a word list and integer dim, seed, half_window")
         try:
             vocab = Vocabulary(
                 meta["words"],
@@ -132,20 +152,18 @@ class ContextModel:
                 lemmatizer=meta.get("lemmatizer", "identity"),
                 stopword_digest=meta.get("stopword_digest"),
             )
-            return cls(
-                vocab,
-                meta["half_window"],
-                members["matrix"],
-                members["context_totals"],
-                members["context_distinct"],
-                members["occurrences"],
-            )
+            # csr_matrix would truncate float indices to ints without a word
+            if members["indices"].dtype.kind not in "iu" or members["indptr"].dtype.kind not in "iu":
+                raise ValueError("indices and indptr must be integer arrays")
+            csr = (members["data"], members["indices"], members["indptr"])
+            counts = scipy.sparse.csr_matrix(csr, shape=(len(vocab), len(vocab)))
+            return cls(vocab, meta["half_window"], counts, members["occurrences"])
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"context model {path}: {exc}") from None
 
 
 def build_context_model(tokens, vocabulary, half_window=5):
-    """Accumulate windowed co-occurrence bundles for every word.
+    """Count windowed co-occurrences for every word and bundle them.
 
     tokens may be Token objects or plain strings; every token must be
     present in the vocabulary.  Windows are clipped at the stream ends
@@ -157,38 +175,13 @@ def build_context_model(tokens, vocabulary, half_window=5):
         raise ValueError("half_window must be >= 1")
     ids = vocabulary.encode(tokens)
     n = len(vocabulary)
-    m = len(ids)
-    occurrences = np.bincount(ids, minlength=n) if m else np.zeros(n, dtype=np.int64)
-
-    centers = []
-    neighbors = []
-    for offset in range(1, half_window + 1):
-        if offset >= m:
-            break
-        # pair (position p, position p+offset) contributes both ways
-        centers.append(ids[:-offset])
-        neighbors.append(ids[offset:])
-        centers.append(ids[offset:])
-        neighbors.append(ids[:-offset])
-    if centers:
-        rows = np.concatenate(centers)
-        cols = np.concatenate(neighbors)
-        data = np.ones(len(rows), dtype=np.int64)
-        counts = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    else:
-        counts = scipy.sparse.csr_matrix((n, n), dtype=np.int64)
-
-    matrix = counts @ vocabulary.sign_matrix().astype(np.int64)
-    context_totals = np.asarray(counts.sum(axis=1)).ravel().astype(np.int64)
-    context_distinct = np.diff(counts.indptr).astype(np.int64)
-    return ContextModel(
-        vocabulary,
-        half_window,
-        matrix,
-        context_totals,
-        context_distinct,
-        occurrences.astype(np.int64),
-    )
+    # the pair (position p, position p + k) contributes both ways; ids[:0]
+    # keeps the lists non-empty for a stream of fewer than two tokens
+    ks = range(1, min(half_window, len(ids) - 1) + 1)
+    rows = np.concatenate([ids[:-k] for k in ks] + [ids[k:] for k in ks] + [ids[:0]])
+    cols = np.concatenate([ids[k:] for k in ks] + [ids[:-k] for k in ks] + [ids[:0]])
+    counts = scipy.sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
+    return ContextModel(vocabulary, half_window, counts, np.bincount(ids, minlength=n))
 
 
 def context_similarity(model, word_a, word_b):
@@ -197,9 +190,9 @@ def context_similarity(model, word_a, word_b):
     Raises EmptyContextError when either word has an empty context
     (the cosine is undefined for a zero vector).
     """
-    va = model.context_vector(word_a)[None]
-    max_abs = int(np.abs(va).max())
-    score = cosines(va, squared_norms(va, max_abs), model.context_vector(word_b)[None], max_abs)[0, 0]
+    a = model.vocabulary.index_of(word_a)
+    b = model.vocabulary.index_of(word_b)
+    score = cosines(model.matrix[[a]], model.norms_sq[[a]], model.matrix[[b]], model.max_abs)[0, 0]
     if score == -np.inf:
         raise EmptyContextError("cosine undefined for a zero vector")
     return float(score)
@@ -217,10 +210,7 @@ def _rank_against(model, query_vec, exclude_idx, top_n):
         raise ValueError("top_n must be >= 1")
     if not query_vec.any():
         raise EmptyQueryError("query context vector is zero")
-    # the matrix's own bound: a loaded file's totals are never checked against it
-    max_abs = max(int(model.matrix.max(initial=0)), -int(model.matrix.min(initial=0)))
-    norms_sq = squared_norms(model.matrix, max_abs)
-    scores = cosines(model.matrix, norms_sq, query_vec[None], max_abs)[0]
+    scores = cosines(model.matrix, model.norms_sq, query_vec[None], model.max_abs)[0]
     scores[exclude_idx] = -np.inf
     ranked = [i for i in top_rows(scores, top_n) if scores[i] > -np.inf]
     return [WordMatch(r + 1, model.vocabulary.words[i], float(scores[i])) for r, i in enumerate(ranked)]
@@ -236,17 +226,9 @@ def context_arithmetic(model, plus, minus=(), top_n=5):
     minus = list(minus)
     if not plus and not minus:
         raise ValueError("need at least one operand word")
-    query = np.zeros(model.dim, dtype=np.int64)
-    exclude = []
-    for w in plus:
-        i = model.vocabulary.index_of(w)
-        query += model.matrix[i]
-        exclude.append(i)
-    for w in minus:
-        i = model.vocabulary.index_of(w)
-        query -= model.matrix[i]
-        exclude.append(i)
-    return _rank_against(model, query, exclude, top_n)
+    operands = [model.vocabulary.index_of(w) for w in plus + minus]
+    signs = np.array([1] * len(plus) + [-1] * len(minus), dtype=np.int64)
+    return _rank_against(model, signs @ model.matrix[operands].astype(np.int64), operands, top_n)
 
 
 def similar_words(model, word, top_n=5):

@@ -230,8 +230,11 @@ def squared_norms(rows, max_abs):
     """
     if int(max_abs) ** 2 * rows.shape[-1] >= 2**63:
         raise ValueError("integer squared norms exceed int64 range")
-    r = rows.astype(np.int64, copy=False)
-    return np.einsum("ij,ij->i", r, r)
+    out = np.empty(len(rows), dtype=np.int64)
+    for r in range(0, len(rows), 1024):  # blocks keep the int64 copy small
+        block = rows[r : r + 1024].astype(np.int64, copy=False)
+        out[r : r + 1024] = np.einsum("ij,ij->i", block, block)
+    return out
 
 
 def cosines(rows, norms_sq, queries, max_abs):

@@ -6,11 +6,12 @@ scored against all sentences by cosine.  Because sums and dots are
 integers, a query that exactly reproduces a sentence's bag of words
 scores exactly 1.0 against it.
 
-Sentence bundles are stored as int32, and build_sentence_index records
-their largest |component|; their squared norms come from
-core.squared_norms, which raises rather than wrap once
-max|component|^2 * d reaches 2^63.  Queries are scored by core.cosines and
-core.exact_dots, whose guard keeps the int32 product while
+Sentence bundles are bow_matrix's int32 rows, exact because the bundle
+kernel raises once a sentence's token count reaches 2^31, and
+build_sentence_index records their largest |component|; their squared
+norms come from core.squared_norms, which raises rather than wrap once
+max|component|^2 * d reaches 2^63.  Queries are scored by core.cosines
+and core.exact_dots, whose guard keeps the int32 product while
 max|component| * sum(|q|) < 2^31 and falls back to int64 row blocks
 past it, so the numerators are exact integers either way.
 """
@@ -78,13 +79,12 @@ class SentenceIndex:
     is the largest |component| of matrix; it bounds the query dots.
     """
 
-    __slots__ = ("vocabulary", "config", "sentences", "token_ids", "matrix", "norms_sq", "max_abs")
+    __slots__ = ("vocabulary", "config", "sentences", "matrix", "norms_sq", "max_abs")
 
-    def __init__(self, vocabulary, config, sentences, token_ids, matrix, norms_sq, max_abs):
+    def __init__(self, vocabulary, config, sentences, matrix, norms_sq, max_abs):
         self.vocabulary = vocabulary
         self.config = config
         self.sentences = tuple(sentences)
-        self.token_ids = tuple(tuple(int(i) for i in ids) for ids in token_ids)
         self.matrix = matrix
         self.norms_sq = norms_sq
         self.max_abs = int(max_abs)
@@ -115,20 +115,9 @@ def build_sentence_index(text, dim, seed, config=None):
         kept_tokens.append([t.text for t in toks])
         stream.extend(toks)
     vocab = build_vocabulary(stream, dim, seed, config=config)
-    docs = [vocab.encode(ts) for ts in kept_tokens]
-    s = len(docs)
-    matrix = np.empty((s, dim), dtype=np.int32)
-    norms_sq = np.empty(s, dtype=np.int64)
-    max_abs = 0
-    # row blocks keep the int64 intermediate small at large dim
-    for r in range(0, s, 1024):
-        block = vocab.bow_matrix(docs[r : r + 1024])
-        max_abs = max(max_abs, int(np.abs(block).max(initial=0)))
-        if max_abs >= 2**31:
-            raise ValueError("sentence counts exceed int32 range")
-        matrix[r : r + 1024] = block
-        norms_sq[r : r + 1024] = squared_norms(block, max_abs)
-    return SentenceIndex(vocab, config, kept_texts, docs, matrix, norms_sq, max_abs)
+    matrix = vocab.bow_matrix([vocab.encode(ts) for ts in kept_tokens])
+    max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
+    return SentenceIndex(vocab, config, kept_texts, matrix, squared_norms(matrix, max_abs), max_abs)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def train_filter(messages, dim, seed, vocabulary=None):
         raise ValueError("vocabulary dim/seed do not match the requested filter")
     docs = [vocabulary.encode(m.words, skip_unknown=True) for m in messages]
     matrix = vocabulary.bow_matrix(docs)
-    max_abs = int(np.abs(matrix).max(initial=0))
+    max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
     norms_sq = squared_norms(matrix, max_abs)
     keep = norms_sq > 0
     if not np.any(keep[np.fromiter((m.label == 1 for m in messages), bool, len(messages))]):

@@ -9,8 +9,10 @@ shared identifiers for related surface forms, not dictionary lemmas.
 A Vocabulary assigns each distinct word a row index and derives the
 word's random sign vector from (seed, index), so the word list, dim and
 seed (what a saved context model stores) reconstruct every word vector
-exactly.  packed() holds those vectors as sign words, and bow_matrix()
-sums them into one integer bundle per document.
+exactly.  packed() holds those vectors as sign words and sign_matrix()
+unpacks chosen rows of them.  bundle() is the one kernel that turns
+sparse counts into integer bundles: bow_matrix() calls it on each
+document's word counts, and a context model on its co-occurrence counts.
 """
 
 import functools
@@ -347,45 +349,53 @@ class Vocabulary:
             self._packed.flags.writeable = False
         return self._packed
 
-    def sign_matrix(self):
-        """Unpacked sign matrix of the whole vocabulary, int8 [n, dim].
+    def sign_matrix(self, rows=None):
+        """Unpacked sign vectors of the given rows (every word when None), int8 [k, dim]."""
+        return packed_signs(self.packed() if rows is None else self.packed()[rows], self.dim)
 
-        Recomputed per call and n * dim bytes large; only a context build,
-        which touches every row, needs it.  bow_matrix unpacks only the
-        rows its documents use.
+    def bundle(self, counts):
+        """Sum of counts[i, w] times word w's sign vector per row, int32 [m, dim].
+
+        counts is an (m, len(self)) CSR matrix of non-negative integer
+        counts: the one bundle kernel behind bow_matrix and context models.
+        A row's total count bounds every partial sum of its row, so the
+        int32 product is exact; a total of 2^31 or more raises ValueError.
+        Only the sign rows of the words the counts use are unpacked.
         """
-        if len(self.words) == 0:
-            return np.zeros((0, self.dim), dtype=np.int8)
-        return packed_signs(self.packed(), self.dim)
+        out = np.zeros((counts.shape[0], self.dim), dtype=np.int32)
+        if counts.nnz == 0:
+            return out
+        # the entry check comes first so that the int64 row sums cannot wrap
+        if counts.data.max() >= 2**31 or counts.sum(axis=1, dtype=np.int64).max() >= 2**31:
+            raise ValueError("bundle counts exceed int32 range")
+        used, local = np.unique(counts.indices, return_inverse=True)
+        counts = scipy.sparse.csr_matrix(
+            (counts.data.astype(np.int32), local, counts.indptr), shape=(len(out), len(used))
+        )
+        signs = self.sign_matrix(used)
+        # column slices bound the int32 copy of the signs, and row blocks
+        # each product, to ~100MB
+        step = max(64, 25_000_000 // len(used))
+        rows = max(1, 25_000_000 // step)
+        for c in range(0, self.dim, step):
+            block = signs[:, c : c + step].astype(np.int32)
+            for r in range(0, len(out), rows):
+                out[r : r + rows, c : c + step] = counts[r : r + rows] @ block
+        return out
 
     def bow_matrix(self, documents):
-        """Sum of word vectors per document, int64 [m, dim].
+        """Sum of word vectors per document, int32 [m, dim], through bundle.
 
         documents is a sequence of index arrays as produced by encode().
-        Repeated indices add their vector once per occurrence.  Only the
-        sign rows of words the documents use are unpacked, so the cost
-        follows the documents, not the vocabulary size.
+        Repeated indices add their vector once per occurrence.
         """
-        m = len(documents)
-        n = len(self.words)
-        lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
-        if m == 0 or lengths.sum() == 0:
-            return np.zeros((m, self.dim), dtype=np.int64)
-        rows = np.repeat(np.arange(m, dtype=np.int64), lengths)
-        cols = np.concatenate([np.asarray(doc, dtype=np.int64) for doc in documents if len(doc)])
-        if cols.min() < 0 or cols.max() >= n:
+        docs = [np.asarray(doc, dtype=np.int64) for doc in documents]
+        cols = np.concatenate(docs) if docs else np.zeros(0, dtype=np.int64)
+        if len(cols) and (cols.min() < 0 or cols.max() >= len(self.words)):
             raise IndexError("document index out of vocabulary range")
-        used, local = np.unique(cols, return_inverse=True)
-        data = np.ones(len(cols), dtype=np.int64)
-        counts = scipy.sparse.coo_matrix((data, (rows, local)), shape=(m, len(used))).tocsr()
-        signs = packed_signs(self.packed()[used], self.dim)
-        out = np.empty((m, self.dim), dtype=np.int64)
-        # sparse @ dense upcasts the dense block to int64, so bound the
-        # transient to ~200MB by slicing columns
-        step = max(64, 25_000_000 // len(used))
-        for c in range(0, self.dim, step):
-            out[:, c : c + step] = counts @ signs[:, c : c + step].astype(np.int64)
-        return out
+        rows = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
+        counts = (np.ones(len(cols), dtype=np.int64), (rows, cols))
+        return self.bundle(scipy.sparse.csr_matrix(counts, shape=(len(docs), len(self.words))))
 
 
 def stopword_digest_of_empty():

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) with captured stdio; one
 subprocess test pins byte-identical output across thread-count settings.
 """
 
+import json
 import os
 import random
 import re
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hdsem.cli import main
@@ -80,6 +82,19 @@ def test_unknown_word_exits_3(tmp_path, capsys):
     code, _, err = run_cli(["context", "similar", "--model", str(model), "zzzz"], capsys)
     assert code == 3
     assert "vocabulary" in err
+
+
+def test_format_1_model_exits_3(tmp_path, capsys):
+    # format 1 stored the dense context matrix; such files must be rebuilt
+    meta = {"format_version": 1, "dim": 8, "seed": 42, "half_window": 1, "words": ["a", "b"]}
+    model = tmp_path / "v1.npz"
+    arrays = {k: np.ones(2, dtype=np.int64) for k in ("context_totals", "context_distinct", "occurrences")}
+    np.savez(model, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             matrix=np.ones((2, 8), dtype=np.int64), **arrays)
+    code, out, err = run_cli(["context", "similar", "--model", str(model), "a"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "unsupported format_version 1" in err
 
 
 def test_missing_model_exits_2(capsys):

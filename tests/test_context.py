@@ -5,10 +5,12 @@ oracle on small random streams, then statistical behavior is checked at
 realistic dimension with pinned seeds.
 """
 
+import json
 import random
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hdsem.context import (
     ContextModel,
@@ -295,15 +297,21 @@ def test_context_stats_tie_goes_to_first_appearance():
 # ------------------------------------------------------------- persistence
 
 
+def _saved_members(path):
+    with np.load(path, allow_pickle=False) as data:
+        return {k: data[k] for k in data.files}
+
+
 def test_model_save_load_round_trip(tmp_path):
     model = make_model("the quick brown fox jumps over the lazy dog", 128, 21, 3)
     path = tmp_path / "model.npz"
     model.save(path)
+    # format 2 stores the counts and occurrences only, nothing derived
+    assert sorted(_saved_members(path)) == ["data", "indices", "indptr", "meta", "occurrences"]
     loaded = ContextModel.load(path)
-    np.testing.assert_array_equal(loaded.matrix, model.matrix)
-    np.testing.assert_array_equal(loaded.context_totals, model.context_totals)
-    np.testing.assert_array_equal(loaded.context_distinct, model.context_distinct)
-    np.testing.assert_array_equal(loaded.occurrences, model.occurrences)
+    for name in ("matrix", "norms_sq", "context_totals", "context_distinct", "occurrences"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+    assert loaded.max_abs == model.max_abs
     assert loaded.vocabulary.words == model.vocabulary.words
     assert loaded.vocabulary.dim == model.vocabulary.dim
     assert loaded.vocabulary.seed == model.vocabulary.seed
@@ -330,29 +338,75 @@ def test_model_load_missing_arrays(tmp_path):
     np.savez(p, matrix=np.zeros((1, 8), dtype=np.int64))
     with pytest.raises(CorpusFormatError):
         ContextModel.load(p)
+    make_model("a b", dim=16, seed=0, half_window=1).save(p)
+    members = _saved_members(p)
+    del members["occurrences"]
+    np.savez(p, **members)
+    with pytest.raises(CorpusFormatError, match="missing arrays"):
+        ContextModel.load(p)
 
 
 def test_model_load_bad_version(tmp_path):
     model = make_model("a b", dim=16, seed=0, half_window=1)
     p = tmp_path / "model.npz"
     model.save(p)
-    import json as _json
-
-    with np.load(p, allow_pickle=False) as data:
-        members = {k: data[k] for k in data.files}
-    meta = _json.loads(bytes(members["meta"]).decode())
+    members = _saved_members(p)
+    meta = json.loads(bytes(members["meta"]).decode())
     meta["format_version"] = 99
-    members["meta"] = np.frombuffer(_json.dumps(meta).encode(), dtype=np.uint8)
+    members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(p, **members)
+    with pytest.raises(CorpusFormatError):
+        ContextModel.load(p)
+
+
+MALFORMED = {
+    "float-data": ("data", [2.0, 1.0, 2.0, 1.0, 1.0, 1.0]),
+    "float-indices": ("indices", [1.7, 2.0, 0.0, 2.0, 0.0, 1.0]),
+    "float-indptr": ("indptr", [0.0, 2.0, 4.0, 6.0]),
+    "zero-count": ("data", [2, 0, 2, 1, 1, 1]),
+    "negative-count": ("data", [2, -1, 2, 1, 1, 1]),
+    "index-out-of-range": ("indices", [1, 3, 0, 2, 0, 1]),
+    "duplicate-index": ("indices", [1, 1, 0, 2, 0, 1]),
+    "unsorted-indices": ("indices", [2, 1, 0, 2, 0, 1]),
+    "decreasing-indptr": ("indptr", [0, 4, 2, 6]),
+    "short-indptr": ("indptr", [0, 2, 6]),
+    "long-indptr": ("indptr", [0, 2, 4, 6, 6]),
+    "occurrences-shape": ("occurrences", [2, 2]),
+    "occurrences-float": ("occurrences", [2.0, 2.0, 1.0]),
+    "occurrences-negative": ("occurrences", [2, -2, 1]),
+}
+
+
+@pytest.mark.parametrize("member, value", MALFORMED.values(), ids=MALFORMED.keys())
+def test_model_load_rejects_malformed_counts(tmp_path, member, value):
+    p = tmp_path / "model.npz"
+    make_model("a b c a b", dim=16, seed=0, half_window=1).save(p)
+    members = _saved_members(p)
+    # a: b twice, c once; b: a twice, c once; c: a once, b once
+    assert members["indptr"].tolist() == [0, 2, 4, 6]
+    assert members["indices"].tolist() == [1, 2, 0, 2, 0, 1]
+    assert members["data"].tolist() == [2, 1, 2, 1, 1, 1]
+    assert members["occurrences"].tolist() == [2, 2, 1]
+    members[member] = np.array(value)
     np.savez(p, **members)
     with pytest.raises(CorpusFormatError):
         ContextModel.load(p)
 
 
 def test_model_constructor_validation():
-    vocab = Vocabulary(["a"], dim=8, seed=0)
-    with pytest.raises(ValueError):
-        ContextModel(vocab, 0, np.zeros((1, 8), int), [0], [0], [0])
-    with pytest.raises(ValueError):
-        ContextModel(vocab, 1, np.zeros((2, 8), int), [0], [0], [0])
-    with pytest.raises(ValueError):
-        ContextModel(vocab, 1, np.zeros((1, 8), int), [0, 0], [0], [0])
+    vocab = Vocabulary(["a", "b"], dim=8, seed=0)
+    good = scipy.sparse.csr_matrix(np.array([[0, 3], [1, 0]], dtype=np.int64))
+    model = ContextModel(vocab, 1, good, [1, 1])
+    assert model.context_totals.tolist() == [3, 1]
+    for half_window, counts, occurrences in (
+        (0, good, [1, 1]),
+        (1, scipy.sparse.csr_matrix((2, 3), dtype=np.int64), [1, 1]),  # not (V, V)
+        (1, good.astype(np.float64), [1, 1]),
+        (1, scipy.sparse.csr_matrix(([0, 1], [1, 0], [0, 1, 2]), shape=(2, 2)), [1, 1]),  # a stored zero
+        (1, scipy.sparse.csr_matrix(([1, 1], [1, 1], [0, 2, 2]), shape=(2, 2)), [1, 1]),  # duplicate
+        (1, good, [1]),
+        (1, good, [1.0, 1.0]),
+        (1, good, [-1, 1]),
+    ):
+        with pytest.raises(ValueError):
+            ContextModel(vocab, half_window, counts, occurrences)

@@ -10,6 +10,7 @@ exactness bound and are checked against Python ints.
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,12 +45,31 @@ def rows_around(draw, query, min_size=1, max_size=10):
     return rows
 
 
-def _model(rows):
-    n = len(rows)
-    vocab = Vocabulary([f"w{i}" for i in range(n)], dim=len(rows[0]), seed=0)
-    # context_totals of 1 bound nothing: the kernel must take the
-    # matrix's own largest |entry|
-    return ContextModel(vocab, 1, np.array(rows, dtype=np.int64), np.ones(n), np.ones(n), np.ones(n))
+@st.composite
+def count_rows(draw, n):
+    """n rows of co-occurrence counts over n words, mixing random rows,
+    zero rows, duplicates of earlier rows and earlier rows times 2 or 3."""
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "zero", "duplicate", "scaled"]))
+        if kind in ("duplicate", "scaled") and rows:
+            c = 1 if kind == "duplicate" else draw(st.sampled_from([2, 3]))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            rows.append(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return rows
+
+
+def _model(counts, dim, seed=0):
+    """A context model over co-occurrence counts, with its rows as Python ints."""
+    n = len(counts)
+    vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
+    signs = [reference_signs(dim, seed, j) for j in range(n)]
+    rows = [[sum(c * s[k] for c, s in zip(row, signs)) for k in range(dim)] for row in counts]
+    counts = scipy.sparse.csr_matrix(np.array(counts, dtype=np.int64))
+    return ContextModel(vocab, 1, counts, np.zeros(n, dtype=np.int64)), rows
 
 
 def _signs(vocab, words):
@@ -68,13 +88,12 @@ def _dot(a, b):
 @settings(max_examples=150, deadline=None)
 def test_context_ranking_matches_oracle(data):
     d = data.draw(st.integers(2, 6), label="dim")
-    base = data.draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d).filter(any), label="base")
-    rows = [base] + data.draw(rows_around(base), label="rows")
-    n = len(rows)
+    n = data.draw(st.integers(2, 10), label="words")
+    seed = data.draw(st.integers(0, 3), label="seed")
+    model, rows = _model(data.draw(count_rows(n), label="counts"), d, seed)
     plus = [0] + data.draw(st.lists(st.integers(0, n - 1), max_size=1), label="plus")
     minus = data.draw(st.lists(st.integers(0, n - 1), max_size=1), label="minus")
     top_n = data.draw(st.integers(1, n + 1), label="top_n")
-    model = _model(rows)
     query = [sum(rows[i][j] for i in plus) - sum(rows[i][j] for i in minus) for j in range(d)]
     words = lambda idx: [f"w{i}" for i in idx]  # noqa: E731
     if not any(query):
@@ -96,10 +115,10 @@ def test_context_ranking_matches_oracle(data):
 @settings(max_examples=100, deadline=None)
 def test_context_similarity_matches_oracle(data):
     d = data.draw(st.integers(2, 6), label="dim")
-    base = data.draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d), label="base")
-    rows = [base] + data.draw(rows_around(base), label="rows")
-    a, b = data.draw(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1)))
-    model = _model(rows)
+    n = data.draw(st.integers(1, 10), label="words")
+    seed = data.draw(st.integers(0, 3), label="seed")
+    model, rows = _model(data.draw(count_rows(n), label="counts"), d, seed)
+    a, b = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
     if not any(rows[a]) or not any(rows[b]):
         with pytest.raises(EmptyContextError):
             context_similarity(model, f"w{a}", f"w{b}")
@@ -120,7 +139,6 @@ def test_sentence_scoring_matches_oracle(data, normalize):
         vocab,
         bare_config(),
         [f"s{i}" for i in range(n)],
-        [(0,)] * n,
         np.array(rows, dtype=np.int32),
         np.array([_dot(r, r) for r in rows], dtype=np.int64),
         max(abs(x) for r in rows for x in r),
@@ -217,16 +235,33 @@ def test_squared_norms_raise_past_int64():
         squared_norms(rows, top + 1)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+def test_squared_norms_in_row_blocks(dtype):
+    # 2500 rows span three 1024-row blocks, the last one partial
+    rows = np.random.default_rng(0).integers(-(2**20), 2**20, size=(2500, 5)).astype(dtype)
+    got = squared_norms(rows, 2**20)
+    assert got.dtype == np.int64
+    assert got.tolist() == [sum(int(x) ** 2 for x in r) for r in rows]
+
+
 def test_parallel_context_rows_score_exactly_one_past_2_53():
-    # scaled copies of u with entries near 1e8: squared norms near 4e16,
-    # past 2^53, so float64 rounds them; without the Python-int check w2
-    # scores 1.0000000000000002 and ranks above w1
-    u = [-10261, -9555, 9596, -10348]
-    rows = [[s * x for x in u] for s in (9921, 9620, 9955)]
-    rows.append([rows[0][0] + 10**6] + rows[0][1:])  # near-duplicate, not parallel
-    rows.append([-x for x in rows[1]])
-    got = similar_words(_model(rows), "w0", top_n=4)
+    # w0..w2 each have the one neighbor u, counted near 1e8 times at dim 4:
+    # their rows are parallel with squared norms near 4e16, past 2^53, so
+    # float64 rounds them; without the Python-int check w1 scores
+    # 0.9999999999999998 and w2 1.0000000000000002, ranked above w1
+    c0, c1, c2 = 99189431, 93206375, 91976709
+    counts = np.zeros((6, 6), dtype=np.int64)
+    counts[[0, 1, 2, 3], 4] = c0, c1, c2, c0
+    counts[3, 5] = 10**7  # w3: w0's counts plus one extra neighbor v, not parallel
+    vocab = Vocabulary(["w0", "w1", "w2", "w3", "u", "v"], dim=4, seed=0)
+    model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(counts), np.zeros(6, dtype=np.int64))
+    assert int(model.norms_sq[1]) == 4 * c1 * c1 > 2**53
+    rows = model.matrix.astype(np.int64).tolist()
+    got = similar_words(model, "w0", top_n=5)
     assert [(m.word, m.score) for m in got[:2]] == [("w1", 1.0), ("w2", 1.0)]
-    assert got[2].word == "w3" and got[2].score < 1.0
+    assert [m.word for m in got] == ["w1", "w2", "w3"]  # u and v have empty contexts
+    assert got[2].score < 1.0
     assert got[2].score == pytest.approx(brute_cosine(rows[3], rows[0]), abs=1e-12)
-    assert (got[3].word, got[3].score) == ("w4", -1.0)
+    got = context_arithmetic(model, [], ["w0"], top_n=5)
+    assert [(m.word, m.score) for m in got[1:]] == [("w1", -1.0), ("w2", -1.0)]
+    assert got[0].word == "w3" and got[0].score == pytest.approx(-brute_cosine(rows[3], rows[0]), abs=1e-12)

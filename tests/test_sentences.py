@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,7 +153,7 @@ def test_build_records_max_abs():
 
 def test_build_int32_guard(monkeypatch):
     def crafted(value):
-        return lambda self, docs: np.full((len(docs), self.dim), value, dtype=np.int64)
+        return lambda self, docs: np.full((len(docs), self.dim), value, dtype=np.int32)
 
     monkeypatch.setattr(Vocabulary, "bow_matrix", crafted(2**31 - 1))
     # at dim 1 the squared norm (2^31 - 1)^2 fits int64 and is stored exactly
@@ -162,9 +163,14 @@ def test_build_int32_guard(monkeypatch):
     # at dim 8 it is 8 (2^31 - 1)^2 > 2^63, which int64 cannot hold
     with pytest.raises(ValueError, match="integer squared norms exceed int64 range"):
         build_sentence_index("a b. c.", dim=8, seed=0)
-    monkeypatch.setattr(Vocabulary, "bow_matrix", crafted(-(2**31)))
-    for dim in (1, 8):  # the int32 check comes first, whatever the norms
-        with pytest.raises(ValueError, match="sentence counts exceed int32 range"):
+
+    def too_long(self, docs):  # a first sentence of 2^31 tokens
+        counts = ([2**30, 2**30], ([0, 0], [0, 1]))
+        return self.bundle(scipy.sparse.csr_matrix(counts, shape=(len(docs), len(self))))
+
+    monkeypatch.setattr(Vocabulary, "bow_matrix", too_long)
+    for dim in (1, 8):  # the kernel's int32 guard comes first, whatever the norms
+        with pytest.raises(ValueError, match="bundle counts exceed int32 range"):
             build_sentence_index("a b. c.", dim=dim, seed=0)
 
 
@@ -343,7 +349,7 @@ def _crafted_index(max_abs):
     matrix = rows.astype(np.int32).view(_CastRecorder)
     norms_sq = np.array([sum(int(x) ** 2 for x in r) for r in rows], dtype=np.int64)
     texts = [f"s{i}" for i in range(len(rows))]
-    index = SentenceIndex(vocab, bare_config(), texts, [(0,)] * len(rows), matrix, norms_sq, max_abs)
+    index = SentenceIndex(vocab, bare_config(), texts, matrix, norms_sq, max_abs)
     return index, rows, qs
 
 

@@ -9,9 +9,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdsem import textpipe
 from hdsem.context import ContextModel, build_context_model
 from hdsem.core import dot_int_rows, generate_packed, packed_signs
 from hdsem.errors import CorpusFormatError, UnknownWordError
@@ -415,6 +417,9 @@ def test_sign_matrix_values():
     assert s.shape == (2, 70)
     assert set(np.unique(s)) <= {-1, 1}
     assert s[0].tolist() == reference_signs(70, 3, vocab.index_of("x"))
+    # chosen rows unpack alone, and unit counts bundle each word alone
+    assert vocab.sign_matrix([1]).tolist() == [reference_signs(70, 3, vocab.index_of("y"))]
+    np.testing.assert_array_equal(vocab.bundle(scipy.sparse.identity(2, dtype=np.int64, format="csr")), s)
 
 
 def test_bow_matrix_against_sign_sums():
@@ -425,7 +430,50 @@ def test_bow_matrix_against_sign_sums():
     np.testing.assert_array_equal(bow[0], s[0] + 2 * s[1])
     np.testing.assert_array_equal(bow[1], s[2])
     np.testing.assert_array_equal(bow[2], np.zeros(64, dtype=np.int64))
-    assert bow.dtype == np.int64
+    assert bow.dtype == np.int32
+
+
+@st.composite
+def _count_matrices(draw):
+    """(vocab size, dim, seed, count rows): each row maps a few word ids to
+    counts up to 5 and may be empty, and there may be no rows at all."""
+    n = draw(st.integers(1, 300))
+    dim = draw(st.integers(1, 140))
+    seed = draw(st.integers(0, 2**64 - 1))
+    row = st.dictionaries(st.integers(0, n - 1), st.integers(1, 5), max_size=6)
+    return n, dim, seed, draw(st.lists(row, max_size=5))
+
+
+@given(_count_matrices())
+@settings(max_examples=80, deadline=None)
+def test_bundle_matches_sign_sum_oracle(case):
+    n, dim, seed, rows = case
+    vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
+    counts = np.zeros((len(rows), n), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for i, c in row.items():
+            counts[r, i] = c
+    got = vocab.bundle(scipy.sparse.csr_matrix(counts))
+    assert got.dtype == np.int32
+    assert got.shape == (len(rows), dim)
+    for out, row in zip(got, rows):
+        signs = [reference_signs(dim, seed, i) for i, c in row.items() for _ in range(c)]
+        assert out.tolist() == (brute_bundle(signs) if signs else [0] * dim)
+
+
+@pytest.mark.parametrize("total", [2**31 - 1, 2**31])
+def test_bundle_int32_guard_on_row_totals(total):
+    # the total is split over two entries, each below 2^31, so only the
+    # row total can trip the guard; at seed 1 both words have sign +1 at
+    # dim 1, so an accepted row reaches the total itself
+    vocab = Vocabulary(["x", "y"], dim=1, seed=1)
+    assert reference_signs(1, 1, 0) == reference_signs(1, 1, 1) == [1]
+    counts = scipy.sparse.csr_matrix(np.array([[2**30, total - 2**30], [0, 3]], dtype=np.int64))
+    if total >= 2**31:
+        with pytest.raises(ValueError, match="bundle counts exceed int32 range"):
+            vocab.bundle(counts)
+    else:
+        assert vocab.bundle(counts).tolist() == [[2**31 - 1], [3]]
 
 
 @st.composite
@@ -445,7 +493,7 @@ def test_bow_matrix_matches_sign_sum_oracle(case):
     n, dim, seed, docs = case
     vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
     bow = vocab.bow_matrix([np.array(doc, dtype=np.int64) for doc in docs])
-    assert bow.dtype == np.int64
+    assert bow.dtype == np.int32
     assert bow.shape == (len(docs), dim)
     signs = {i: reference_signs(dim, seed, i) for doc in docs for i in doc}
     for row, doc in zip(bow, docs):
@@ -454,17 +502,27 @@ def test_bow_matrix_matches_sign_sum_oracle(case):
 
 
 def test_bundles_never_unpack_the_whole_vocabulary(monkeypatch):
-    def refuse(self):
-        raise AssertionError("full sign matrix unpacked")
+    unpacked = []
 
-    monkeypatch.setattr(Vocabulary, "sign_matrix", refuse)
+    def recording(words, dim):
+        unpacked.append(len(words))
+        return packed_signs(words, dim)
+
+    monkeypatch.setattr(textpipe, "packed_signs", recording)
     index = build_sentence_index("Red fox runs. Blue bird sings. Red bird.", dim=256, seed=1)
     assert query_sentences(index, "red bird", top_n=1).matches[0].score == 1.0
+    assert unpacked == [6, 2]  # the document's six words, then the query's two
     train = [Message("s", 1, ("cash", "prize")), Message("h", 0, ("paper", "draft"))]
     spam_filter = train_filter(train, dim=256, seed=1)
     verdicts = classify_many(spam_filter, [Message("t", 0, ("draft", "unknown")), Message("u", 0, ())])
     assert [v.label for v in verdicts] == [0, 0]
     assert [v.unclassifiable for v in verdicts] == [False, True]
+    assert unpacked[2:] == [4, 1]
+    # a context build unpacks only the words that are some word's neighbor
+    vocab = Vocabulary(["a", "b", "y", "z"], dim=256, seed=1)
+    model = build_context_model(["a", "b", "a"], vocab, half_window=1)
+    assert unpacked[4:] == [2]
+    assert model.context_totals.tolist() == [2, 2, 0, 0]
 
 
 def test_bow_matrix_empty_inputs():
@@ -472,6 +530,7 @@ def test_bow_matrix_empty_inputs():
     assert vocab.bow_matrix([]).shape == (0, 32)
     out = vocab.bow_matrix([np.array([], dtype=np.int64)])
     np.testing.assert_array_equal(out, np.zeros((1, 32), dtype=np.int64))
+    assert out.dtype == np.int32
 
 
 def test_bow_matrix_rejects_out_of_range():
@@ -508,20 +567,29 @@ def test_vocabulary_load_rejects_bad_files(tmp_path):
     p = tmp_path / "v.npz"
 
     def write(meta_text):
-        counts = {k: np.zeros(1, dtype=np.int64) for k in ("context_totals", "context_distinct", "occurrences")}
         meta = np.frombuffer(meta_text.encode(), dtype=np.uint8)
-        np.savez(p, meta=meta, matrix=np.zeros((1, 8), dtype=np.int64), **counts)
+        counts = {"indptr": [0, 0], "indices": np.zeros(0, dtype=np.int32), "data": np.zeros(0, dtype=np.int64)}
+        np.savez(p, meta=meta, occurrences=np.zeros(1, dtype=np.int64), **counts)
 
-    good = {"format_version": 1, "dim": 8, "seed": 0, "half_window": 1, "words": ["a"]}
+    good = {"format_version": 2, "dim": 8, "seed": 0, "half_window": 1, "words": ["a"]}
     write(json.dumps(good))
     assert ContextModel.load(p).vocabulary.words == ("a",)
     for bad in (
         "not json",
         json.dumps([1, 2]),
-        json.dumps({**good, "format_version": 2}),
-        json.dumps({"format_version": 1, "dim": 8, "half_window": 1}),
+        json.dumps({**good, "format_version": 1}),
+        json.dumps({"format_version": 2, "dim": 8, "half_window": 1}),
         json.dumps({**good, "words": ["a", "a"]}),
         json.dumps({**good, "dim": 0}),
+        # a string is not a word list, and a float or a bool is not an integer
+        json.dumps({**good, "words": "a"}),
+        json.dumps({**good, "words": "ab"}),
+        json.dumps({**good, "dim": 8.9}),
+        json.dumps({**good, "seed": 1.5}),
+        json.dumps({**good, "half_window": 1.7}),
+        json.dumps({**good, "dim": True}),
+        json.dumps({**good, "seed": True}),
+        json.dumps({**good, "half_window": True}),
     ):
         write(bad)
         with pytest.raises(CorpusFormatError):
