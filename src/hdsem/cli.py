@@ -46,17 +46,13 @@ def _fmt(x, spec=".6g"):
     return format(float(x), spec)
 
 
-@contextlib.contextmanager
-def _open_out(path):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-
-
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path, header, rows):
+    """Write one CSV table to path, or to stdout when path is None."""
+    out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8")
+    with out as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _pipeline_config(args, stopwords_by_default):
@@ -86,13 +82,10 @@ def _add_pipeline_args(p):
 def cmd_membership_sim(args):
     cfg = MembershipSimConfig(dim=args.dim, k=args.k, trials=args.trials, seed=args.seed)
     res = membership_sim(cfg)
-    with _open_out(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["trial", "member_score", "nonmember_score"])
-        for t in range(cfg.trials):
-            w.writerow([t, _fmt(res.member_scores[t]), _fmt(res.nonmember_scores[t])])
-        w.writerow(["mean", _fmt(res.member_mean), _fmt(res.nonmember_mean)])
-        w.writerow(["std", _fmt(res.member_std), _fmt(res.nonmember_std)])
+    rows = [[t, _fmt(res.member_scores[t]), _fmt(res.nonmember_scores[t])] for t in range(cfg.trials)]
+    rows.append(["mean", _fmt(res.member_mean), _fmt(res.nonmember_mean)])
+    rows.append(["std", _fmt(res.member_std), _fmt(res.nonmember_std)])
+    _write_csv(args.out, ["trial", "member_score", "nonmember_score"], rows)
     print(
         f"membership-sim: dim={cfg.dim} k={cfg.k} trials={cfg.trials} seed={cfg.seed} "
         f"member {res.member_mean:.4f}+-{res.member_std:.4f} "
@@ -139,11 +132,11 @@ def cmd_rho_curve(args):
         dim=args.dim, ks=_resolve_ks(args), trials=args.trials, seed=args.seed, threshold=args.threshold
     )
     points = rho_curve(cfg)
-    with _open_out(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["k", "sigma", "rho_analytic", "precision_emp", "recall_emp"])
-        for p in points:
-            w.writerow([p.k, _fmt(p.sigma), _fmt(p.rho_analytic), _fmt(p.precision_emp), _fmt(p.recall_emp)])
+    _write_csv(
+        args.out,
+        ["k", "sigma", "rho_analytic", "precision_emp", "recall_emp"],
+        ([p.k, _fmt(p.sigma), _fmt(p.rho_analytic), _fmt(p.precision_emp), _fmt(p.recall_emp)] for p in points),
+    )
     # the estimators converge to 1 - fn_rate, which exceeds the paper's rho
     # by s^2 / (2 (2 - s)); at threshold 1/2 the first distance is sampling
     # noise only
@@ -176,17 +169,10 @@ def cmd_context_build(args):
     return 0
 
 
-def _write_word_matches(out, matches):
-    with _open_out(out) as fh:
-        w = _writer(fh)
-        w.writerow(["rank", "word", "score"])
-        for m in matches:
-            w.writerow([m.rank, m.word, _fmt(m.score)])
-
-
 def cmd_context_similar(args):
     model = ContextModel.load(args.model)
-    _write_word_matches(args.out, similar_words(model, args.word, top_n=args.top))
+    matches = similar_words(model, args.word, top_n=args.top)
+    _write_csv(args.out, ["rank", "word", "score"], ([m.rank, m.word, _fmt(m.score)] for m in matches))
     return 0
 
 
@@ -210,18 +196,19 @@ def _parse_arith_terms(terms):
 def cmd_context_arith(args):
     model = ContextModel.load(args.model)
     plus, minus = _parse_arith_terms(args.terms)
-    _write_word_matches(args.out, context_arithmetic(model, plus, minus, top_n=args.top))
+    matches = context_arithmetic(model, plus, minus, top_n=args.top)
+    _write_csv(args.out, ["rank", "word", "score"], ([m.rank, m.word, _fmt(m.score)] for m in matches))
     return 0
 
 
 def cmd_context_stats(args):
     model = ContextModel.load(args.model)
     rows = context_stats(model)
-    with _open_out(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["word", "total_context_words", "distinct_context_words"])
-        for r in rows:
-            w.writerow([r.word, r.total_context_words, r.distinct_context_words])
+    _write_csv(
+        args.out,
+        ["word", "total_context_words", "distinct_context_words"],
+        ([r.word, r.total_context_words, r.distinct_context_words] for r in rows),
+    )
     above = sum(1 for r in rows if r.total_context_words > args.threshold)
     print(
         f"context stats: {above} of {len(rows)} words have total context > {args.threshold}",
@@ -236,11 +223,11 @@ def cmd_sentence_query(args):
     config = _pipeline_config(args, stopwords_by_default=True)
     index = build_sentence_index(text, args.dim, args.seed, config=config)
     outcome = query_sentences(index, args.query, top_n=args.top, normalize=not args.no_normalize)
-    with _open_out(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["rank", "score", "sentence_index", "text"])
-        for m in outcome.matches:
-            w.writerow([m.rank, format(m.score, ".6f"), m.sentence_index, m.text])
+    _write_csv(
+        args.out,
+        ["rank", "score", "sentence_index", "text"],
+        ([m.rank, format(m.score, ".6f"), m.sentence_index, m.text] for m in outcome.matches),
+    )
     note = f"sentence-query: {len(index)} sentences, dim={args.dim} seed={args.seed}"
     if outcome.dropped_tokens:
         note += f"; dropped unknown tokens: {' '.join(outcome.dropped_tokens)}"
@@ -265,19 +252,15 @@ def cmd_spam_eval(args):
         )
 
     report = cross_validate(folds, args.dim, args.seed, vocab_mode=args.vocab_mode, progress=progress)
-    with _open_out(args.out) as fh:
-        w = _writer(fh)
-        w.writerow(["fold", "dim", "seed", "tp", "fp", "fn", "tn", "spam_precision", "spam_recall"])
-        for r in report.fold_results:
-            w.writerow(
-                [r.fold, report.dim, report.seed, r.tp, r.fp, r.fn, r.tn,
-                 _fmt(r.spam_precision), _fmt(r.spam_recall)]
-            )
-        w.writerow(
-            ["avg", report.dim, report.seed, report.total_tp, report.total_fp,
-             report.total_fn, report.total_tn,
-             _fmt(report.avg_spam_precision), _fmt(report.avg_spam_recall)]
-        )
+    rows = [
+        [r.fold, report.dim, report.seed, r.tp, r.fp, r.fn, r.tn, _fmt(r.spam_precision), _fmt(r.spam_recall)]
+        for r in report.fold_results
+    ]
+    rows.append(
+        ["avg", report.dim, report.seed, report.total_tp, report.total_fp, report.total_fn, report.total_tn,
+         _fmt(report.avg_spam_precision), _fmt(report.avg_spam_recall)]
+    )
+    _write_csv(args.out, ["fold", "dim", "seed", "tp", "fp", "fn", "tn", "spam_precision", "spam_recall"], rows)
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .core import cosines, squared_norms, top_rows
-from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError
+from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError, UnknownWordError
 from .textpipe import Vocabulary
 
 MODEL_FORMAT_VERSION = 2
@@ -165,15 +165,19 @@ class ContextModel:
 def build_context_model(tokens, vocabulary, half_window=5):
     """Count windowed co-occurrences for every word and bundle them.
 
-    tokens may be Token objects or plain strings; every token must be
-    present in the vocabulary.  Windows are clipped at the stream ends
-    and never include the center position itself (repeats of the same
-    word nearby do contribute, they are genuine neighbors).  The default
-    half_window of 5 gives the usual 10-token total span.
+    tokens is a sequence of str, every one of them in the vocabulary
+    (UnknownWordError names the first that is not).  Windows are clipped
+    at the stream ends and never include the center position itself
+    (repeats of the same word nearby do contribute, they are genuine
+    neighbors).  The default half_window of 5 gives the usual 10-token
+    total span.
     """
     if half_window < 1:
         raise ValueError("half_window must be >= 1")
     ids = vocabulary.encode(tokens)
+    if len(ids) < len(tokens):
+        unknown = next(t for t in tokens if t not in vocabulary)
+        raise UnknownWordError(f"word {unknown!r} is not in the vocabulary")
     n = len(vocabulary)
     # the pair (position p, position p + k) contributes both ways; ids[:0]
     # keeps the lists non-empty for a stream of fewer than two tokens

@@ -27,7 +27,7 @@ _BATCH_WORDS = 2**17  # packed words per batch (1 MB): one trial at d = 10 000, 
 @dataclass(frozen=True)
 class MembershipSimConfig:
     """One membership-distribution run: fresh size-k bundles, one member and
-    one non-member probe per trial."""
+    one non-member probe per trial, and two trials at least for a std."""
 
     dim: int = 10_000
     k: int = 1000
@@ -39,8 +39,8 @@ class MembershipSimConfig:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < 2:
+            raise ValueError(f"trials must be >= 2, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,9 @@ class RhoCurveConfig:
             raise ValueError(f"every k must be >= 1, got {self.ks}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # every comparison with NaN is false, so no trial would be counted
+        if np.isnan(self.threshold):
+            raise ValueError("threshold must be a number, got nan")
         object.__setattr__(self, "ks", tuple(sorted(set(self.ks))))
 
 

@@ -106,15 +106,13 @@ def build_sentence_index(text, dim, seed, config=None):
     config = bare_config() if config is None else config
     kept_texts = []
     kept_tokens = []
-    stream = []
     for raw in split_sentences(text):
         toks = preprocess(raw, config)
         if not toks:
             continue
         kept_texts.append(raw)
-        kept_tokens.append([t.text for t in toks])
-        stream.extend(toks)
-    vocab = build_vocabulary(stream, dim, seed, config=config)
+        kept_tokens.append(toks)
+    vocab = build_vocabulary((t for toks in kept_tokens for t in toks), dim, seed, config=config)
     matrix = vocab.bow_matrix([vocab.encode(ts) for ts in kept_tokens])
     max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
     return SentenceIndex(vocab, config, kept_texts, matrix, squared_norms(matrix, max_abs), max_abs)
@@ -149,19 +147,13 @@ def query_sentences(index, query_text, top_n=3, normalize=True):
     if len(index) == 0:
         raise EmptyIndexError("sentence index is empty")
     toks = preprocess(query_text, index.config)
-    dropped = []
-    ids = []
-    for t in toks:
-        i = index.vocabulary.get(t.text)
-        if i is None:
-            dropped.append(t.text)
-        else:
-            ids.append(i)
-    if not ids:
+    ids = index.vocabulary.encode(toks)
+    dropped = [t for t in toks if t not in index.vocabulary]
+    if not len(ids):
         raise EmptyQueryError(
             f"no query token is present in the document (dropped: {dropped!r})"
         )
-    q = index.vocabulary.bow_matrix([np.asarray(ids, dtype=np.int64)])
+    q = index.vocabulary.bow_matrix([ids])
     if normalize:
         scores = cosines(index.matrix, index.norms_sq, q, index.max_abs)[0]
     else:

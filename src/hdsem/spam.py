@@ -37,7 +37,7 @@ def _read_message(path, config):
     # the first line is "Subject: ..."; drop the field name, keep the words
     if text.startswith("Subject:"):
         text = text[len("Subject:") :]
-    return tuple(t.text for t in preprocess(text, config))
+    return tuple(preprocess(text, config))
 
 
 def ingest_lingspam(root, config=None):
@@ -102,7 +102,7 @@ def train_filter(messages, dim, seed, vocabulary=None):
         vocabulary = Vocabulary.from_tokens((w for m in messages for w in m.words), dim, seed)
     elif vocabulary.dim != dim or vocabulary.seed != seed:
         raise ValueError("vocabulary dim/seed do not match the requested filter")
-    docs = [vocabulary.encode(m.words, skip_unknown=True) for m in messages]
+    docs = [vocabulary.encode(m.words) for m in messages]
     matrix = vocabulary.bow_matrix(docs)
     max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
     norms_sq = squared_norms(matrix, max_abs)
@@ -137,7 +137,7 @@ def classify_many(spam_filter, messages):
     bundle; it is marked unclassifiable and defaults to ham.  Cosine
     ties resolve to the earliest training message.
     """
-    docs = [spam_filter.vocabulary.encode(m.words, skip_unknown=True) for m in messages]
+    docs = [spam_filter.vocabulary.encode(m.words) for m in messages]
     results = [ClassifyResult(0, 0.0, None, True)] * len(messages)
     live = [i for i, d in enumerate(docs) if len(d)]
     if live:

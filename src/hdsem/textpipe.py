@@ -1,6 +1,7 @@
 """Text preprocessing and vocabulary handling.
 
-The processing chain is deliberately crude: lowercase alphanumeric
+A token is a plain string and a processed text a list of them.  The
+processing chain is deliberately crude: lowercase alphanumeric
 tokenization, a flat stop list, and an ordered suffix rewrite table.
 Conflating word forms ("carried" and "carries" both map to "carri")
 is acceptable here because downstream consumers only need stable,
@@ -9,10 +10,12 @@ shared identifiers for related surface forms, not dictionary lemmas.
 A Vocabulary assigns each distinct word a row index and derives the
 word's random sign vector from (seed, index), so the word list, dim and
 seed (what a saved context model stores) reconstruct every word vector
-exactly.  packed() holds those vectors as sign words and sign_matrix()
-unpacks chosen rows of them.  bundle() is the one kernel that turns
-sparse counts into integer bundles: bow_matrix() calls it on each
-document's word counts, and a context model on its co-occurrence counts.
+exactly.  encode() is the one path from tokens to row ids; it skips
+words the vocabulary lacks.  packed() holds the vectors as sign words
+and sign_matrix() unpacks chosen rows of them.  bundle() is the one
+kernel that turns sparse counts into integer bundles: bow_matrix()
+calls it on each document's word counts, and a context model on its
+co-occurrence counts.
 """
 
 import functools
@@ -32,27 +35,14 @@ TOKEN_RE = re.compile(r"[^\W_]+")
 LEMMATIZER_NAMES = ("identity", "suffix")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One word occurrence: lowercase text plus 0-based position."""
-
-    text: str
-    position: int
-
-
-def tokenize(text, min_token_length=1):
-    """Split text into lowercase alphanumeric tokens.
+def tokenize(text):
+    """Split text into lowercase alphanumeric tokens, a list of str.
 
     Unicode letters and digits are kept, everything else (including
     underscores and apostrophes) separates tokens, so "don't" yields
-    the two tokens "don" and "t".  Positions index the kept tokens
-    consecutively from 0.
+    the two tokens "don" and "t".
     """
-    if min_token_length < 1:
-        raise ValueError("min_token_length must be >= 1")
-    words = TOKEN_RE.findall(text.lower())
-    kept = [w for w in words if len(w) >= min_token_length]
-    return [Token(w, i) for i, w in enumerate(kept)]
+    return TOKEN_RE.findall(text.lower())
 
 
 def _read_data_text(filename):
@@ -188,23 +178,16 @@ class PipelineConfig:
 
     stopwords: frozenset = frozenset()
     lemmatizer: str = "identity"
-    min_token_length: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
         if self.lemmatizer not in LEMMATIZER_NAMES:
             raise ValueError(f"lemmatizer must be one of {LEMMATIZER_NAMES}, got {self.lemmatizer!r}")
-        if self.min_token_length < 1:
-            raise ValueError("min_token_length must be >= 1")
 
 
-def default_config(lemmatizer="identity", min_token_length=1):
+def default_config(lemmatizer="identity"):
     """Bundled stop list plus the chosen lemmatizer."""
-    return PipelineConfig(
-        stopwords=load_stopwords(),
-        lemmatizer=lemmatizer,
-        min_token_length=min_token_length,
-    )
+    return PipelineConfig(stopwords=load_stopwords(), lemmatizer=lemmatizer)
 
 
 def bare_config():
@@ -219,24 +202,18 @@ def make_lemmatizer(config):
 
 
 def apply_pipeline(tokens, config):
-    """Filter stop words, lemmatize, and renumber positions.
+    """Filter stop words, then lemmatize; a list of str.
 
     Expects lowercase tokens as produced by tokenize().  Applying the
     pipeline twice gives the same result as applying it once.
     """
     lemma = make_lemmatizer(config)
-    out = []
-    for tok in tokens:
-        text = tok.text if isinstance(tok, Token) else tok
-        if text in config.stopwords:
-            continue
-        out.append(lemma(text))
-    return [Token(w, i) for i, w in enumerate(out)]
+    return [lemma(t) for t in tokens if t not in config.stopwords]
 
 
 def preprocess(text, config):
     """tokenize() then apply_pipeline() in one call."""
-    return apply_pipeline(tokenize(text, config.min_token_length), config)
+    return apply_pipeline(tokenize(text), config)
 
 
 _START_MARK = "*** START OF"
@@ -295,23 +272,17 @@ class Vocabulary:
         self.dim = int(dim)
         self.seed = int(seed)
         self.lemmatizer = lemmatizer
-        if stopword_digest is None:
-            stopword_digest = stopword_digest_of_empty()
-        self.stopword_digest = stopword_digest
+        # an empty stop list canonicalizes to "", see stopword_digest()
+        self.stopword_digest = hashlib.sha256(b"").hexdigest() if stopword_digest is None else stopword_digest
         self._index = index
         self._packed = None
 
     @classmethod
     def from_tokens(cls, tokens, dim, seed, config=None):
         """Build from a processed token stream, keeping first-appearance order."""
-        seen = {}
-        for tok in tokens:
-            text = tok.text if isinstance(tok, Token) else tok
-            if text not in seen:
-                seen[text] = None
         lemmatizer = config.lemmatizer if config is not None else "identity"
         digest = stopword_digest(config.stopwords) if config is not None else None
-        return cls(tuple(seen), dim, seed, lemmatizer=lemmatizer, stopword_digest=digest)
+        return cls(dict.fromkeys(tokens), dim, seed, lemmatizer=lemmatizer, stopword_digest=digest)
 
     def __len__(self):
         return len(self.words)
@@ -325,21 +296,13 @@ class Vocabulary:
         except KeyError:
             raise UnknownWordError(f"word {word!r} is not in the vocabulary") from None
 
-    def get(self, word):
-        return self._index.get(word)
+    def encode(self, tokens):
+        """Row ids of the tokens that are in the vocabulary, in order; int64 array.
 
-    def encode(self, tokens, skip_unknown=False):
-        """Map tokens to row indices; int64 array."""
-        out = []
-        for tok in tokens:
-            text = tok.text if isinstance(tok, Token) else tok
-            i = self._index.get(text)
-            if i is None:
-                if skip_unknown:
-                    continue
-                raise UnknownWordError(f"word {text!r} is not in the vocabulary")
-            out.append(i)
-        return np.asarray(out, dtype=np.int64)
+        Unknown tokens are skipped.
+        """
+        index = self._index
+        return np.array([index[t] for t in tokens if t in index], dtype=np.int64)
 
     def packed(self):
         """Packed sign matrix for all words, uint64 [n, words_per_vector(dim)]."""
@@ -396,10 +359,6 @@ class Vocabulary:
         rows = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
         counts = (np.ones(len(cols), dtype=np.int64), (rows, cols))
         return self.bundle(scipy.sparse.csr_matrix(counts, shape=(len(docs), len(self.words))))
-
-
-def stopword_digest_of_empty():
-    return stopword_digest(frozenset())
 
 
 def build_vocabulary(tokens, dim, seed, config=None):

@@ -172,6 +172,22 @@ def test_membership_sim_out_file(tmp_path, capsys):
     assert content.startswith("trial,member_score,nonmember_score\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["membership-sim", "--dim", "64", "--k", "3", "--trials", "1"], "error: trials must be >= 2, got 1"),
+        (["rho-curve", "--dim", "64", "--k", "3", "--threshold", "nan"], "error: threshold must be a number, got nan"),
+    ],
+)
+def test_undefined_statistics_exit_1_cleanly(argv, message):
+    # one trial has no standard deviation and a NaN threshold counts no
+    # trial; both are usage errors, not NaN output with numpy warnings
+    proc = subprocess.run([sys.executable, "-m", "hdsem", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == message + "\n"
+
+
 # --------------------------------------------------------------- rho-curve
 
 

@@ -124,8 +124,9 @@ def test_build_validation():
     vocab = Vocabulary(["a"], dim=8, seed=0)
     with pytest.raises(ValueError):
         build_context_model(["a"], vocab, half_window=0)
-    with pytest.raises(UnknownWordError):
-        build_context_model(["a", "b"], vocab, half_window=1)
+    # the first unknown word is named
+    with pytest.raises(UnknownWordError, match=r"^word 'b' is not in the vocabulary$"):
+        build_context_model(["a", "b", "a", "c"], vocab, half_window=1)
 
 
 def test_build_single_token_empty_context():

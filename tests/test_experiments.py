@@ -53,8 +53,10 @@ def test_membership_sim_config_validation():
         MembershipSimConfig(dim=0)
     with pytest.raises(ValueError):
         MembershipSimConfig(k=0)
-    with pytest.raises(ValueError):
-        MembershipSimConfig(trials=0)
+    # a standard deviation needs two samples
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            MembershipSimConfig(trials=trials)
 
 
 def test_rho_curve_analytic_column():
@@ -124,6 +126,13 @@ def test_rho_curve_validation():
         RhoCurveConfig(dim=100, ks=(0, 5))
     with pytest.raises(ValueError):
         RhoCurveConfig(dim=100, ks=(5,), trials=0)
+    # no trial compares true or false against NaN, so none would be counted
+    with pytest.raises(ValueError, match="nan"):
+        RhoCurveConfig(dim=100, ks=(5,), threshold=float("nan"))
+    # an infinite threshold still counts every trial
+    for thr in (-math.inf, math.inf):
+        (p,) = rho_curve(RhoCurveConfig(dim=100, ks=(5,), trials=7, threshold=thr))
+        assert p.tp + p.fn == p.fp + p.tn == 7
 
 
 def test_rho_curve_undefined_ratio_is_none():

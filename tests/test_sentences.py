@@ -271,8 +271,8 @@ def test_raw_mode_favors_longer_sentences():
 
 def test_query_drops_unknown_tokens():
     idx = build_sentence_index("red fox. blue bird.", dim=64, seed=0)
-    out = query_sentences(idx, "shiny red fox rocket", top_n=1)
-    assert out.dropped_tokens == ("shiny", "rocket")
+    out = query_sentences(idx, "shiny red fox rocket shiny", top_n=1)
+    assert out.dropped_tokens == ("shiny", "rocket", "shiny")
     assert out.matches[0].sentence_index == 0
 
 
