@@ -6,10 +6,12 @@ excluded) contribute their sign vectors to the word's context row.  The
 row is therefore an integer bundle, and the model is its sparse
 co-occurrence counts: the matrix of rows is the counts times the
 vocabulary's sign matrix, derived by Vocabulary.bundle whenever a model
-is built or loaded.  A saved model (format 2) holds the counts, the word
-occurrences and the vocabulary metadata, nothing derived.  Words are
-compared by the cosine of their rows, and context arithmetic ranks every
-row against a sum and difference of rows.
+is built or loaded (in float32 while every row's total count is at most
+2^24, in int32 above it, exact int32 either way).  A saved model
+(format 2) holds the counts, the word occurrences and the vocabulary
+metadata, nothing derived.  Words are compared by the cosine of their
+rows, and context arithmetic ranks every row against a sum and
+difference of rows.
 
 Scoring stays exact: core.cosines multiplies the integer rows in float64
 only while max|entry| * sum(|q|) < 2**53 and in int64 past it, so
@@ -37,10 +39,10 @@ class ContextModel:
     occurrences[i] how often word i itself appeared; both are validated
     here, and they are all a saved model stores.  Derived from them once:
     matrix[i], the sum of neighbor sign vectors for word i, as float64
-    (exact, since no |entry| reaches 2^31); its largest |entry| max_abs
-    and exact squared norms norms_sq; context_totals[i], the contributing
-    (occurrence, neighbor) pairs; and context_distinct[i], the distinct
-    neighbor words.
+    (exact, since no |entry| reaches 2^31); its largest |entry| max_abs;
+    the exact squared norms norms_sq, summed from that float64 matrix;
+    context_totals[i], the contributing (occurrence, neighbor) pairs; and
+    context_distinct[i], the distinct neighbor words.
     """
 
     __slots__ = (
@@ -77,8 +79,8 @@ class ContextModel:
         self.counts = counts
         self.occurrences = occurrences.astype(np.int64)
         self.max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
-        self.norms_sq = squared_norms(matrix, self.max_abs)
         self.matrix = matrix.astype(np.float64)
+        self.norms_sq = squared_norms(self.matrix, self.max_abs)
         self.context_totals = np.asarray(counts.sum(axis=1, dtype=np.int64)).ravel()
         self.context_distinct = np.diff(counts.indptr).astype(np.int64)
 

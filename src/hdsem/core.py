@@ -226,9 +226,14 @@ def exact_dots(rows, queries, max_abs):
 def squared_norms(rows, max_abs):
     """Exact int64 squared norms of integer-valued rows with |entries| <= max_abs.
 
-    Raises ValueError once max_abs^2 * d reaches 2^63, where the sum could wrap.
+    max_abs^2 * d bounds every partial sum: below 2^53 float64 rows sum
+    in float64, other rows and larger bounds in int64 row blocks, and from
+    2^63 on it raises ValueError, where the sum could wrap.
     """
-    if int(max_abs) ** 2 * rows.shape[-1] >= 2**63:
+    bound = int(max_abs) ** 2 * rows.shape[-1]
+    if rows.dtype == np.float64 and bound < 2**53:
+        return np.einsum("ij,ij->i", rows, rows).astype(np.int64)
+    if bound >= 2**63:
         raise ValueError("integer squared norms exceed int64 range")
     out = np.empty(len(rows), dtype=np.int64)
     for r in range(0, len(rows), 1024):  # blocks keep the int64 copy small

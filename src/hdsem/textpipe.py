@@ -15,7 +15,8 @@ words the vocabulary lacks.  packed() holds the vectors as sign words
 and sign_matrix() unpacks chosen rows of them.  bundle() is the one
 kernel that turns sparse counts into integer bundles: bow_matrix()
 calls it on each document's word counts, and a context model on its
-co-occurrence counts.
+co-occurrence counts.  It multiplies in float32 while no row's total
+count passes 2^24 and in int32 above that, and returns exact int32.
 """
 
 import functools
@@ -33,6 +34,7 @@ from .errors import CorpusFormatError, UnknownWordError
 TOKEN_RE = re.compile(r"[^\W_]+")
 
 LEMMATIZER_NAMES = ("identity", "suffix")
+_MEMO_WORDS = 1 << 16  # distinct words a lemmatizer remembers
 
 
 def tokenize(text):
@@ -139,14 +141,19 @@ class SuffixLemmatizer:
     enough fires; a terminal rule (replacement == suffix) ends rewriting.
     If the final form landed on a protected word (typically the stop
     list: "ares" would otherwise collapse to "are"), the original token
-    is returned unchanged, which keeps the map idempotent.
+    is returned unchanged, which keeps the map idempotent.  Each distinct
+    word is rewritten once and remembered, up to _MEMO_WORDS words.
     """
 
     def __init__(self, rules=None, protected=frozenset()):
         self.rules = tuple(rules) if rules is not None else load_suffix_rules()
         self.protected = frozenset(protected)
+        self._memo = functools.lru_cache(maxsize=_MEMO_WORDS)(self._rewrite)
 
     def __call__(self, word):
+        return self._memo(word)
+
+    def _rewrite(self, word):
         original = word
         while True:
             changed = False
@@ -195,7 +202,9 @@ def bare_config():
     return PipelineConfig()
 
 
+@functools.lru_cache(maxsize=8)
 def make_lemmatizer(config):
+    """The lemmatizer a config names; one shared instance per config."""
     if config.lemmatizer == "identity":
         return lambda word: word
     return SuffixLemmatizer(protected=config.stopwords)
@@ -317,31 +326,35 @@ class Vocabulary:
         return packed_signs(self.packed() if rows is None else self.packed()[rows], self.dim)
 
     def bundle(self, counts):
-        """Sum of counts[i, w] times word w's sign vector per row, int32 [m, dim].
+        """Sum of counts[i, w] times word w's sign vector per row, exact int32 [m, dim].
 
         counts is an (m, len(self)) CSR matrix of non-negative integer
         counts: the one bundle kernel behind bow_matrix and context models.
-        A row's total count bounds every partial sum of its row, so the
-        int32 product is exact; a total of 2^31 or more raises ValueError.
-        Only the sign rows of the words the counts use are unpacked.
+        A row's total count bounds every partial sum of its row, so while
+        the largest total is at most 2^24 the product runs in float32,
+        up to 2^31 - 1 in int32, and either way the result is exact; a
+        total of 2^31 or more raises ValueError.  Only the sign rows of
+        the words the counts use are unpacked.
         """
         out = np.zeros((counts.shape[0], self.dim), dtype=np.int32)
         if counts.nnz == 0:
             return out
         # the entry check comes first so that the int64 row sums cannot wrap
-        if counts.data.max() >= 2**31 or counts.sum(axis=1, dtype=np.int64).max() >= 2**31:
+        if counts.data.max() >= 2**31 or (total := counts.sum(axis=1, dtype=np.int64).max()) >= 2**31:
             raise ValueError("bundle counts exceed int32 range")
+        # float32 holds every integer up to 2^24 exactly, int32 up to 2^31 - 1
+        fast = np.float32 if total <= 2**24 else np.int32
         used, local = np.unique(counts.indices, return_inverse=True)
         counts = scipy.sparse.csr_matrix(
-            (counts.data.astype(np.int32), local, counts.indptr), shape=(len(out), len(used))
+            (counts.data.astype(fast), local, counts.indptr), shape=(len(out), len(used))
         )
         signs = self.sign_matrix(used)
-        # column slices bound the int32 copy of the signs, and row blocks
+        # column slices bound the 4-byte copy of the signs, and row blocks
         # each product, to ~100MB
         step = max(64, 25_000_000 // len(used))
         rows = max(1, 25_000_000 // step)
         for c in range(0, self.dim, step):
-            block = signs[:, c : c + step].astype(np.int32)
+            block = signs[:, c : c + step].astype(fast)
             for r in range(0, len(out), rows):
                 out[r : r + rows, c : c + step] = counts[r : r + rows] @ block
         return out

@@ -235,6 +235,17 @@ def test_squared_norms_raise_past_int64():
         squared_norms(rows, top + 1)
 
 
+@pytest.mark.parametrize("top", [94906265, 2**27 + 1])
+def test_squared_norms_of_float64_rows_on_both_sides_of_2_53(top):
+    # at d = 1 the bound is top^2: 94906265^2 = 2^53 - 118490767 sums in
+    # float64, while (2^27 + 1)^2 = 2^54 + 2^28 + 1 is past 2^53 and odd,
+    # so float64 would round it and the int64 blocks must take it
+    rows = np.array([[top], [-top], [3], [0]], dtype=np.float64)
+    got = squared_norms(rows, top)
+    assert got.dtype == np.int64
+    assert got.tolist() == [top * top, top * top, 9, 0]
+
+
 @pytest.mark.parametrize("dtype", [np.int32, np.float64])
 def test_squared_norms_in_row_blocks(dtype):
     # 2500 rows span three 1024-row blocks, the last one partial

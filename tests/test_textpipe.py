@@ -250,6 +250,26 @@ def test_make_lemmatizer_identity():
     assert lemma("running") == "running"
 
 
+def test_lemmatizer_remembers_words_and_is_built_once_per_config(monkeypatch):
+    lemma = SuffixLemmatizer(protected=load_stopwords())
+    assert lemma("carried") == "carri"
+    assert lemma("carried") == "carri"
+    built = []
+
+    class Counting(SuffixLemmatizer):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(textpipe, "SuffixLemmatizer", Counting)
+    make_lemmatizer.cache_clear()
+    cfg = PipelineConfig(stopwords=frozenset({"the"}), lemmatizer="suffix")
+    assert preprocess("The cats sat.", cfg) == ["cat", "sat"]
+    assert preprocess("The cats ran.", cfg) == ["cat", "ran"]
+    assert len(built) == 1
+    make_lemmatizer.cache_clear()
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -420,14 +440,22 @@ def test_bow_matrix_against_sign_sums():
 
 
 @st.composite
-def _count_matrices(draw):
+def _count_matrices(draw, count=st.integers(1, 5)):
     """(vocab size, dim, seed, count rows): each row maps a few word ids to
-    counts up to 5 and may be empty, and there may be no rows at all."""
+    counts drawn from count and may be empty, and there may be no rows at all."""
     n = draw(st.integers(1, 300))
     dim = draw(st.integers(1, 140))
     seed = draw(st.integers(0, 2**64 - 1))
-    row = st.dictionaries(st.integers(0, n - 1), st.integers(1, 5), max_size=6)
+    row = st.dictionaries(st.integers(0, n - 1), count, max_size=6)
     return n, dim, seed, draw(st.lists(row, max_size=5))
+
+
+def _csr_counts(n, rows):
+    counts = np.zeros((len(rows), n), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for i, c in row.items():
+            counts[r, i] = c
+    return scipy.sparse.csr_matrix(counts)
 
 
 @given(_count_matrices())
@@ -435,11 +463,7 @@ def _count_matrices(draw):
 def test_bundle_matches_sign_sum_oracle(case):
     n, dim, seed, rows = case
     vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
-    counts = np.zeros((len(rows), n), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for i, c in row.items():
-            counts[r, i] = c
-    got = vocab.bundle(scipy.sparse.csr_matrix(counts))
+    got = vocab.bundle(_csr_counts(n, rows))
     assert got.dtype == np.int32
     assert got.shape == (len(rows), dim)
     for out, row in zip(got, rows):
@@ -447,19 +471,34 @@ def test_bundle_matches_sign_sum_oracle(case):
         assert out.tolist() == (brute_bundle(signs) if signs else [0] * dim)
 
 
-@pytest.mark.parametrize("total", [2**31 - 1, 2**31])
+@given(_count_matrices(count=st.integers(2**21, 2**23)))
+@settings(max_examples=150, deadline=None)
+def test_bundle_matches_int64_product_near_the_float32_bound(case):
+    # up to six counts of 2^21..2^23 per row put row totals on both sides
+    # of 2^24, where float32 stops holding every partial sum exactly
+    n, dim, seed, rows = case
+    vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
+    counts = _csr_counts(n, rows)
+    got = vocab.bundle(counts)
+    assert got.dtype == np.int32
+    want = counts.toarray() @ vocab.sign_matrix().astype(np.int64)
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("total", [2**24, 2**24 + 1, 2**31 - 1, 2**31])
 def test_bundle_int32_guard_on_row_totals(total):
     # the total is split over two entries, each below 2^31, so only the
     # row total can trip the guard; at seed 1 both words have sign +1 at
-    # dim 1, so an accepted row reaches the total itself
+    # dim 1, so an accepted row reaches the total itself.  2^24 + 1 is the
+    # first total float32 cannot hold, and 2^31 the first int32 cannot.
     vocab = Vocabulary(["x", "y"], dim=1, seed=1)
     assert reference_signs(1, 1, 0) == reference_signs(1, 1, 1) == [1]
-    counts = scipy.sparse.csr_matrix(np.array([[2**30, total - 2**30], [0, 3]], dtype=np.int64))
+    counts = scipy.sparse.csr_matrix(np.array([[total // 2, total - total // 2], [0, 3]], dtype=np.int64))
     if total >= 2**31:
         with pytest.raises(ValueError, match="bundle counts exceed int32 range"):
             vocab.bundle(counts)
     else:
-        assert vocab.bundle(counts).tolist() == [[2**31 - 1], [3]]
+        assert vocab.bundle(counts).tolist() == [[total], [3]]
 
 
 @st.composite
