@@ -211,7 +211,11 @@ def exact_dots(rows, queries, max_abs):
     Either way every returned value is the exact integer.
     """
     queries = np.asarray(queries, dtype=np.int64)
-    bound = int(max_abs) * int(np.abs(queries).sum(axis=1).max(initial=0))
+    peak = max(int(queries.max(initial=0)), -int(queries.min(initial=0)))
+    # int64 sums of |q| can wrap once peak * d reaches 2^63 (and np.abs(-2^63)
+    # already does); Python ints cannot
+    exact = queries if peak * queries.shape[-1] < 2**63 else queries.astype(object)
+    bound = int(max_abs) * int(np.abs(exact).sum(axis=1).max(initial=0))
     fast, limit = (np.int32, 2**31) if rows.dtype == np.int32 else (np.float64, 2**53)
     if bound < limit:
         return queries.astype(fast) @ rows.astype(fast, copy=False).T

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import cosines, exact_dots, squared_norms, top_rows
 from .errors import EmptyIndexError, EmptyQueryError
-from .textpipe import bare_config, build_vocabulary, preprocess
+from .textpipe import PipelineConfig, build_vocabulary, preprocess
 
 _BOUNDARY_RE = re.compile(r"[.!?]+[\"')\]]*")
 
@@ -97,13 +97,12 @@ class SentenceIndex:
         return len(self.sentences)
 
 
-def build_sentence_index(text, dim, seed, config=None):
+def build_sentence_index(text, dim, seed, config=PipelineConfig()):
     """Segment text, process every sentence, and bundle its word vectors.
 
     The vocabulary is built from this document's own processed tokens in
     order of first appearance, so the index is self-contained.
     """
-    config = bare_config() if config is None else config
     kept_texts = []
     kept_tokens = []
     for raw in split_sentences(text):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import cosines, squared_norms, top_rows
 from .errors import CorpusFormatError, EmptyClassError
-from .textpipe import Vocabulary, bare_config, preprocess
+from .textpipe import PipelineConfig, build_vocabulary, preprocess
 
 N_PARTS = 10
 SPAM_PREFIX = "spmsg"
@@ -40,14 +40,13 @@ def _read_message(path, config):
     return tuple(preprocess(text, config))
 
 
-def ingest_lingspam(root, config=None):
+def ingest_lingspam(root, config=PipelineConfig()):
     """Read a ten-part corpus into one tuple of Message tuples per part.
 
     Files are read latin-1 and sorted by filename inside each part so
     ingestion order never depends on the filesystem.  Raises
     CorpusFormatError when any part directory is missing or empty.
     """
-    config = bare_config() if config is None else config
     folds = []
     for p in range(1, N_PARTS + 1):
         part = f"part{p}"
@@ -99,7 +98,7 @@ def train_filter(messages, dim, seed, vocabulary=None):
     """
     messages = list(messages)
     if vocabulary is None:
-        vocabulary = Vocabulary.from_tokens((w for m in messages for w in m.words), dim, seed)
+        vocabulary = build_vocabulary((w for m in messages for w in m.words), dim, seed)
     elif vocabulary.dim != dim or vocabulary.seed != seed:
         raise ValueError("vocabulary dim/seed do not match the requested filter")
     docs = [vocabulary.encode(m.words) for m in messages]
@@ -222,7 +221,7 @@ def cross_validate(folds, dim, seed, vocab_mode="per-fold", progress=None):
         raise ValueError("need at least two folds")
     shared = None
     if vocab_mode == "global":
-        shared = Vocabulary.from_tokens((w for fold in folds for m in fold for w in m.words), dim, seed)
+        shared = build_vocabulary((w for fold in folds for m in fold for w in m.words), dim, seed)
     results = []
     for k, test in enumerate(folds):
         train = [m for j, fold in enumerate(folds) if j != k for m in fold]

@@ -2,7 +2,7 @@
 
 A token is a plain string and a processed text a list of them.  The
 processing chain is deliberately crude: lowercase alphanumeric
-tokenization, a flat stop list, and an ordered suffix rewrite table.
+tokenization, a flat stop list, and the fixed suffix table SUFFIX_RULES.
 Conflating word forms ("carried" and "carries" both map to "carri")
 is acceptable here because downstream consumers only need stable,
 shared identifiers for related surface forms, not dictionary lemmas.
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse
 
 from .core import generate_packed, packed_signs
-from .errors import CorpusFormatError, UnknownWordError
+from .errors import UnknownWordError
 
 TOKEN_RE = re.compile(r"[^\W_]+")
 
@@ -77,65 +77,29 @@ def stopword_digest(stopwords):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class SuffixRule:
-    suffix: str
-    replacement: str
-    min_stem: int
-
-    @property
-    def terminal(self):
-        return self.replacement == self.suffix
-
-
-def _parse_suffix_rules(text):
-    rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise CorpusFormatError(
-                f"suffix rule line {lineno}: expected 'SUFFIX REPLACEMENT MIN_STEM', got {raw!r}"
-            )
-        suffix, replacement, min_stem = parts
-        if replacement == "-":
-            replacement = ""
-        try:
-            min_stem = int(min_stem)
-        except ValueError:
-            raise CorpusFormatError(f"suffix rule line {lineno}: bad MIN_STEM in {raw!r}")
-        if not suffix:
-            raise CorpusFormatError(f"suffix rule line {lineno}: empty suffix")
-        if min_stem < 0:
-            raise CorpusFormatError(f"suffix rule line {lineno}: negative MIN_STEM")
-        # every non-terminal rewrite must shorten the word or the
-        # fixpoint loop below could run forever
-        if len(replacement) >= len(suffix) and replacement != suffix:
-            raise CorpusFormatError(
-                f"suffix rule line {lineno}: replacement must be shorter than suffix or equal to it"
-            )
-        rules.append(SuffixRule(suffix, replacement, min_stem))
-    return tuple(rules)
+# The crude lemmatizer's rewrite table: (suffix, replacement, min_stem).
+# Rules are tried top to bottom; min_stem is the minimum number of
+# characters that must precede the suffix for the rule to fire.  A rule
+# whose replacement equals its suffix is terminal: matching it stops
+# rewriting (protects ss/us endings).  Every other rule shortens the word,
+# so the rewrite loop ends.  The table is applied repeatedly until no rule
+# changes the word, so order puts longer suffixes ahead of their own tails
+# (ness before ss, eed before ed).
+SUFFIX_RULES = (
+    ("sses", "ss", 1), ("ness", "", 3), ("ying", "y", 2), ("ment", "", 3),
+    ("ies", "i", 2), ("ied", "i", 2), ("eed", "ee", 2), ("ing", "", 3), ("ful", "", 3),
+    ("ss", "ss", 1), ("us", "us", 1), ("es", "", 3), ("ed", "", 3), ("ly", "", 3),
+    ("s", "", 3),
+)
 
 
-@functools.lru_cache(maxsize=1)
-def _default_suffix_rules():
-    return _parse_suffix_rules(_read_data_text("suffix_rules.txt"))
-
-
-def load_suffix_rules(path=None):
-    """Load an ordered suffix rule table; the bundled table when path is None."""
-    if path is None:
-        return _default_suffix_rules()
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return _parse_suffix_rules(text)
+def load_suffix_rules():
+    """The lemmatizer's ordered suffix table, SUFFIX_RULES."""
+    return SUFFIX_RULES
 
 
 class SuffixLemmatizer:
-    """Ordered suffix rewriting, applied until nothing changes.
+    """Suffix rewriting with SUFFIX_RULES, applied until nothing changes.
 
     Per pass the first rule whose suffix matches and whose stem is long
     enough fires; a terminal rule (replacement == suffix) ends rewriting.
@@ -145,8 +109,7 @@ class SuffixLemmatizer:
     word is rewritten once and remembered, up to _MEMO_WORDS words.
     """
 
-    def __init__(self, rules=None, protected=frozenset()):
-        self.rules = tuple(rules) if rules is not None else load_suffix_rules()
+    def __init__(self, protected=frozenset()):
         self.protected = frozenset(protected)
         self._memo = functools.lru_cache(maxsize=_MEMO_WORDS)(self._rewrite)
 
@@ -157,14 +120,14 @@ class SuffixLemmatizer:
         original = word
         while True:
             changed = False
-            for rule in self.rules:
-                if not word.endswith(rule.suffix):
+            for suffix, replacement, min_stem in SUFFIX_RULES:
+                if not word.endswith(suffix):
                     continue
-                if len(word) - len(rule.suffix) < rule.min_stem:
+                if len(word) - len(suffix) < min_stem:
                     continue
-                if rule.terminal:
+                if replacement == suffix:
                     break
-                word = word[: len(word) - len(rule.suffix)] + rule.replacement
+                word = word[: len(word) - len(suffix)] + replacement
                 changed = True
                 break
             if not changed:
@@ -195,11 +158,6 @@ class PipelineConfig:
 def default_config(lemmatizer="identity"):
     """Bundled stop list plus the chosen lemmatizer."""
     return PipelineConfig(stopwords=load_stopwords(), lemmatizer=lemmatizer)
-
-
-def bare_config():
-    """No stop list, no lemmatizer; tokens pass through unchanged."""
-    return PipelineConfig()
 
 
 @functools.lru_cache(maxsize=8)
@@ -286,13 +244,6 @@ class Vocabulary:
         self._index = index
         self._packed = None
 
-    @classmethod
-    def from_tokens(cls, tokens, dim, seed, config=None):
-        """Build from a processed token stream, keeping first-appearance order."""
-        lemmatizer = config.lemmatizer if config is not None else "identity"
-        digest = stopword_digest(config.stopwords) if config is not None else None
-        return cls(dict.fromkeys(tokens), dim, seed, lemmatizer=lemmatizer, stopword_digest=digest)
-
     def __len__(self):
         return len(self.words)
 
@@ -333,18 +284,25 @@ class Vocabulary:
         A row's total count bounds every partial sum of its row, so while
         the largest total is at most 2^24 the product runs in float32,
         up to 2^31 - 1 in int32, and either way the result is exact; a
-        total of 2^31 or more raises ValueError.  Only the sign rows of
-        the words the counts use are unpacked.
+        negative count or a total of 2^31 or more raises ValueError.  Only
+        the sign rows of the words the counts use are unpacked.
         """
         out = np.zeros((counts.shape[0], self.dim), dtype=np.int32)
         if counts.nnz == 0:
             return out
+        # a row total bounds its partial sums only when no count is negative
+        if counts.data.min() < 0:
+            raise ValueError("bundle counts must be non-negative")
         # the entry check comes first so that the int64 row sums cannot wrap
         if counts.data.max() >= 2**31 or (total := counts.sum(axis=1, dtype=np.int64).max()) >= 2**31:
             raise ValueError("bundle counts exceed int32 range")
         # float32 holds every integer up to 2^24 exactly, int32 up to 2^31 - 1
         fast = np.float32 if total <= 2**24 else np.int32
-        used, local = np.unique(counts.indices, return_inverse=True)
+        # relabel the used words 0..len(used) - 1 in index order, in linear time
+        mask = np.zeros(counts.shape[1], dtype=bool)
+        mask[counts.indices] = True
+        used = np.flatnonzero(mask)
+        local = (np.cumsum(mask) - 1)[counts.indices]
         counts = scipy.sparse.csr_matrix(
             (counts.data.astype(fast), local, counts.indptr), shape=(len(out), len(used))
         )
@@ -374,6 +332,7 @@ class Vocabulary:
         return self.bundle(scipy.sparse.csr_matrix(counts, shape=(len(docs), len(self.words))))
 
 
-def build_vocabulary(tokens, dim, seed, config=None):
-    """Vocabulary from a processed token stream, first-appearance order."""
-    return Vocabulary.from_tokens(tokens, dim, seed, config=config)
+def build_vocabulary(tokens, dim, seed, config=PipelineConfig()):
+    """Vocabulary of a processed token stream in first-appearance order, with config's provenance."""
+    digest = stopword_digest(config.stopwords)
+    return Vocabulary(dict.fromkeys(tokens), dim, seed, lemmatizer=config.lemmatizer, stopword_digest=digest)

@@ -19,7 +19,7 @@ from hdsem.core import exact_dots, squared_norms
 from hdsem.errors import EmptyContextError, EmptyQueryError
 from hdsem.sentences import SentenceIndex, query_sentences
 from hdsem.spam import ClassifyResult, Message, SpamFilter, classify_many
-from hdsem.textpipe import Vocabulary, bare_config
+from hdsem.textpipe import PipelineConfig, Vocabulary
 
 from oracles import brute_cosine, brute_top, reference_signs
 
@@ -137,7 +137,7 @@ def test_sentence_scoring_matches_oracle(data, normalize):
     n = len(rows)
     index = SentenceIndex(
         vocab,
-        bare_config(),
+        PipelineConfig(),
         [f"s{i}" for i in range(n)],
         np.array(rows, dtype=np.int32),
         np.array([_dot(r, r) for r in rows], dtype=np.int64),
@@ -225,6 +225,15 @@ def test_exact_dots_raise_past_int64():
     assert int(exact_dots(rows, np.array([[2**63 - 1, 0]]), 1)[0, 0]) == 2**63 - 1
     with pytest.raises(ValueError, match="exceed int64 range"):
         exact_dots(rows, np.array([[2**62, 0]]), 2)
+
+
+@pytest.mark.parametrize("q", [[2**62 + 1, 2**62], [-(2**63), 0]])
+def test_exact_dots_query_bound_cannot_wrap(q):
+    # sum(|q|) is 2^63 + 1 and 2^63: in int64 the first wraps negative and
+    # np.abs(-2^63) stays negative, so either bound would pass as small
+    rows = np.array([[1, 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="exceed int64 range"):
+        exact_dots(rows, np.array([q], dtype=np.int64), 1)
 
 
 def test_squared_norms_raise_past_int64():

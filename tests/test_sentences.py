@@ -24,7 +24,7 @@ from hdsem.sentences import (
     query_sentences,
     split_sentences,
 )
-from hdsem.textpipe import Vocabulary, bare_config, default_config
+from hdsem.textpipe import PipelineConfig, Vocabulary, default_config
 
 from oracles import brute_bundle, brute_cosine, reference_signs, reference_split_sentences
 
@@ -349,7 +349,7 @@ def _crafted_index(max_abs):
     matrix = rows.astype(np.int32).view(_CastRecorder)
     norms_sq = np.array([sum(int(x) ** 2 for x in r) for r in rows], dtype=np.int64)
     texts = [f"s{i}" for i in range(len(rows))]
-    index = SentenceIndex(vocab, bare_config(), texts, matrix, norms_sq, max_abs)
+    index = SentenceIndex(vocab, PipelineConfig(), texts, matrix, norms_sq, max_abs)
     return index, rows, qs
 
 

@@ -21,7 +21,7 @@ from hdsem.spam import (
     ingest_lingspam,
     train_filter,
 )
-from hdsem.textpipe import PipelineConfig, Vocabulary
+from hdsem.textpipe import PipelineConfig, build_vocabulary
 
 from oracles import brute_bundle, brute_cosine, reference_signs
 
@@ -140,7 +140,7 @@ def test_train_empty_class_raises():
 
 
 def test_train_vocabulary_mismatch():
-    vocab = Vocabulary.from_tokens(Message("a", 1, ("x",)).words, dim=32, seed=0)
+    vocab = build_vocabulary(Message("a", 1, ("x",)).words, dim=32, seed=0)
     with pytest.raises(ValueError):
         train_filter([Message("a", 1, ("x",))], dim=64, seed=0, vocabulary=vocab)
     with pytest.raises(ValueError):

@@ -21,15 +21,13 @@ from hdsem.sentences import build_sentence_index, query_sentences
 from hdsem.spam import Message, classify_many, train_filter
 from hdsem.textpipe import (
     PipelineConfig,
+    SUFFIX_RULES,
     SuffixLemmatizer,
-    SuffixRule,
     Vocabulary,
     apply_pipeline,
-    bare_config,
     build_vocabulary,
     default_config,
     load_stopwords,
-    load_suffix_rules,
     make_lemmatizer,
     preprocess,
     stopword_digest,
@@ -111,42 +109,24 @@ def test_stopword_digest_order_independent():
 
 
 def test_bundled_rule_table_shape():
-    rules = load_suffix_rules()
-    assert len(rules) == 15
-    assert rules[0] == SuffixRule("sses", "ss", 1)
-    assert rules[-1] == SuffixRule("s", "", 3)
-    terminals = {r.suffix for r in rules if r.terminal}
+    assert len(SUFFIX_RULES) == 15
+    assert SUFFIX_RULES[0] == ("sses", "ss", 1)
+    assert SUFFIX_RULES[-1] == ("s", "", 3)
+    terminals = {suffix for suffix, replacement, _ in SUFFIX_RULES if replacement == suffix}
     assert terminals == {"ss", "us"}
+    # every other rule shortens the word, so the rewrite loop ends
+    assert all(len(r) < len(s) and m >= 0 for s, r, m in SUFFIX_RULES if r != s)
 
 
 def test_rule_table_longer_suffixes_first():
     # ness/eed/ied must outrank their tails ss/ed/ed or they can never fire
-    rules = load_suffix_rules()
-    order = {r.suffix: i for i, r in enumerate(rules)}
+    order = {suffix: i for i, (suffix, _, _) in enumerate(SUFFIX_RULES)}
     assert order["ness"] < order["ss"]
     assert order["eed"] < order["ed"]
     assert order["ied"] < order["ed"]
     assert order["ying"] < order["ing"]
     assert order["ies"] < order["es"]
     assert order["sses"] < order["ss"]
-
-
-def test_load_rules_from_path(tmp_path):
-    p = tmp_path / "rules.txt"
-    p.write_text("# my rules\ning - 2\nss ss 1\n")
-    rules = load_suffix_rules(p)
-    assert rules == (SuffixRule("ing", "", 2), SuffixRule("ss", "ss", 1))
-
-
-@pytest.mark.parametrize(
-    "line",
-    ["ing -", "ing - two", "a ab 0", "es - -1"],
-)
-def test_load_rules_rejects_malformed(tmp_path, line):
-    p = tmp_path / "rules.txt"
-    p.write_text(line + "\n")
-    with pytest.raises(CorpusFormatError):
-        load_suffix_rules(p)
 
 
 # ---------------------------------------------------------------- lemmatizer
@@ -246,7 +226,7 @@ def test_lemma_idempotent(base, suffixes):
 
 
 def test_make_lemmatizer_identity():
-    lemma = make_lemmatizer(bare_config())
+    lemma = make_lemmatizer(PipelineConfig())
     assert lemma("running") == "running"
 
 
@@ -284,7 +264,7 @@ def test_default_and_bare_configs():
     cfg = default_config("suffix")
     assert cfg.lemmatizer == "suffix"
     assert "the" in cfg.stopwords
-    bare = bare_config()
+    bare = PipelineConfig()
     assert bare.stopwords == frozenset()
     assert bare.lemmatizer == "identity"
 
@@ -314,7 +294,7 @@ def test_preprocess_goldens():
 
 
 def test_preprocess_bare_config_passthrough():
-    assert preprocess("The cats were running!", bare_config()) == ["the", "cats", "were", "running"]
+    assert preprocess("The cats were running!", PipelineConfig()) == ["the", "cats", "were", "running"]
 
 
 @settings(max_examples=200)
@@ -499,6 +479,17 @@ def test_bundle_int32_guard_on_row_totals(total):
             vocab.bundle(counts)
     else:
         assert vocab.bundle(counts).tolist() == [[total], [3]]
+
+
+@pytest.mark.parametrize("row", [(2**24 + 1, -2), (2**31 - 1, -(2**30))])
+def test_bundle_rejects_negative_counts(row):
+    # a negative count makes the row total understate the partial sums:
+    # the first row would pass as a float32 total of 2^24 - 1, the second
+    # as an int32 total of 2^30 - 1 although its first entry alone nears 2^31
+    vocab = Vocabulary(["x", "y"], dim=64, seed=1)
+    counts = scipy.sparse.csr_matrix(np.array([row], dtype=np.int64))
+    with pytest.raises(ValueError, match="bundle counts must be non-negative"):
+        vocab.bundle(counts)
 
 
 @st.composite
