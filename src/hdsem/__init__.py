@@ -34,7 +34,6 @@ from .textpipe import (
     PipelineConfig,
     Vocabulary,
     build_vocabulary,
-    default_config,
     load_stopwords,
     preprocess,
     strip_gutenberg_boilerplate,
@@ -60,7 +59,6 @@ __all__ = [
     "context_similarity",
     "context_stats",
     "cross_validate",
-    "default_config",
     "ingest_lingspam",
     "load_stopwords",
     "membership_sim",

@@ -11,11 +11,8 @@ is built or loaded (in float32 while every row's total count is at most
 (format 2) holds the counts, the word occurrences and the vocabulary
 metadata, nothing derived.  Words are compared by the cosine of their
 rows, and context arithmetic ranks every row against a sum and
-difference of rows.
-
-Scoring stays exact: core.cosines multiplies the integer rows in float64
-only while max|entry| * sum(|q|) < 2**53 and in int64 past it, so
-ranking is reproducible bit for bit.
+difference of rows.  core.cosines scores them exactly, so ranking is
+reproducible bit for bit.
 """
 
 import json
@@ -39,8 +36,7 @@ class ContextModel:
     occurrences[i] how often word i itself appeared; both are validated
     here, and they are all a saved model stores.  Derived from them once:
     matrix[i], the sum of neighbor sign vectors for word i, as float64
-    (exact, since no |entry| reaches 2^31); its largest |entry| max_abs;
-    the exact squared norms norms_sq, summed from that float64 matrix;
+    (exact, since no |entry| reaches 2^31); its exact squared norms norms_sq;
     context_totals[i], the contributing (occurrence, neighbor) pairs; and
     context_distinct[i], the distinct neighbor words.
     """
@@ -51,7 +47,6 @@ class ContextModel:
         "counts",
         "occurrences",
         "matrix",
-        "max_abs",
         "norms_sq",
         "context_totals",
         "context_distinct",
@@ -73,14 +68,12 @@ class ContextModel:
         occurrences = np.asarray(occurrences)
         if occurrences.shape != (n,) or occurrences.dtype.kind not in "iu" or np.any(occurrences < 0):
             raise ValueError(f"occurrences must be {n} integers >= 0")
-        matrix = vocabulary.bundle(counts)
         self.vocabulary = vocabulary
         self.half_window = int(half_window)
         self.counts = counts
         self.occurrences = occurrences.astype(np.int64)
-        self.max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
-        self.matrix = matrix.astype(np.float64)
-        self.norms_sq = squared_norms(self.matrix, self.max_abs)
+        self.matrix = vocabulary.bundle(counts).astype(np.float64)
+        self.norms_sq = squared_norms(self.matrix)
         self.context_totals = np.asarray(counts.sum(axis=1, dtype=np.int64)).ravel()
         self.context_distinct = np.diff(counts.indptr).astype(np.int64)
 
@@ -90,10 +83,6 @@ class ContextModel:
 
     def __len__(self):
         return len(self.vocabulary)
-
-    def context_vector(self, word):
-        """Integer context row for a word, as an int64 copy."""
-        return self.matrix[self.vocabulary.index_of(word)].astype(np.int64)
 
     def save(self, path):
         meta = {
@@ -108,14 +97,16 @@ class ContextModel:
         meta_bytes = np.frombuffer(
             json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8
         )
-        np.savez_compressed(
-            path,
-            meta=meta_bytes,
-            indptr=self.counts.indptr,
-            indices=self.counts.indices,
-            data=self.counts.data,
-            occurrences=self.occurrences,
-        )
+        # a file handle, since savez would append .npz to a bare path
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                meta=meta_bytes,
+                indptr=self.counts.indptr,
+                indices=self.counts.indices,
+                data=self.counts.data,
+                occurrences=self.occurrences,
+            )
 
     @classmethod
     def load(cls, path):
@@ -198,7 +189,7 @@ def context_similarity(model, word_a, word_b):
     """
     a = model.vocabulary.index_of(word_a)
     b = model.vocabulary.index_of(word_b)
-    score = cosines(model.matrix[[a]], model.norms_sq[[a]], model.matrix[[b]], model.max_abs)[0, 0]
+    score = cosines(model.matrix[[a]], model.norms_sq[[a]], model.matrix[[b]])[0, 0]
     if score == -np.inf:
         raise EmptyContextError("cosine undefined for a zero vector")
     return float(score)
@@ -216,7 +207,7 @@ def _rank_against(model, query_vec, exclude_idx, top_n):
         raise ValueError("top_n must be >= 1")
     if not query_vec.any():
         raise EmptyQueryError("query context vector is zero")
-    scores = cosines(model.matrix, model.norms_sq, query_vec[None], model.max_abs)[0]
+    scores = cosines(model.matrix, model.norms_sq, query_vec[None])[0]
     scores[exclude_idx] = -np.inf
     ranked = [i for i in top_rows(scores, top_n) if scores[i] > -np.inf]
     return [WordMatch(r + 1, model.vocabulary.words[i], float(scores[i])) for r, i in enumerate(ranked)]

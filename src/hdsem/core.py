@@ -18,7 +18,8 @@ scaled dot; it concentrates around 1 for bundled vectors and around 0
 for fresh ones, with noise sigma = sqrt(k/d), from which
 predict_filter_analytics derives the threshold-1/2 filter's rates.
 Bundles are ranked against integer queries by exact_dots, cosines and
-top_rows, whose guards keep every dot an exact integer.
+top_rows, which bound every dot by the squared norms on both sides and
+so keep it an exact integer.
 """
 
 from __future__ import annotations
@@ -201,62 +202,63 @@ def analytics_for_sigma(sigma: float) -> FilterAnalytics:
 # kernel below, so one exactness guard covers them all.
 
 
-def exact_dots(rows, queries, max_abs):
-    """Dots of (m, d) integer queries with (n, d) integer-valued rows, (m, n).
+def squared_norms(rows):
+    """Exact int64 squared norms of integer-valued rows, shape (n,).
 
-    rows may be int32, int64 or float64, every |entry| at most max_abs.
-    max_abs * sum(|q|) bounds every partial sum of a dot: below 2^31 int32
-    rows multiply in int32, below 2^53 other rows multiply in float64,
-    past that int64 row blocks do, and from 2^63 on it raises ValueError.
-    Either way every returned value is the exact integer.
+    max|entry|^2 * d bounds every partial sum: below 2^53 the rows sum in
+    float64, past that in int64, and from 2^63 on it raises ValueError,
+    where the sum could wrap.
     """
-    queries = np.asarray(queries, dtype=np.int64)
-    peak = max(int(queries.max(initial=0)), -int(queries.min(initial=0)))
-    # int64 sums of |q| can wrap once peak * d reaches 2^63 (and np.abs(-2^63)
-    # already does); Python ints cannot
-    exact = queries if peak * queries.shape[-1] < 2**63 else queries.astype(object)
-    bound = int(max_abs) * int(np.abs(exact).sum(axis=1).max(initial=0))
-    fast, limit = (np.int32, 2**31) if rows.dtype == np.int32 else (np.float64, 2**53)
+    peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    bound = peak**2 * rows.shape[-1]
+    if bound >= 2**63:
+        raise ValueError("integer squared norms exceed int64 range")
+    dtype = np.float64 if bound < 2**53 else np.int64
+    out = np.empty(len(rows), dtype=np.int64)
+    for r in range(0, len(rows), 1024):  # blocks keep the converted copy small
+        block = rows[r : r + 1024].astype(dtype, copy=False)
+        out[r : r + 1024] = np.einsum("ij,ij->i", block, block)
+    return out
+
+
+def _dots(rows, norms_sq, queries, qq):
+    bound = int(qq.max(initial=0)) * int(norms_sq.max(initial=0))
+    fast, limit = (np.int32, 2**62) if rows.dtype == np.int32 else (np.float64, 2**106)
     if bound < limit:
         return queries.astype(fast) @ rows.astype(fast, copy=False).T
-    if bound >= 2**63:
-        raise ValueError("integer dot products exceed int64 range")
+    # both norms fit int64, so every partial sum stays below 2^63
     out = np.empty((len(queries), len(rows)), dtype=np.int64)
     for r in range(0, len(rows), 1024):  # blocks keep the int64 copy small
         out[:, r : r + 1024] = queries @ rows[r : r + 1024].astype(np.int64).T
     return out
 
 
-def squared_norms(rows, max_abs):
-    """Exact int64 squared norms of integer-valued rows with |entries| <= max_abs.
+def exact_dots(rows, norms_sq, queries):
+    """Dots of (m, d) integer queries with (n, d) integer-valued rows, (m, n).
 
-    max_abs^2 * d bounds every partial sum: below 2^53 float64 rows sum
-    in float64, other rows and larger bounds in int64 row blocks, and from
-    2^63 on it raises ValueError, where the sum could wrap.
-    """
-    bound = int(max_abs) ** 2 * rows.shape[-1]
-    if rows.dtype == np.float64 and bound < 2**53:
-        return np.einsum("ij,ij->i", rows, rows).astype(np.int64)
-    if bound >= 2**63:
-        raise ValueError("integer squared norms exceed int64 range")
-    out = np.empty(len(rows), dtype=np.int64)
-    for r in range(0, len(rows), 1024):  # blocks keep the int64 copy small
-        block = rows[r : r + 1024].astype(np.int64, copy=False)
-        out[r : r + 1024] = np.einsum("ij,ij->i", block, block)
-    return out
-
-
-def cosines(rows, norms_sq, queries, max_abs):
-    """Cosine of every query against every row, shape (m, n).
-
-    Arguments are as in exact_dots, plus the rows' exact squared norms.  A
-    zero norm on either side scores -inf.  Integer-parallel pairs score
-    exactly +-1, checked with Python ints near +-1, so float rounding never
-    ranks a perfect match below a near-duplicate.
+    rows may be int32, int64 or float64, with exact squared norms norms_sq;
+    the queries' come from squared_norms, which raises ValueError past
+    int64.  By Cauchy-Schwarz, |sum_S q_i r_i| <= |q| |r| for any set S
+    of coordinates, so the product of the largest squared norms on each
+    side bounds the square of every partial sum: below 2^62 int32 rows
+    multiply in int32, below 2^106 other rows in float64, and int64 row
+    blocks take the rest, so every value is the exact integer.
     """
     queries = np.asarray(queries, dtype=np.int64)
-    dots = exact_dots(rows, queries, max_abs)
-    qq = squared_norms(queries, int(np.abs(queries).max(initial=0)))
+    return _dots(rows, norms_sq, queries, squared_norms(queries))
+
+
+def cosines(rows, norms_sq, queries):
+    """Cosine of every query against every row, shape (m, n).
+
+    Arguments are as in exact_dots.  A zero norm on either side scores
+    -inf.  Integer-parallel pairs score exactly +-1, checked with Python
+    ints near +-1, so float rounding never ranks a perfect match below a
+    near-duplicate.
+    """
+    queries = np.asarray(queries, dtype=np.int64)
+    qq = squared_norms(queries)
+    dots = _dots(rows, norms_sq, queries, qq)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = dots / np.sqrt(qq[:, None] * norms_sq.astype(np.float64))
     scores[(qq[:, None] == 0) | (norms_sq == 0)] = -np.inf

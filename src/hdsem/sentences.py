@@ -8,12 +8,7 @@ scores exactly 1.0 against it.
 
 Sentence bundles are bow_matrix's int32 rows, exact because the bundle
 kernel raises once a sentence's token count reaches 2^31, and
-build_sentence_index records their largest |component|; their squared
-norms come from core.squared_norms, which raises rather than wrap once
-max|component|^2 * d reaches 2^63.  Queries are scored by core.cosines
-and core.exact_dots, whose guard keeps the int32 product while
-max|component| * sum(|q|) < 2^31 and falls back to int64 row blocks
-past it, so the numerators are exact integers either way.
+core.cosines scores queries against them exactly.
 """
 
 import re
@@ -75,19 +70,17 @@ class SentenceIndex:
 
     Sentences whose tokens are all removed by the pipeline (or that
     contain no tokens at all) are excluded; sentence_index in query
-    results is the 0-based position among the kept sentences.  max_abs
-    is the largest |component| of matrix; it bounds the query dots.
+    results is the 0-based position among the kept sentences.
     """
 
-    __slots__ = ("vocabulary", "config", "sentences", "matrix", "norms_sq", "max_abs")
+    __slots__ = ("vocabulary", "config", "sentences", "matrix", "norms_sq")
 
-    def __init__(self, vocabulary, config, sentences, matrix, norms_sq, max_abs):
+    def __init__(self, vocabulary, config, sentences, matrix, norms_sq):
         self.vocabulary = vocabulary
         self.config = config
         self.sentences = tuple(sentences)
         self.matrix = matrix
         self.norms_sq = norms_sq
-        self.max_abs = int(max_abs)
 
     @property
     def dim(self):
@@ -113,8 +106,7 @@ def build_sentence_index(text, dim, seed, config=PipelineConfig()):
         kept_tokens.append(toks)
     vocab = build_vocabulary((t for toks in kept_tokens for t in toks), dim, seed, config=config)
     matrix = vocab.bow_matrix([vocab.encode(ts) for ts in kept_tokens])
-    max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
-    return SentenceIndex(vocab, config, kept_texts, matrix, squared_norms(matrix, max_abs), max_abs)
+    return SentenceIndex(vocab, config, kept_texts, matrix, squared_norms(matrix))
 
 
 @dataclass(frozen=True)
@@ -154,9 +146,9 @@ def query_sentences(index, query_text, top_n=3, normalize=True):
         )
     q = index.vocabulary.bow_matrix([ids])
     if normalize:
-        scores = cosines(index.matrix, index.norms_sq, q, index.max_abs)[0]
+        scores = cosines(index.matrix, index.norms_sq, q)[0]
     else:
-        scores = exact_dots(index.matrix, q, index.max_abs)[0] / index.dim
+        scores = exact_dots(index.matrix, index.norms_sq, q)[0] / index.dim
     ranked = [i for i in top_rows(scores, top_n) if scores[i] > -np.inf]
     matches = (SentenceMatch(r + 1, float(scores[i]), int(i), index.sentences[i]) for r, i in enumerate(ranked))
     return QueryOutcome(tuple(matches), tuple(dropped))

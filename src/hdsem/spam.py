@@ -71,19 +71,17 @@ class SpamFilter:
     Training messages whose bundle is the zero vector (no usable tokens,
     or exact cancellation) are excluded: they can never be a meaningful
     nearest neighbor.  Both classes must survive the exclusion.  matrix is
-    float64, exact since no |entry| exceeds a message's word count, and
-    max_abs is its largest |entry|.
+    float64, exact since no |entry| exceeds a message's word count.
     """
 
-    __slots__ = ("vocabulary", "matrix", "norms_sq", "labels", "message_ids", "max_abs")
+    __slots__ = ("vocabulary", "matrix", "norms_sq", "labels", "message_ids")
 
-    def __init__(self, vocabulary, matrix, norms_sq, labels, message_ids, max_abs):
+    def __init__(self, vocabulary, matrix, norms_sq, labels, message_ids):
         self.vocabulary = vocabulary
         self.matrix = matrix
         self.norms_sq = norms_sq
         self.labels = labels
         self.message_ids = tuple(message_ids)
-        self.max_abs = int(max_abs)
 
     @property
     def dim(self):
@@ -103,8 +101,7 @@ def train_filter(messages, dim, seed, vocabulary=None):
         raise ValueError("vocabulary dim/seed do not match the requested filter")
     docs = [vocabulary.encode(m.words) for m in messages]
     matrix = vocabulary.bow_matrix(docs)
-    max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
-    norms_sq = squared_norms(matrix, max_abs)
+    norms_sq = squared_norms(matrix)
     keep = norms_sq > 0
     if not np.any(keep[np.fromiter((m.label == 1 for m in messages), bool, len(messages))]):
         raise EmptyClassError("no spam training message survives encoding")
@@ -117,7 +114,6 @@ def train_filter(messages, dim, seed, vocabulary=None):
         norms_sq[idx],
         np.fromiter((messages[i].label for i in idx), np.int64, len(idx)),
         [messages[i].message_id for i in idx],
-        max_abs,
     )
 
 
@@ -132,25 +128,20 @@ class ClassifyResult:
 def classify_many(spam_filter, messages):
     """Nearest-neighbor labels for a batch of messages.
 
-    A message with no token in the filter's vocabulary has no usable
-    bundle; it is marked unclassifiable and defaults to ham.  Cosine
-    ties resolve to the earliest training message.
+    A message whose bundle is zero (no token in the filter's vocabulary,
+    or exact cancellation) scores -inf against every row; it is marked
+    unclassifiable and defaults to ham.  Cosine ties resolve to the
+    earliest training message.
     """
-    docs = [spam_filter.vocabulary.encode(m.words) for m in messages]
-    results = [ClassifyResult(0, 0.0, None, True)] * len(messages)
-    live = [i for i, d in enumerate(docs) if len(d)]
-    if live:
-        q = spam_filter.vocabulary.bow_matrix([docs[i] for i in live])
-        scores = cosines(spam_filter.matrix, spam_filter.norms_sq, q, spam_filter.max_abs)
-        for row, (i, best) in enumerate(zip(live, top_rows(scores, 1)[:, 0])):
-            # -inf: the bundle cancelled exactly, same as no usable tokens
-            if scores[row, best] > -np.inf:
-                results[i] = ClassifyResult(
-                    int(spam_filter.labels[best]),
-                    float(scores[row, best]),
-                    spam_filter.message_ids[best],
-                    False,
-                )
+    q = spam_filter.vocabulary.bow_matrix([spam_filter.vocabulary.encode(m.words) for m in messages])
+    scores = cosines(spam_filter.matrix, spam_filter.norms_sq, q)
+    results = []
+    for row, best in zip(scores, top_rows(scores, 1)[:, 0]):
+        if row[best] == -np.inf:
+            results.append(ClassifyResult(0, 0.0, None, True))
+        else:
+            label, message_id = int(spam_filter.labels[best]), spam_filter.message_ids[best]
+            results.append(ClassifyResult(label, float(row[best]), message_id, False))
     return results
 
 

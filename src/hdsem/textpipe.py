@@ -155,11 +155,6 @@ class PipelineConfig:
             raise ValueError(f"lemmatizer must be one of {LEMMATIZER_NAMES}, got {self.lemmatizer!r}")
 
 
-def default_config(lemmatizer="identity"):
-    """Bundled stop list plus the chosen lemmatizer."""
-    return PipelineConfig(stopwords=load_stopwords(), lemmatizer=lemmatizer)
-
-
 @functools.lru_cache(maxsize=8)
 def make_lemmatizer(config):
     """The lemmatizer a config names; one shared instance per config."""

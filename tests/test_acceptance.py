@@ -41,6 +41,7 @@ from hdsem.core import (
     exact_dots,
     generate_packed,
     packed_signs,
+    squared_norms,
     top_rows,
 )
 from hdsem.experiments import (
@@ -53,9 +54,10 @@ from hdsem.experiments import (
 from hdsem.sentences import build_sentence_index, query_sentences
 from hdsem.spam import cross_validate, ingest_lingspam
 from hdsem.textpipe import (
+    PipelineConfig,
     Vocabulary,
     build_vocabulary,
-    default_config,
+    load_stopwords,
     preprocess,
     strip_gutenberg_boilerplate,
 )
@@ -199,8 +201,7 @@ def _check_bundle_instance(dim, k, seed):
     comps = brute_bundle(signs[:k])
     assert bundle[0].tolist() == comps
 
-    max_abs = int(np.abs(bundle).max())
-    scores = exact_dots(bundle, unpacked[: k + 2], max_abs)[:, 0] / dim
+    scores = exact_dots(bundle, squared_norms(bundle), unpacked[: k + 2])[:, 0] / dim
     assert scores.tolist() == [brute_membership(comps, ps) for ps in signs[: k + 2]]
 
     # the Monte Carlo engine: trial 0 bundles vectors [0, j) for every
@@ -213,7 +214,8 @@ def _check_bundle_instance(dim, k, seed):
     qs = signs[k + 2]
     dots = [sum(a * b for a, b in zip(qs, s)) for s in signs[:k]]
     best = max(range(k), key=lambda i: (dots[i], -i))
-    assert top_rows(exact_dots(unpacked[:k], unpacked[k + 2 :], 1), 1)[0, 0] == best
+    rows = unpacked[:k]
+    assert top_rows(exact_dots(rows, squared_norms(rows), unpacked[k + 2 :]), 1)[0, 0] == best
 
 
 def test_exact_small_instance_oracles():
@@ -251,7 +253,7 @@ def test_exact_small_instance_oracles():
 @needs_book
 def test_book_retrieval_targets():
     text = strip_gutenberg_boilerplate(SHERLOCK.read_text(encoding="utf-8"))
-    config = default_config(lemmatizer="suffix")
+    config = PipelineConfig(stopwords=load_stopwords(), lemmatizer="suffix")
     index = build_sentence_index(text, dim=10_000, seed=42, config=config)
     assert len(index) > 1000, f"only {len(index)} sentences indexed"
 

@@ -282,6 +282,18 @@ def test_context_round_trip(tmp_path, capsys):
     assert "words have total context > 3" in err
 
 
+def test_context_build_writes_the_path_given(tmp_path, capsys):
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    model = tmp_path / "ctx.model"
+    code, _, err = run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)
+    assert code == 0 and err.endswith(f"-> {model}\n")
+    assert model.exists()
+    assert not model.with_name("ctx.model.npz").exists()
+    code, out, _ = run_cli(["context", "similar", "--model", str(model), "cat"], capsys)
+    assert code == 0 and out.startswith("rank,word,score\n")
+
+
 def test_context_arith_minus(tmp_path, capsys):
     doc = tmp_path / "d.txt"
     doc.write_text(DOC)

@@ -51,7 +51,7 @@ def word_signs(vocab, word):
 
 def row_membership(model, word, probe):
     """Scaled dot of the probe word's signs with word's context row."""
-    row = model.context_vector(word).tolist()
+    row = model.matrix[model.vocabulary.index_of(word)].astype(np.int64).tolist()
     return brute_membership(row, reference_signs(model.dim, model.vocabulary.seed, model.vocabulary.index_of(probe)))
 
 
@@ -61,9 +61,7 @@ def row_membership(model, word, probe):
 def test_build_tiny_hand_case():
     model = make_model("a b c", dim=64, seed=3, half_window=2)
     v = {w: word_signs(model.vocabulary, w) for w in "abc"}
-    np.testing.assert_array_equal(model.context_vector("a"), v["b"] + v["c"])
-    np.testing.assert_array_equal(model.context_vector("b"), v["a"] + v["c"])
-    np.testing.assert_array_equal(model.context_vector("c"), v["a"] + v["b"])
+    np.testing.assert_array_equal(model.matrix, [v["b"] + v["c"], v["a"] + v["c"], v["a"] + v["b"]])
     np.testing.assert_array_equal(model.context_totals, [2, 2, 2])
     np.testing.assert_array_equal(model.context_distinct, [2, 2, 2])
     np.testing.assert_array_equal(model.occurrences, [1, 1, 1])
@@ -73,7 +71,7 @@ def test_build_repeated_word_neighbors_count():
     # same word at a neighboring position is a genuine neighbor
     model = make_model("a a a", dim=32, seed=0, half_window=1)
     v = word_signs(model.vocabulary, "a")
-    np.testing.assert_array_equal(model.context_vector("a"), 4 * v)
+    np.testing.assert_array_equal(model.matrix, [4 * v])
     assert model.context_totals[0] == 4
     assert model.context_distinct[0] == 1
     assert model.occurrences[0] == 3
@@ -134,7 +132,7 @@ def test_build_single_token_empty_context():
     model = build_context_model(["a"], vocab, half_window=2)
     np.testing.assert_array_equal(model.matrix, np.zeros((1, 32), dtype=np.int64))
     assert model.context_totals[0] == 0
-    assert exact_dots(model.matrix, vocab.sign_matrix(), 0).tolist() == [[0]]
+    assert exact_dots(model.matrix, model.norms_sq, vocab.sign_matrix()).tolist() == [[0]]
     with pytest.raises(EmptyContextError):
         context_similarity(model, "a", "a")
 
@@ -159,11 +157,12 @@ def test_contains_direct_neighbors():
 def test_contains_accepts_hypervector_probe():
     # a raw sign vector probes a context row as its word does
     model = make_model("x c y", dim=256, seed=2, half_window=1)
-    row = model.matrix[[model.vocabulary.index_of("c")]]
+    c = [model.vocabulary.index_of("c")]
+    row, norms_sq = model.matrix[c], model.norms_sq[c]
     probe = packed_signs(model.vocabulary.packed()[[model.vocabulary.index_of("x")]], 256)
-    assert exact_dots(row, probe, 2)[0, 0] / 256 == row_membership(model, "c", "x")
+    assert exact_dots(row, norms_sq, probe)[0, 0] / 256 == row_membership(model, "c", "x")
     with pytest.raises(ValueError):
-        exact_dots(row, packed_signs(generate_packed(128, 2, [0]), 128), 2)
+        exact_dots(row, norms_sq, packed_signs(generate_packed(128, 2, [0]), 128))
     with pytest.raises(UnknownWordError):
         row_membership(model, "c", "zz")
 
@@ -179,7 +178,8 @@ def test_contains_probability_at_140_pairs():
         vocab = build_vocabulary(stream, dim=1000, seed=5000 + t)
         model = build_context_model(stream, vocab, half_window=70)
         assert model.context_totals[vocab.index_of("c")] == 140
-        scores = exact_dots(model.matrix[[vocab.index_of("c")]], vocab.sign_matrix(), 140)[:, 0] / 1000
+        c = [vocab.index_of("c")]
+        scores = exact_dots(model.matrix[c], model.norms_sq[c], vocab.sign_matrix())[:, 0] / 1000
         hits += sum(scores[vocab.index_of(f)] > 0.5 for f in fillers)
     rate = hits / (builds * per)
     assert abs(rate - P_CONTAINS_140_D1000) < 0.03
@@ -196,12 +196,11 @@ def test_similarity_identical_contexts_exactly_one():
 
 def test_similarity_symmetric_and_matches_oracle():
     model = make_model("u m v u k v w m", dim=64, seed=4, half_window=2)
+    rows = model.matrix.astype(np.int64).tolist()
     for a, b in [("m", "k"), ("u", "v"), ("m", "w")]:
         s = context_similarity(model, a, b)
         assert s == context_similarity(model, b, a)
-        expected = brute_cosine(
-            model.context_vector(a).tolist(), model.context_vector(b).tolist()
-        )
+        expected = brute_cosine(rows[model.vocabulary.index_of(a)], rows[model.vocabulary.index_of(b)])
         assert s == pytest.approx(expected, abs=1e-12)
 
 
@@ -234,10 +233,10 @@ def test_arithmetic_matches_brute_ranking():
 
     query = [0] * 64
     for w in plus:
-        for i, x in enumerate(model.context_vector(w)):
+        for i, x in enumerate(model.matrix[vocab.index_of(w)]):
             query[i] += int(x)
     for w in minus:
-        for i, x in enumerate(model.context_vector(w)):
+        for i, x in enumerate(model.matrix[vocab.index_of(w)]):
             query[i] -= int(x)
     qq = sum(x * x for x in query)
     scored = []
@@ -312,7 +311,6 @@ def test_model_save_load_round_trip(tmp_path):
     loaded = ContextModel.load(path)
     for name in ("matrix", "norms_sq", "context_totals", "context_distinct", "occurrences"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
-    assert loaded.max_abs == model.max_abs
     assert loaded.vocabulary.words == model.vocabulary.words
     assert loaded.vocabulary.dim == model.vocabulary.dim
     assert loaded.vocabulary.seed == model.vocabulary.seed

@@ -46,7 +46,7 @@ def _vocab(n, dim, seed):
 def _membership(bundle, probes, dim):
     """Scaled dots of probe sign rows with one integer bundle, as floats."""
     bundle = np.asarray(bundle, dtype=np.int64)[None]
-    return (exact_dots(bundle, probes, int(np.abs(bundle).max())) / dim)[:, 0].tolist()
+    return (exact_dots(bundle, squared_norms(bundle), probes) / dim)[:, 0].tolist()
 
 
 # ---------------------------------------------------------------- generation
@@ -316,7 +316,7 @@ def test_membership_score_threshold_and_mismatch():
     assert (point.tp, point.fn) == (10, 0)
     bundle = _vocab(1, 32, 1).bow_matrix([[0]])
     with pytest.raises(ValueError):
-        exact_dots(bundle, _signs(33, 1, [0]), 1)
+        exact_dots(bundle, squared_norms(bundle), _signs(33, 1, [0]))
 
 
 def test_scaling_convention_equivalence():
@@ -381,17 +381,18 @@ def test_membership_distribution_quick_sanity():
 
 def test_nearest_singleton_and_validation():
     signs = _signs(64, 8, [0])
-    assert top_rows(exact_dots(signs, signs, 1), 1).tolist() == [[0]]
+    norms_sq = squared_norms(signs)
+    assert top_rows(exact_dots(signs, norms_sq, signs), 1).tolist() == [[0]]
     with pytest.raises(ValueError):  # an empty exemplar set has no nearest
-        top_rows(exact_dots(signs[:0], signs, 1), 1)
+        top_rows(exact_dots(signs[:0], norms_sq[:0], signs), 1)
     with pytest.raises(ValueError):
-        exact_dots(signs, _signs(65, 8, [0]), 1)
+        exact_dots(signs, norms_sq, _signs(65, 8, [0]))
 
 
 def test_nearest_tie_breaks_to_lowest_index():
     a, b = _signs(64, 8, [1, 2])
     rows = np.stack([b, a, a, b])
-    assert top_rows(exact_dots(rows, a[None], 1), 1).tolist() == [[1]]
+    assert top_rows(exact_dots(rows, squared_norms(rows), a[None]), 1).tolist() == [[1]]
 
 
 def test_nearest_always_finds_the_member():
@@ -477,26 +478,60 @@ def test_analytics_validation():
 def test_cosines_exact_cases():
     a = np.array([2, -4, 6], dtype=np.int64)
     rows = np.array([a, 3 * a, -a, np.zeros(3), [1, 1, 1]], dtype=np.int64)
-    scores = cosines(rows, squared_norms(rows, 18), a[None], 18)[0]
+    scores = cosines(rows, squared_norms(rows), a[None])[0]
     assert scores[:4].tolist() == [1.0, 1.0, -1.0, -np.inf]
     assert -1.0 < scores[4] < 1.0
-    assert np.all(cosines(rows, squared_norms(rows, 18), np.zeros((1, 3), dtype=np.int64), 18) == -np.inf)
+    assert np.all(cosines(rows, squared_norms(rows), np.zeros((1, 3), dtype=np.int64)) == -np.inf)
 
 
-@given(
-    st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=12),
-    st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=12),
-)
-@settings(max_examples=80, deadline=None)
-def test_cosines_match_brute(a, b):
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    if not any(a) or not any(b):
+@st.composite
+def _vectors(draw, dim, min_size, max_size, top):
+    """Integer vectors whose entries reach a drawn power of two, at most top."""
+    out = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        hi = min(2 ** draw(st.integers(0, 31)), top)
+        out.append(draw(st.lists(st.integers(-hi, hi), min_size=dim, max_size=dim)))
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cosines_match_brute(data):
+    # entries up to 2^31 in dims up to 8 put the norm bound on both sides
+    # of 2^62 (int32 rows) and 2^106 (the others), and some norms past 2^63
+    d = data.draw(st.integers(1, 8), label="dim")
+    dtype = data.draw(st.sampled_from([np.int32, np.int64, np.float64]), label="dtype")
+    rows = data.draw(_vectors(d, 1, 4, 2**31 - 1 if dtype is np.int32 else 2**31), label="rows")
+    queries = data.draw(_vectors(d, 0, 2, 2**31), label="queries")
+    c = data.draw(st.sampled_from([-2, -1, 1, 2]), label="parallel")
+    queries.append([c * x for x in data.draw(st.sampled_from(rows), label="row")])
+    R, Q = np.array(rows, dtype=dtype), np.array(queries, dtype=np.int64)
+    fits = lambda vs: max(abs(x) for v in vs for x in v) ** 2 * d < 2**63  # noqa: E731
+    if not fits(rows):
+        with pytest.raises(ValueError, match="integer squared norms exceed int64 range"):
+            squared_norms(R)
         return
-    rows = np.array([a], dtype=np.int64)
-    got = cosines(rows, squared_norms(rows, 50), np.array([b], dtype=np.int64), 50)[0, 0]
-    assert got == oracles.brute_cosine(a, b)
-    assert -1.0 <= got <= 1.0
+    rr = squared_norms(R)
+    assert rr.tolist() == [sum(x * x for x in r) for r in rows]
+    if not fits(queries):
+        for kernel in (exact_dots, cosines):
+            with pytest.raises(ValueError, match="integer squared norms exceed int64 range"):
+                kernel(R, rr, Q)
+        return
+    dots = exact_dots(R, rr, Q)
+    assert dots.tolist() == [[sum(x * y for x, y in zip(r, q)) for r in rows] for q in queries]
+    scores = cosines(R, rr, Q)
+    for q, got_row in zip(queries, scores):
+        for r, aa, got in zip(rows, rr.tolist(), got_row):
+            bb = sum(x * x for x in q)
+            if not aa or not bb:
+                assert got == -np.inf
+            elif sum(x * y for x, y in zip(r, q)) ** 2 == aa * bb:
+                assert got == oracles.brute_cosine(r, q)  # exactly +-1
+            else:
+                assert math.isclose(got, oracles.brute_cosine(r, q), rel_tol=2e-15)
+                if aa * bb < 2**53:
+                    assert -1.0 <= got <= 1.0
 
 
 # --------------------------------------------------------------- concurrency

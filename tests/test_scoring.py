@@ -133,7 +133,10 @@ def test_sentence_scoring_matches_oracle(data, normalize):
     vocab = Vocabulary(WORDS, dim=d, seed=data.draw(st.integers(0, 3), label="seed"))
     qwords = data.draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=5), label="query")
     q = _signs(vocab, qwords)
-    rows = data.draw(rows_around(q), label="rows")
+    # a power-of-two scale changes no cosine's rounding; at 2^26 the int32
+    # bound qq * max rr lands on both sides of 2^62 while rr stays in int64
+    scale = data.draw(st.sampled_from([1, 2**13, 2**26]), label="scale")
+    rows = [[scale * x for x in r] for r in data.draw(rows_around(q), label="rows")]
     n = len(rows)
     index = SentenceIndex(
         vocab,
@@ -141,7 +144,6 @@ def test_sentence_scoring_matches_oracle(data, normalize):
         [f"s{i}" for i in range(n)],
         np.array(rows, dtype=np.int32),
         np.array([_dot(r, r) for r in rows], dtype=np.int64),
-        max(abs(x) for r in rows for x in r),
     )
     top_n = data.draw(st.integers(1, n + 1), label="top_n")
     out = query_sentences(index, " ".join(qwords), top_n=top_n, normalize=normalize)
@@ -174,7 +176,6 @@ def test_spam_batch_matches_oracle(data):
         np.array([_dot(r, r) for r in rows], dtype=np.int64),
         np.array(labels, dtype=np.int64),
         [f"m{i}" for i in range(len(rows))],
-        max(abs(x) for r in rows for x in r),
     )
     want = []
     for q in bows:
@@ -191,57 +192,80 @@ def test_spam_batch_matches_oracle(data):
 
 
 @pytest.mark.parametrize(
-    "dtype, max_abs, q_sum, out_dtype",
+    "dtype, a, b, out_dtype",
     [
-        (np.float64, 20394401, 441650591, np.float64),  # product 2^53 - 1
+        (np.float64, 20394401, 441650591, np.float64),  # a b = 2^53 - 1
         (np.int64, 20394401, 441650591, np.float64),
-        (np.float64, 2**26, 2**27, np.int64),  # product 2^53
+        (np.float64, 2**26, 2**27, np.int64),  # a b = 2^53
         (np.int64, 2**26, 2**27, np.int64),
         (np.int32, 1, 2**31 - 1, np.int32),
         (np.int32, 2, 2**30, np.int64),
     ],
 )
-def test_exact_dots_on_both_sides_of_the_fast_bound(dtype, max_abs, q_sum, out_dtype):
-    assert max_abs * q_sum in (2**53 - 1, 2**53, 2**31 - 1, 2**31)
-    rows = [[max_abs, -max_abs], [max_abs, max_abs - 1], [-max_abs, 1], [0, 0]]
-    q = [q_sum - 5, -5]  # row 0 reaches the bound itself
-    got = exact_dots(np.array(rows, dtype=dtype), np.array([q]), max_abs)
+def test_exact_dots_on_both_sides_of_the_fast_bound(dtype, a, b, out_dtype):
+    # rows of norm at most a against a query of norm b: the bound is
+    # (a b)^2, 2^106 for float64 products and 2^62 for int32 ones, and
+    # row 0, parallel to the query, reaches the dot a b itself
+    assert a * b in (2**53 - 1, 2**53, 2**31 - 1, 2**31)
+    rows = [[a, 0], [-a, 0], [0, a], [0, 0]]
+    q = [b, 0]
+    got = exact_dots(np.array(rows, dtype=dtype), np.array([_dot(r, r) for r in rows]), np.array([q]))
     assert got.dtype == out_dtype
     assert [int(x) for x in got[0]] == [_dot(r, q) for r in rows]
-    assert int(got[0, 0]) == max_abs * q_sum
+    assert int(got[0, 0]) == a * b
+
+
+@pytest.mark.parametrize(
+    "dtype, top, q1, out_dtype, want",
+    [
+        (np.float64, 2**26, 2**26 - 1, np.float64, 2**53 - 2**26),  # bound below 2^106
+        (np.float64, 2**26, 2**26, np.int64, 2**53),  # bound 2^106
+        (np.int32, 2**15, 2**15 - 1, np.int32, 2**31 - 2**15),  # bound below 2^62
+        (np.int32, 2**15, 2**15, np.int64, 2**31),  # bound 2^62; int32 wraps to -2^31
+    ],
+)
+def test_exact_dots_on_both_sides_of_the_norm_bound(dtype, top, q1, out_dtype, want):
+    rows = np.array([[top, top]], dtype=dtype)
+    got = exact_dots(rows, squared_norms(rows), np.array([[top, q1]]))
+    assert got.dtype == out_dtype
+    assert int(got[0, 0]) == want
 
 
 def test_exact_dots_fallback_is_exact_where_float64_rounds():
-    rows = np.array([[3, 1]], dtype=np.int64)
-    q = np.array([[2**52, 1]])
-    want = 3 * 2**52 + 1
-    assert int((rows.astype(np.float64) @ q.T.astype(np.float64))[0, 0]) != want
-    got = exact_dots(rows, q, 3)
-    assert got.dtype == np.int64 and int(got[0, 0]) == want
+    # [2^27, 1] against itself: bound (2^54 + 1)^2 is past 2^106, and the
+    # dot 2^54 + 1 is odd, so a float64 product would round it to 2^54
+    q = np.array([[2**27, 1]])
+    want = 2**54 + 1
+    assert int((q.astype(np.float64) @ q.T.astype(np.float64))[0, 0]) != want
+    for dtype in (np.int64, np.float64):
+        rows = q.astype(dtype)
+        got = exact_dots(rows, squared_norms(rows), q)
+        assert got.dtype == np.int64 and int(got[0, 0]) == want
 
 
 def test_exact_dots_raise_past_int64():
+    # the queries' squared norms must fit int64, as the rows' do
     rows = np.array([[1, 0]], dtype=np.int64)
-    assert int(exact_dots(rows, np.array([[2**63 - 1, 0]]), 1)[0, 0]) == 2**63 - 1
-    with pytest.raises(ValueError, match="exceed int64 range"):
-        exact_dots(rows, np.array([[2**62, 0]]), 2)
+    for q in ([2**63 - 1, 0], [2**62, 0]):
+        with pytest.raises(ValueError, match="integer squared norms exceed int64 range"):
+            exact_dots(rows, squared_norms(rows), np.array([q]))
 
 
 @pytest.mark.parametrize("q", [[2**62 + 1, 2**62], [-(2**63), 0]])
 def test_exact_dots_query_bound_cannot_wrap(q):
-    # sum(|q|) is 2^63 + 1 and 2^63: in int64 the first wraps negative and
-    # np.abs(-2^63) stays negative, so either bound would pass as small
+    # the query's largest |entry| is taken in Python ints, so neither
+    # 2^62 + 1 nor -2^63, whose np.abs stays negative, passes as small
     rows = np.array([[1, 1]], dtype=np.int64)
-    with pytest.raises(ValueError, match="exceed int64 range"):
-        exact_dots(rows, np.array([q], dtype=np.int64), 1)
+    with pytest.raises(ValueError, match="integer squared norms exceed int64 range"):
+        exact_dots(rows, squared_norms(rows), np.array([q], dtype=np.int64))
 
 
 def test_squared_norms_raise_past_int64():
     top = 2**31 - 1  # 2 * top^2 < 2^63 <= 2 * (top + 1)^2
     rows = np.array([[top, -top]], dtype=np.int64)
-    assert int(squared_norms(rows, top)[0]) == 2 * top * top
-    with pytest.raises(ValueError, match="exceed int64 range"):
-        squared_norms(rows, top + 1)
+    assert int(squared_norms(rows)[0]) == 2 * top * top
+    with pytest.raises(ValueError, match="integer squared norms exceed int64 range"):
+        squared_norms(rows + np.array([1, -1]))
 
 
 @pytest.mark.parametrize("top", [94906265, 2**27 + 1])
@@ -250,7 +274,7 @@ def test_squared_norms_of_float64_rows_on_both_sides_of_2_53(top):
     # float64, while (2^27 + 1)^2 = 2^54 + 2^28 + 1 is past 2^53 and odd,
     # so float64 would round it and the int64 blocks must take it
     rows = np.array([[top], [-top], [3], [0]], dtype=np.float64)
-    got = squared_norms(rows, top)
+    got = squared_norms(rows)
     assert got.dtype == np.int64
     assert got.tolist() == [top * top, top * top, 9, 0]
 
@@ -259,7 +283,7 @@ def test_squared_norms_of_float64_rows_on_both_sides_of_2_53(top):
 def test_squared_norms_in_row_blocks(dtype):
     # 2500 rows span three 1024-row blocks, the last one partial
     rows = np.random.default_rng(0).integers(-(2**20), 2**20, size=(2500, 5)).astype(dtype)
-    got = squared_norms(rows, 2**20)
+    got = squared_norms(rows)
     assert got.dtype == np.int64
     assert got.tolist() == [sum(int(x) ** 2 for x in r) for r in rows]
 

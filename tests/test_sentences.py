@@ -15,6 +15,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdsem.core import exact_dots
 from hdsem.errors import EmptyIndexError, EmptyQueryError
 from hdsem.sentences import (
     QueryOutcome,
@@ -24,7 +25,7 @@ from hdsem.sentences import (
     query_sentences,
     split_sentences,
 )
-from hdsem.textpipe import PipelineConfig, Vocabulary, default_config
+from hdsem.textpipe import PipelineConfig, Vocabulary, load_stopwords
 
 from oracles import brute_bundle, brute_cosine, reference_signs, reference_split_sentences
 
@@ -129,7 +130,7 @@ def test_build_trivial_index():
 
 
 def test_build_excludes_emptied_sentences():
-    cfg = default_config()
+    cfg = PipelineConfig(stopwords=load_stopwords())
     idx = build_sentence_index("Red fox. The of and. Blue bird.", dim=64, seed=0, config=cfg)
     assert idx.sentences == ("Red fox.", "Blue bird.")
     out = query_sentences(idx, "blue bird", top_n=1)
@@ -145,12 +146,6 @@ def test_build_multiplicity_counts():
     assert idx.norms_sq[0] == int(((2 * v_cat + v_dog) ** 2).sum())
 
 
-def test_build_records_max_abs():
-    idx = build_sentence_index("cat cat cat dog. dog bird.", dim=96, seed=5)
-    assert idx.max_abs == int(np.abs(idx.matrix).max())
-    assert idx.max_abs >= 2
-
-
 def test_build_int32_guard(monkeypatch):
     def crafted(value):
         return lambda self, docs: np.full((len(docs), self.dim), value, dtype=np.int32)
@@ -158,7 +153,6 @@ def test_build_int32_guard(monkeypatch):
     monkeypatch.setattr(Vocabulary, "bow_matrix", crafted(2**31 - 1))
     # at dim 1 the squared norm (2^31 - 1)^2 fits int64 and is stored exactly
     idx = build_sentence_index("a b. c.", dim=1, seed=0)
-    assert idx.max_abs == 2**31 - 1
     assert idx.norms_sq.tolist() == [(2**31 - 1) ** 2] * 2
     # at dim 8 it is 8 (2^31 - 1)^2 > 2^63, which int64 cannot hold
     with pytest.raises(ValueError, match="integer squared norms exceed int64 range"):
@@ -283,7 +277,7 @@ def test_query_all_unknown_raises():
 
 
 def test_query_uses_index_pipeline():
-    cfg = default_config()
+    cfg = PipelineConfig(stopwords=load_stopwords())
     idx = build_sentence_index("The cat sat. A dog ran.", dim=128, seed=6, config=cfg)
     out = query_sentences(idx, "the the the cat", top_n=1)
     assert out.dropped_tokens == ()
@@ -329,13 +323,13 @@ class _CastRecorder(np.ndarray):
         return super().astype(dtype, *args, **kwargs)
 
 
-def _crafted_index(max_abs):
+def _crafted_index(scale):
     """Index whose rows are scaled +-1 patterns against the query "a".
 
-    With dim 8, Sigma|q| = 8 for the one-word query, so the int32 bound
-    max_abs * Sigma|q| < 2^31 holds iff max_abs < 2^28.  Row 0 is
-    parallel to the query, so its numerator is max_abs * 8: at
-    max_abs = 2^28 it is 2^31 and would wrap in int32.
+    With dim 8 the one-word query has squared norm 8 and row 0, the
+    largest, 8 scale^2, so the int32 bound 64 scale^2 < 2^62 holds iff
+    scale < 2^28.  Row 0 is parallel to the query, so its numerator is
+    scale * 8: at scale = 2^28 it is 2^31 and would wrap in int32.
     """
     dim = 8
     vocab = Vocabulary(["a", "b"], dim=dim, seed=3)
@@ -343,23 +337,26 @@ def _crafted_index(max_abs):
     flip = qs.copy()
     flip[0] = -flip[0]
     rows = np.array(
-        [max_abs * qs, -max_abs * qs, max_abs * flip, max_abs * bs, (max_abs // 3) * qs + bs, bs],
+        [scale * qs, -scale * qs, scale * flip, scale * bs, (scale // 3) * qs + bs, bs],
         dtype=np.int64,
     )
     matrix = rows.astype(np.int32).view(_CastRecorder)
     norms_sq = np.array([sum(int(x) ** 2 for x in r) for r in rows], dtype=np.int64)
     texts = [f"s{i}" for i in range(len(rows))]
-    index = SentenceIndex(vocab, PipelineConfig(), texts, matrix, norms_sq, max_abs)
+    index = SentenceIndex(vocab, PipelineConfig(), texts, matrix, norms_sq)
     return index, rows, qs
 
 
-@pytest.mark.parametrize("max_abs, wide", [((2**31 - 1) // 8, False), (2**28, True)])
-def test_query_exactness_guard_at_int32_bound(max_abs, wide):
-    index, rows, qs = _crafted_index(max_abs)
-    assert (max_abs * int(np.abs(qs).sum()) >= 2**31) == wide
+@pytest.mark.parametrize("scale, wide", [(2**28 - 1, False), (2**28, True)])
+def test_query_exactness_guard_at_int32_bound(scale, wide):
+    index, rows, qs = _crafted_index(scale)
+    assert (int(qs @ qs) * int(index.norms_sq.max()) >= 2**62) == wide
     _CastRecorder.casts.clear()
     out = query_sentences(index, "a", top_n=len(rows))
     assert (np.dtype(np.int64) in _CastRecorder.casts) == wide
+    # row 0's dot is 8 scale, 2^31 on the wide side, where int32 would wrap
+    dots = exact_dots(index.matrix, index.norms_sq, qs[None])
+    assert dots.dtype == (np.int64 if wide else np.int32) and int(dots[0, 0]) == 8 * scale
     got = {m.sentence_index: m.score for m in out.matches}
     assert sorted(got) == list(range(len(rows)))
     for i, row in enumerate(rows):

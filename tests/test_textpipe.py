@@ -26,7 +26,6 @@ from hdsem.textpipe import (
     Vocabulary,
     apply_pipeline,
     build_vocabulary,
-    default_config,
     load_stopwords,
     make_lemmatizer,
     preprocess,
@@ -261,7 +260,7 @@ def test_pipeline_config_validation():
 
 
 def test_default_and_bare_configs():
-    cfg = default_config("suffix")
+    cfg = PipelineConfig(stopwords=load_stopwords(), lemmatizer="suffix")
     assert cfg.lemmatizer == "suffix"
     assert "the" in cfg.stopwords
     bare = PipelineConfig()
@@ -270,7 +269,7 @@ def test_default_and_bare_configs():
 
 
 def test_apply_pipeline_filters_then_renumbers():
-    cfg = default_config("suffix")
+    cfg = PipelineConfig(stopwords=load_stopwords(), lemmatizer="suffix")
     assert apply_pipeline(tokenize("the cats are running"), cfg) == ["cat", "runn"]
 
 
@@ -280,7 +279,7 @@ def test_apply_pipeline_accepts_plain_strings():
 
 
 def test_preprocess_goldens():
-    cfg = default_config("suffix")
+    cfg = PipelineConfig(stopwords=load_stopwords(), lemmatizer="suffix")
     assert preprocess("The cats were running quickly!", cfg) == [
         "cat",
         "runn",
@@ -300,7 +299,7 @@ def test_preprocess_bare_config_passthrough():
 @settings(max_examples=200)
 @given(st.text(alphabet="abcdeginorstuy .,'", max_size=80))
 def test_pipeline_idempotent_end_to_end(text):
-    cfg = default_config("suffix")
+    cfg = PipelineConfig(stopwords=load_stopwords(), lemmatizer="suffix")
     once = preprocess(text, cfg)
     again = apply_pipeline(once, cfg)
     assert again == once
@@ -556,7 +555,7 @@ def test_bow_matrix_rejects_out_of_range():
 
 
 def test_vocabulary_records_pipeline_provenance():
-    cfg = default_config("suffix")
+    cfg = PipelineConfig(stopwords=load_stopwords(), lemmatizer="suffix")
     toks = preprocess("cats and dogs", cfg)
     vocab = build_vocabulary(toks, dim=16, seed=0, config=cfg)
     assert vocab.lemmatizer == "suffix"
@@ -565,7 +564,7 @@ def test_vocabulary_records_pipeline_provenance():
 
 def test_vocabulary_save_load_round_trip(tmp_path):
     # a vocabulary is saved as part of the context model built on it
-    cfg = default_config("suffix")
+    cfg = PipelineConfig(stopwords=load_stopwords(), lemmatizer="suffix")
     toks = preprocess("The cats were running quickly near the houses", cfg)
     vocab = build_vocabulary(toks, dim=128, seed=17, config=cfg)
     path = tmp_path / "model.npz"
