@@ -28,6 +28,7 @@ from hdsem.core import (
     predict_filter_analytics,
     squared_norms,
     top_rows,
+    words_per_vector,
 )
 from hdsem.experiments import RhoCurveConfig, _prefix_scores, rho_curve
 from hdsem.textpipe import Vocabulary
@@ -118,6 +119,23 @@ def test_component_means_concentrate_near_zero():
     sums = packed_signs(words, dim).sum(axis=1, dtype=np.int64)
     means = sums / dim
     assert np.mean(np.abs(means) <= 0.03) >= 0.99
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=200),
+    lead=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_packed_signs_match_packed_bits(dim, lead, seed):
+    # packed_signs looks whole bytes up in a table and packed_bits unpacks
+    # bit by bit; they agree on any words, tail bits set or not, on dims
+    # inside a byte or a word and on one to three leading axes, empty ones too
+    shape = tuple(lead) + (words_per_vector(dim),)
+    words = np.random.default_rng(seed).integers(0, 2**64, size=shape, dtype=np.uint64)
+    signs = packed_signs(words, dim)
+    assert signs.dtype == np.int8 and signs.shape == tuple(lead) + (dim,)
+    assert np.array_equal(signs, 2 * packed_bits(words, dim).astype(np.int8) - 1)
 
 
 # ----------------------------------------------------------------------- dot
@@ -498,10 +516,13 @@ def _vectors(draw, dim, min_size, max_size, top):
 @settings(max_examples=300, deadline=None)
 def test_cosines_match_brute(data):
     # entries up to 2^31 in dims up to 8 put the norm bound on both sides
-    # of 2^62 (int32 rows) and 2^106 (the others), and some norms past 2^63
+    # of 2^106 and some norms past 2^63; float32 rows, whose entries stop
+    # at 2^24 where float32 stops holding every integer, put it on both
+    # sides of 2^48
     d = data.draw(st.integers(1, 8), label="dim")
-    dtype = data.draw(st.sampled_from([np.int32, np.int64, np.float64]), label="dtype")
-    rows = data.draw(_vectors(d, 1, 4, 2**31 - 1 if dtype is np.int32 else 2**31), label="rows")
+    dtype = data.draw(st.sampled_from([np.float32, np.int32, np.int64, np.float64]), label="dtype")
+    top = {np.float32: 2**24, np.int32: 2**31 - 1}.get(dtype, 2**31)
+    rows = data.draw(_vectors(d, 1, 4, top), label="rows")
     queries = data.draw(_vectors(d, 0, 2, 2**31), label="queries")
     c = data.draw(st.sampled_from([-2, -1, 1, 2]), label="parallel")
     queries.append([c * x for x in data.draw(st.sampled_from(rows), label="row")])

@@ -22,6 +22,7 @@ from hdsem.spam import ClassifyResult, Message, SpamFilter, classify_many
 from hdsem.textpipe import PipelineConfig, Vocabulary
 
 from oracles import brute_cosine, brute_top, reference_signs
+from recorders import ProductRecorder
 
 WORDS = ("alpha", "beta", "gamma", "delta")
 
@@ -133,18 +134,16 @@ def test_sentence_scoring_matches_oracle(data, normalize):
     vocab = Vocabulary(WORDS, dim=d, seed=data.draw(st.integers(0, 3), label="seed"))
     qwords = data.draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=5), label="query")
     q = _signs(vocab, qwords)
-    # a power-of-two scale changes no cosine's rounding; at 2^26 the int32
-    # bound qq * max rr lands on both sides of 2^62 while rr stays in int64
-    scale = data.draw(st.sampled_from([1, 2**13, 2**26]), label="scale")
+    # a power-of-two scale changes no cosine's rounding; rows are stored as
+    # build_sentence_index stores them, float32 while no squared norm
+    # exceeds 2^48, and at 2^18 the bound qq * max rr lands on both sides
+    # of float32's 2^48, while at 2^26 the rows stay int32
+    scale = data.draw(st.sampled_from([1, 2**18, 2**26]), label="scale")
     rows = [[scale * x for x in r] for r in data.draw(rows_around(q), label="rows")]
     n = len(rows)
-    index = SentenceIndex(
-        vocab,
-        PipelineConfig(),
-        [f"s{i}" for i in range(n)],
-        np.array(rows, dtype=np.int32),
-        np.array([_dot(r, r) for r in rows], dtype=np.int64),
-    )
+    norms_sq = np.array([_dot(r, r) for r in rows], dtype=np.int64)
+    dtype = np.float32 if norms_sq.max() <= 2**48 else np.int32
+    index = SentenceIndex(vocab, PipelineConfig(), [f"s{i}" for i in range(n)], np.array(rows, dtype=dtype), norms_sq)
     top_n = data.draw(st.integers(1, n + 1), label="top_n")
     out = query_sentences(index, " ".join(qwords), top_n=top_n, normalize=normalize)
     if normalize:
@@ -192,42 +191,49 @@ def test_spam_batch_matches_oracle(data):
 
 
 @pytest.mark.parametrize(
-    "dtype, a, b, out_dtype",
+    "dtype, a, b, tier",
     [
         (np.float64, 20394401, 441650591, np.float64),  # a b = 2^53 - 1
         (np.int64, 20394401, 441650591, np.float64),
         (np.float64, 2**26, 2**27, np.int64),  # a b = 2^53
         (np.int64, 2**26, 2**27, np.int64),
-        (np.int32, 1, 2**31 - 1, np.int32),
-        (np.int32, 2, 2**30, np.int64),
+        (np.float32, 1, 2**24 - 1, np.float32),  # a b = 2^24 - 1
+        (np.float32, 2, 2**23, np.float64),  # a b = 2^24
     ],
 )
-def test_exact_dots_on_both_sides_of_the_fast_bound(dtype, a, b, out_dtype):
+def test_exact_dots_on_both_sides_of_the_fast_bound(dtype, a, b, tier):
     # rows of norm at most a against a query of norm b: the bound is
-    # (a b)^2, 2^106 for float64 products and 2^62 for int32 ones, and
+    # (a b)^2, 2^106 for float64 products and 2^48 for float32 ones, and
     # row 0, parallel to the query, reaches the dot a b itself
-    assert a * b in (2**53 - 1, 2**53, 2**31 - 1, 2**31)
+    assert a * b in (2**53 - 1, 2**53, 2**24 - 1, 2**24)
     rows = [[a, 0], [-a, 0], [0, a], [0, 0]]
     q = [b, 0]
-    got = exact_dots(np.array(rows, dtype=dtype), np.array([_dot(r, r) for r in rows]), np.array([q]))
-    assert got.dtype == out_dtype
+    ProductRecorder.dtypes.clear()
+    R = np.array(rows, dtype=dtype).view(ProductRecorder)
+    got = exact_dots(R, np.array([_dot(r, r) for r in rows]), np.array([q]))
+    assert ProductRecorder.dtypes == [np.dtype(tier)]
+    assert got.dtype == (np.int64 if tier is np.int64 else np.float64)
     assert [int(x) for x in got[0]] == [_dot(r, q) for r in rows]
     assert int(got[0, 0]) == a * b
 
 
 @pytest.mark.parametrize(
-    "dtype, top, q1, out_dtype, want",
+    "dtype, top, q1, tier, want",
     [
         (np.float64, 2**26, 2**26 - 1, np.float64, 2**53 - 2**26),  # bound below 2^106
         (np.float64, 2**26, 2**26, np.int64, 2**53),  # bound 2^106
-        (np.int32, 2**15, 2**15 - 1, np.int32, 2**31 - 2**15),  # bound below 2^62
-        (np.int32, 2**15, 2**15, np.int64, 2**31),  # bound 2^62; int32 wraps to -2^31
+        # bound 2^23 (2^22 + q1^2) crosses 2^48 between q1 = 5418 and 5419
+        (np.float32, 2**11, 5418, np.float32, 2**22 + 2**11 * 5418),
+        (np.float32, 2**11, 5419, np.float64, 2**22 + 2**11 * 5419),
     ],
 )
-def test_exact_dots_on_both_sides_of_the_norm_bound(dtype, top, q1, out_dtype, want):
+def test_exact_dots_on_both_sides_of_the_norm_bound(dtype, top, q1, tier, want):
+    # row [top, top] against the query [top, q1]
     rows = np.array([[top, top]], dtype=dtype)
-    got = exact_dots(rows, squared_norms(rows), np.array([[top, q1]]))
-    assert got.dtype == out_dtype
+    ProductRecorder.dtypes.clear()
+    got = exact_dots(rows.view(ProductRecorder), squared_norms(rows), np.array([[top, q1]]))
+    assert ProductRecorder.dtypes == [np.dtype(tier)]
+    assert got.dtype == (np.int64 if tier is np.int64 else np.float64)
     assert int(got[0, 0]) == want
 
 
@@ -241,6 +247,17 @@ def test_exact_dots_fallback_is_exact_where_float64_rounds():
         rows = q.astype(dtype)
         got = exact_dots(rows, squared_norms(rows), q)
         assert got.dtype == np.int64 and int(got[0, 0]) == want
+
+
+def test_exact_dots_fallback_is_exact_where_float32_rounds():
+    # [2^12, 1] against itself: bound (2^24 + 1)^2 is past 2^48, and the
+    # dot 2^24 + 1 is odd, so a float32 product would round it to 2^24
+    q = np.array([[2**12, 1]])
+    want = 2**24 + 1
+    rows = q.astype(np.float32)
+    assert int((rows @ rows.T)[0, 0]) != want
+    got = exact_dots(rows, squared_norms(rows), q)
+    assert got.dtype == np.float64 and int(got[0, 0]) == want
 
 
 def test_exact_dots_raise_past_int64():

@@ -28,6 +28,7 @@ from hdsem.sentences import (
 from hdsem.textpipe import PipelineConfig, Vocabulary, load_stopwords
 
 from oracles import brute_bundle, brute_cosine, reference_signs, reference_split_sentences
+from recorders import ProductRecorder
 
 
 # ------------------------------------------------------------ segmentation
@@ -125,7 +126,7 @@ def test_build_trivial_index():
     assert len(idx) == 2
     assert idx.sentences == ("Red fox.", "Blue bird.")
     assert idx.matrix.shape == (2, 64)
-    assert idx.matrix.dtype == np.int32
+    assert idx.matrix.dtype == np.float32
     assert idx.vocabulary.words == ("red", "fox", "blue", "bird")
 
 
@@ -166,6 +167,19 @@ def test_build_int32_guard(monkeypatch):
     for dim in (1, 8):  # the kernel's int32 guard comes first, whatever the norms
         with pytest.raises(ValueError, match="bundle counts exceed int32 range"):
             build_sentence_index("a b. c.", dim=dim, seed=0)
+
+
+@pytest.mark.parametrize("value, dtype", [(2**24, np.float32), (2**24 + 1, np.int32)])
+def test_build_float32_guard(monkeypatch, value, dtype):
+    # at dim 1 the squared norm value^2 is 2^48, or just past it, where the
+    # entry 2^24 + 1 is no float32 value and the rows must stay int32
+    monkeypatch.setattr(Vocabulary, "bow_matrix", lambda self, docs: np.full((len(docs), 1), value, dtype=np.int32))
+    idx = build_sentence_index("a b. c.", dim=1, seed=0)
+    assert idx.matrix.dtype == dtype and idx.matrix.tolist() == [[value]] * 2
+    assert idx.norms_sq.tolist() == [value**2] * 2
+    out = query_sentences(idx, "a", top_n=2, normalize=False)
+    assert [m.score for m in out.matches] == [value**2 / idx.dim] * 2
+    assert [m.score for m in query_sentences(idx, "a", top_n=2).matches] == [1.0, 1.0]
 
 
 def test_build_empty_document():
@@ -263,6 +277,19 @@ def test_raw_mode_favors_longer_sentences():
     assert cos.matches[1].score == 1.0
 
 
+def test_raw_scores_divide_in_float64():
+    # at dim 101 the quotient dot / 101 is not a float32 value, so a
+    # product left in float32 would round every raw score
+    idx = build_sentence_index("alpha beta. beta gamma delta. gamma.", dim=101, seed=5)
+    signs = {w: reference_signs(101, 5, idx.vocabulary.index_of(w)) for w in idx.vocabulary.words}
+    rows = [brute_bundle([signs[w] for w in ws]) for ws in (["alpha", "beta"], ["beta", "gamma", "delta"], ["gamma"])]
+    q = brute_bundle([signs["beta"], signs["gamma"]])
+    want = [sum(x * y for x, y in zip(r, q)) / 101 for r in rows]
+    assert all(float(np.float32(w)) != w for w in want if w)
+    out = query_sentences(idx, "beta gamma", top_n=3, normalize=False)
+    assert sorted((m.sentence_index, m.score) for m in out.matches) == list(enumerate(want))
+
+
 def test_query_drops_unknown_tokens():
     idx = build_sentence_index("red fox. blue bird.", dim=64, seed=0)
     out = query_sentences(idx, "shiny red fox rocket shiny", top_n=1)
@@ -313,23 +340,13 @@ def test_match_and_outcome_types():
     assert out.matches[0].rank == 1
 
 
-class _CastRecorder(np.ndarray):
-    """ndarray that records the dtypes it is cast to."""
-
-    casts = []
-
-    def astype(self, dtype, *args, **kwargs):
-        type(self).casts.append(np.dtype(dtype))
-        return super().astype(dtype, *args, **kwargs)
-
-
 def _crafted_index(scale):
-    """Index whose rows are scaled +-1 patterns against the query "a".
+    """Index of float32 rows, scaled +-1 patterns against the query "a".
 
     With dim 8 the one-word query has squared norm 8 and row 0, the
-    largest, 8 scale^2, so the int32 bound 64 scale^2 < 2^62 holds iff
-    scale < 2^28.  Row 0 is parallel to the query, so its numerator is
-    scale * 8: at scale = 2^28 it is 2^31 and would wrap in int32.
+    largest, 8 scale^2, so the float32 bound 64 scale^2 < 2^48 holds iff
+    scale < 2^21.  Row 0 is parallel to the query, so its numerator is
+    scale * 8, which reaches 2^24 at scale = 2^21.
     """
     dim = 8
     vocab = Vocabulary(["a", "b"], dim=dim, seed=3)
@@ -340,23 +357,22 @@ def _crafted_index(scale):
         [scale * qs, -scale * qs, scale * flip, scale * bs, (scale // 3) * qs + bs, bs],
         dtype=np.int64,
     )
-    matrix = rows.astype(np.int32).view(_CastRecorder)
+    matrix = rows.astype(np.float32).view(ProductRecorder)
     norms_sq = np.array([sum(int(x) ** 2 for x in r) for r in rows], dtype=np.int64)
     texts = [f"s{i}" for i in range(len(rows))]
     index = SentenceIndex(vocab, PipelineConfig(), texts, matrix, norms_sq)
     return index, rows, qs
 
 
-@pytest.mark.parametrize("scale, wide", [(2**28 - 1, False), (2**28, True)])
-def test_query_exactness_guard_at_int32_bound(scale, wide):
+@pytest.mark.parametrize("scale, wide", [(2**21 - 1, False), (2**21, True)])
+def test_query_exactness_guard_at_float32_bound(scale, wide):
     index, rows, qs = _crafted_index(scale)
-    assert (int(qs @ qs) * int(index.norms_sq.max()) >= 2**62) == wide
-    _CastRecorder.casts.clear()
+    assert (int(qs @ qs) * int(index.norms_sq.max()) >= 2**48) == wide
+    ProductRecorder.dtypes.clear()
     out = query_sentences(index, "a", top_n=len(rows))
-    assert (np.dtype(np.int64) in _CastRecorder.casts) == wide
-    # row 0's dot is 8 scale, 2^31 on the wide side, where int32 would wrap
+    assert ProductRecorder.dtypes == [np.dtype(np.float64 if wide else np.float32)]
     dots = exact_dots(index.matrix, index.norms_sq, qs[None])
-    assert dots.dtype == (np.int64 if wide else np.int32) and int(dots[0, 0]) == 8 * scale
+    assert dots.dtype == np.float64 and int(dots[0, 0]) == 8 * scale
     got = {m.sentence_index: m.score for m in out.matches}
     assert sorted(got) == list(range(len(rows)))
     for i, row in enumerate(rows):
