@@ -360,3 +360,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # the arguments sized the allocation, so it is a usage error
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1

@@ -6,13 +6,13 @@ excluded) contribute their sign vectors to the word's context row.  The
 row is therefore an integer bundle, and the model is its sparse
 co-occurrence counts: the matrix of rows is the counts times the
 vocabulary's sign matrix, derived by Vocabulary.bundle whenever a model
-is built or loaded (in float32 while every row's total count is at most
-2^24, in int32 above it, exact int32 either way).  A saved model
-(format 2) holds the counts, the word occurrences and the vocabulary
-metadata, nothing derived.  Words are compared by the cosine of their
-rows, and context arithmetic ranks every row against a sum and
-difference of rows.  core.cosines scores them exactly, so ranking is
-reproducible bit for bit.
+is built or loaded and kept as the kernel returns it: float32 while
+every row's total count is at most 2^24, int32 above it, exact either
+way.  A saved model (format 2) holds the counts, the word occurrences
+and the vocabulary metadata, nothing derived.  Words are compared by
+the cosine of their rows, and context arithmetic ranks every row
+against a sum and difference of rows.  core.cosines scores them
+exactly, so ranking is reproducible bit for bit.
 """
 
 import json
@@ -35,10 +35,11 @@ class ContextModel:
     counts[i, j] is how often word j fell in a window around word i and
     occurrences[i] how often word i itself appeared; both are validated
     here, and they are all a saved model stores.  Derived from them once:
-    matrix[i], the sum of neighbor sign vectors for word i, as float64
-    (exact, since no |entry| reaches 2^31); its exact squared norms norms_sq;
-    context_totals[i], the contributing (occurrence, neighbor) pairs; and
-    context_distinct[i], the distinct neighbor words.
+    matrix[i], the sum of neighbor sign vectors for word i, in the dtype
+    Vocabulary.bundle returns (exact, since no |entry| reaches 2^31); its
+    exact squared norms norms_sq; context_totals[i], the contributing
+    (occurrence, neighbor) pairs; and context_distinct[i], the distinct
+    neighbor words.
     """
 
     __slots__ = (
@@ -72,7 +73,7 @@ class ContextModel:
         self.half_window = int(half_window)
         self.counts = counts
         self.occurrences = occurrences.astype(np.int64)
-        self.matrix = vocabulary.bundle(counts).astype(np.float64)
+        self.matrix = vocabulary.bundle(counts)
         self.norms_sq = squared_norms(self.matrix)
         self.context_totals = np.asarray(counts.sum(axis=1, dtype=np.int64)).ravel()
         self.context_distinct = np.diff(counts.indptr).astype(np.int64)

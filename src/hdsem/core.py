@@ -39,6 +39,10 @@ MIX2 = 0x94D049BB133111EB
 # Fixed default seed used by every command-line entry point.
 DEFAULT_SEED = 42
 
+# Byte budget of one block of every blocked loop: each sizes its dense
+# temporaries from it, so none grows with the corpus.
+BLOCK_BYTES = 1 << 20
+
 _U = np.uint64
 
 
@@ -219,7 +223,7 @@ def squared_norms(rows):
 
     max|entry|^2 * d bounds every partial sum: below 2^53 the rows sum in
     float64, past that in int64, and from 2^63 on it raises ValueError,
-    where the sum could wrap.
+    where the sum could wrap.  Rows convert one BLOCK_BYTES block at a time.
     """
     peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
     bound = peak**2 * rows.shape[-1]
@@ -227,9 +231,10 @@ def squared_norms(rows):
         raise ValueError("integer squared norms exceed int64 range")
     dtype = np.float64 if bound < 2**53 else np.int64
     out = np.empty(len(rows), dtype=np.int64)
-    for r in range(0, len(rows), 1024):  # blocks keep the converted copy small
-        block = rows[r : r + 1024].astype(dtype, copy=False)
-        out[r : r + 1024] = np.einsum("ij,ij->i", block, block)
+    step = max(1, BLOCK_BYTES // (8 * rows.shape[-1] or 1))
+    for r in range(0, len(rows), step):
+        block = rows[r : r + step].astype(dtype, copy=False)
+        out[r : r + step] = np.einsum("ij,ij->i", block, block)
     return out
 
 
@@ -238,12 +243,14 @@ def _dots(rows, norms_sq, queries, qq):
     if rows.dtype == np.float32 and bound < 2**48:
         # every partial sum stays below 2^24, where float32 is exact
         return (queries.astype(np.float32) @ rows.T).astype(np.float64)
-    if bound < 2**106:
-        return queries.astype(np.float64) @ rows.astype(np.float64, copy=False).T
-    # both norms fit int64, so every partial sum stays below 2^63
-    out = np.empty((len(queries), len(rows)), dtype=np.int64)
-    for r in range(0, len(rows), 1024):  # blocks keep the int64 copy small
-        out[:, r : r + 1024] = queries @ rows[r : r + 1024].astype(np.int64).T
+    # below 2^106 every partial sum stays below 2^53, where float64 is
+    # exact; past it both norms still fit int64, and so does every partial sum
+    dtype = np.float64 if bound < 2**106 else np.int64
+    queries = queries.astype(dtype, copy=False)
+    out = np.empty((len(queries), len(rows)), dtype=dtype)
+    step = max(1, BLOCK_BYTES // (8 * rows.shape[-1] or 1))
+    for r in range(0, len(rows), step):
+        out[:, r : r + step] = queries @ rows[r : r + step].astype(dtype, copy=False).T
     return out
 
 
@@ -255,8 +262,8 @@ def exact_dots(rows, norms_sq, queries):
     ValueError past int64.  By Cauchy-Schwarz, |sum_S q_i r_i| <= |q| |r|
     for any set S of coordinates, so the product of the largest squared
     norms on each side bounds the square of every partial sum: below 2^48
-    float32 rows multiply in float32, below 2^106 any rows in float64,
-    and int64 row blocks take the rest, so every value is the exact
+    float32 rows multiply in float32, below 2^106 any rows in float64
+    blocks, and int64 blocks take the rest, so every value is the exact
     integer, as float64 in the first two tiers and int64 in the last.
     """
     queries = np.asarray(queries, dtype=np.int64)

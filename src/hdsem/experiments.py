@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    BLOCK_BYTES,
     DEFAULT_SEED,
     analytics_for_sigma,
     dot_int_rows,
     generate_packed,
     words_per_vector,
 )
-
-_BATCH_WORDS = 2**17  # packed words per batch (1 MB): one trial at d = 10 000, k = 1000
-
 
 @dataclass(frozen=True)
 class MembershipSimConfig:
@@ -78,7 +76,8 @@ def _prefix_scores(dim, seed, ks, trials):
     """
     kmax, k_idx = ks[-1], np.asarray(ks) - 1
     per_trial = kmax + 1
-    batch = max(1, _BATCH_WORDS // (per_trial * words_per_vector(dim)))
+    # BLOCK_BYTES of packed words hold one trial at d = 10 000, k = 1000
+    batch = max(1, BLOCK_BYTES // (8 * per_trial * words_per_vector(dim)))
     for start in range(0, trials, batch):
         b = min(batch, trials - start)
         idx = np.arange(start * per_trial, (start + b) * per_trial)

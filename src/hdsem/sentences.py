@@ -6,13 +6,12 @@ scored against all sentences by cosine.  Because sums and dots are
 integers, a query that exactly reproduces a sentence's bag of words
 scores exactly 1.0 against it.
 
-Sentence bundles are bow_matrix's int32 rows, exact because the bundle
-kernel raises once a sentence's token count reaches 2^31.  The index
-stores them as float32 while no squared norm exceeds 2^48: a squared
-norm bounds the square of every entry, so every entry stays within
-float32's exact integers, and core.exact_dots multiplies them in float32
-BLAS for as long as that is exact.  Rows past 2^48 stay int32 and score
-exactly in float64 or int64.
+The index stores bow_matrix's rows as they come: float32 while no
+sentence holds more than 2^24 tokens, int32 above that, and exact
+either way, since the bundle kernel raises once a sentence's token count
+reaches 2^31.  core.exact_dots multiplies float32 rows in float32 BLAS
+for as long as that is exact, and scores any other rows exactly in
+float64 or int64 blocks.
 """
 
 import re
@@ -110,10 +109,7 @@ def build_sentence_index(text, dim, seed, config=PipelineConfig()):
         kept_tokens.append(toks)
     vocab = build_vocabulary((t for toks in kept_tokens for t in toks), dim, seed, config=config)
     matrix = vocab.bow_matrix([vocab.encode(ts) for ts in kept_tokens])
-    norms_sq = squared_norms(matrix)
-    if norms_sq.max(initial=0) <= 2**48:
-        matrix = matrix.astype(np.float32)
-    return SentenceIndex(vocab, config, kept_texts, matrix, norms_sq)
+    return SentenceIndex(vocab, config, kept_texts, matrix, squared_norms(matrix))
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,9 @@ class SpamFilter:
 
     Training messages whose bundle is the zero vector (no usable tokens,
     or exact cancellation) are excluded: they can never be a meaningful
-    nearest neighbor.  Both classes must survive the exclusion.  matrix is
-    float64, exact since no |entry| exceeds a message's word count.
+    nearest neighbor.  Both classes must survive the exclusion.  matrix
+    holds the rows as Vocabulary.bow_matrix returns them, exact since no
+    |entry| exceeds a message's word count.
     """
 
     __slots__ = ("vocabulary", "matrix", "norms_sq", "labels", "message_ids")
@@ -100,21 +101,20 @@ def train_filter(messages, dim, seed, vocabulary=None):
     elif vocabulary.dim != dim or vocabulary.seed != seed:
         raise ValueError("vocabulary dim/seed do not match the requested filter")
     docs = [vocabulary.encode(m.words) for m in messages]
-    matrix = vocabulary.bow_matrix(docs)
+    # an empty message bundles to zero; leaving it out spares a copy of the rows
+    kept = [i for i, doc in enumerate(docs) if len(doc)]
+    matrix = vocabulary.bow_matrix([docs[i] for i in kept])
     norms_sq = squared_norms(matrix)
-    keep = norms_sq > 0
-    if not np.any(keep[np.fromiter((m.label == 1 for m in messages), bool, len(messages))]):
+    if not norms_sq.all():  # exact cancellation zeroes a non-empty bundle
+        nonzero = norms_sq > 0
+        matrix, norms_sq = matrix[nonzero], norms_sq[nonzero]
+        kept = [i for i, keep in zip(kept, nonzero) if keep]
+    labels = np.fromiter((messages[i].label for i in kept), np.int64, len(kept))
+    if not np.any(labels == 1):
         raise EmptyClassError("no spam training message survives encoding")
-    if not np.any(keep[np.fromiter((m.label == 0 for m in messages), bool, len(messages))]):
+    if not np.any(labels == 0):
         raise EmptyClassError("no ham training message survives encoding")
-    idx = np.nonzero(keep)[0]
-    return SpamFilter(
-        vocabulary,
-        matrix[idx].astype(np.float64),
-        norms_sq[idx],
-        np.fromiter((messages[i].label for i in idx), np.int64, len(idx)),
-        [messages[i].message_id for i in idx],
-    )
+    return SpamFilter(vocabulary, matrix, norms_sq, labels, [messages[i].message_id for i in kept])
 
 
 @dataclass(frozen=True)

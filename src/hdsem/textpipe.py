@@ -15,8 +15,10 @@ words the vocabulary lacks.  packed() holds the vectors as sign words
 and sign_matrix() unpacks chosen rows of them.  bundle() is the one
 kernel that turns sparse counts into integer bundles: bow_matrix()
 calls it on each document's word counts, and a context model on its
-co-occurrence counts.  It multiplies in float32 while no row's total
-count passes 2^24 and in int32 above that, and returns exact int32.
+co-occurrence counts.  It is also the one place that decides how bundle
+rows are stored: float32 while no row's total count passes 2^24 and
+int32 above that, exact either way, and every holder keeps the rows as
+bundle returns them.
 """
 
 import functools
@@ -28,7 +30,7 @@ from importlib import resources
 import numpy as np
 import scipy.sparse
 
-from .core import generate_packed, packed_signs
+from .core import BLOCK_BYTES, generate_packed, packed_signs
 from .errors import UnknownWordError
 
 TOKEN_RE = re.compile(r"[^\W_]+")
@@ -272,19 +274,19 @@ class Vocabulary:
         return packed_signs(self.packed() if rows is None else self.packed()[rows], self.dim)
 
     def bundle(self, counts):
-        """Sum of counts[i, w] times word w's sign vector per row, exact int32 [m, dim].
+        """Sum of counts[i, w] times word w's sign vector per row, exact [m, dim].
 
         counts is an (m, len(self)) CSR matrix of non-negative integer
         counts: the one bundle kernel behind bow_matrix and context models.
         A row's total count bounds every partial sum of its row, so while
-        the largest total is at most 2^24 the product runs in float32,
-        up to 2^31 - 1 in int32, and either way the result is exact; a
-        negative count or a total of 2^31 or more raises ValueError.  Only
-        the sign rows of the words the counts use are unpacked.
+        the largest total is at most 2^24 the rows are float32, up to
+        2^31 - 1 int32, and either way every entry is exact; a negative
+        count or a total of 2^31 or more raises ValueError.  Only the sign
+        rows of the words the counts use are unpacked, and the products run
+        in blocks of about BLOCK_BYTES, at least 64 columns wide.
         """
-        out = np.zeros((counts.shape[0], self.dim), dtype=np.int32)
         if counts.nnz == 0:
-            return out
+            return np.zeros((counts.shape[0], self.dim), dtype=np.float32)
         # a row total bounds its partial sums only when no count is negative
         if counts.data.min() < 0:
             raise ValueError("bundle counts must be non-negative")
@@ -293,6 +295,7 @@ class Vocabulary:
             raise ValueError("bundle counts exceed int32 range")
         # float32 holds every integer up to 2^24 exactly, int32 up to 2^31 - 1
         fast = np.float32 if total <= 2**24 else np.int32
+        out = np.zeros((counts.shape[0], self.dim), dtype=fast)
         # relabel the used words 0..len(used) - 1 in index order, in linear time
         mask = np.zeros(counts.shape[1], dtype=bool)
         mask[counts.indices] = True
@@ -303,9 +306,9 @@ class Vocabulary:
         )
         signs = self.sign_matrix(used)
         # column slices bound the 4-byte copy of the signs, and row blocks
-        # each product, to ~100MB
-        step = max(64, 25_000_000 // len(used))
-        rows = max(1, 25_000_000 // step)
+        # each product, to BLOCK_BYTES
+        step = max(64, BLOCK_BYTES // (4 * len(used)))
+        rows = max(1, BLOCK_BYTES // (4 * step))
         for c in range(0, self.dim, step):
             block = signs[:, c : c + step].astype(fast)
             for r in range(0, len(out), rows):
@@ -313,10 +316,12 @@ class Vocabulary:
         return out
 
     def bow_matrix(self, documents):
-        """Sum of word vectors per document, int32 [m, dim], through bundle.
+        """Sum of word vectors per document through bundle, [m, dim].
 
         documents is a sequence of index arrays as produced by encode().
-        Repeated indices add their vector once per occurrence.
+        Repeated indices add their vector once per occurrence.  The rows
+        are float32 while no document holds more than 2^24 tokens and
+        int32 above that, as bundle returns them.
         """
         docs = [np.asarray(doc, dtype=np.int64) for doc in documents]
         cols = np.concatenate(docs) if docs else np.zeros(0, dtype=np.int64)

@@ -1,0 +1,86 @@
+"""Byte budgets: no dense temporary of the bundle and scoring kernels grows
+with the corpus.
+
+Each case runs one application step on seeded synthetic text drawn from
+one fixed word pool, at a corpus of n units and of 4n, under tracemalloc.
+The peak traced bytes while the step runs, less the bytes its result
+still holds, are the temporaries it let go.  The kernels size their
+dense blocks from core.BLOCK_BYTES, so from n to 4n that figure may grow
+only by sparse, corpus-linear inputs and by blocks that were not yet
+full at n, which stays below 2 * BLOCK_BYTES.  tracemalloc counts the
+same bytes on every run, so the check cannot flake on timing.
+"""
+
+import gc
+import random
+import tracemalloc
+
+import pytest
+
+from hdsem.context import ContextModel, build_context_model
+from hdsem.core import BLOCK_BYTES
+from hdsem.sentences import build_sentence_index
+from hdsem.spam import Message, classify_many, train_filter
+from hdsem.textpipe import build_vocabulary
+
+DIM = 4096
+SEED = 3
+POOL = [f"w{i}" for i in range(300)]
+
+
+def _words(rng, count):
+    return [rng.choice(POOL) for _ in range(count)]
+
+
+def _sentence_build(n, tmp_path):
+    """n sentences of eight pool words, indexed."""
+    rng = random.Random(n)
+    text = " ".join(" ".join(_words(rng, 8)) + "." for _ in range(n))
+    return lambda: build_sentence_index(text, DIM, SEED)
+
+
+def _context_load(n, tmp_path):
+    """A model of a 50n-token stream over the whole pool, loaded from disk."""
+    rng = random.Random(n)
+    path = tmp_path / f"model{n}.npz"
+    build_context_model(_words(rng, 50 * n), build_vocabulary(POOL, DIM, SEED)).save(path)
+    return lambda: ContextModel.load(path)
+
+
+def _spam_fold(n, tmp_path):
+    """n messages of twenty pool words, every fifth one empty and half of
+    them spam, split nine parts to one as in one cross-validation fold."""
+    rng = random.Random(n)
+    messages = [Message(f"m{i}", i % 2, () if i % 5 == 4 else tuple(_words(rng, 20))) for i in range(n)]
+    train, test = messages[: n * 9 // 10], messages[n * 9 // 10 :]
+    vocab = build_vocabulary(POOL, DIM, SEED)
+
+    def fold():
+        spam_filter = train_filter(train, DIM, SEED, vocab)
+        return spam_filter, classify_many(spam_filter, test)
+
+    return fold
+
+
+def _temporary_bytes(step):
+    """Peak traced bytes while step runs, less those its result holds."""
+    gc.collect()  # garbage freed mid-step would lower the retained bytes
+    tracemalloc.reset_peak()
+    result = step()
+    retained, peak = tracemalloc.get_traced_memory()
+    del result
+    return peak - retained
+
+
+@pytest.fixture
+def traced():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case, n", [(_sentence_build, 40), (_context_load, 60), (_spam_fold, 100)])
+def test_temporaries_do_not_grow_with_the_corpus(traced, tmp_path, case, n):
+    small = _temporary_bytes(case(n, tmp_path))
+    large = _temporary_bytes(case(4 * n, tmp_path))
+    assert large - small < 2 * BLOCK_BYTES, (small, large)

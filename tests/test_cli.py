@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hdsem import cli
 from hdsem.cli import main
 
 
@@ -95,6 +96,24 @@ def test_format_1_model_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "unsupported format_version 1" in err
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"), "error: Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "error: out of memory"),
+    ],
+)
+def test_memory_error_exits_1(monkeypatch, capsys, exc, message):
+    # arguments such as --k or --dim size the allocations; the command
+    # function raises here in place of allocating for real
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_membership_sim", exhausted)
+    code, out, err = run_cli(["membership-sim", "--dim", "64", "--k", "3"], capsys)
+    assert (code, out, err) == (1, "", message + "\n")
 
 
 def test_missing_model_exits_2(capsys):

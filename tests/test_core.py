@@ -345,7 +345,7 @@ def test_scaling_convention_equivalence():
     q = vocab.sign_matrix()[3]
     [int_path] = _membership(bundle, q[None], dim)
     scaled_q = q / math.sqrt(dim)
-    scaled_bundle = bundle / math.sqrt(dim)
+    scaled_bundle = bundle.astype(np.float64) / math.sqrt(dim)
     float_path = float(scaled_q @ scaled_bundle)
     assert math.isclose(int_path, float_path, rel_tol=0, abs_tol=1e-9)
     assert (int_path > 0.5) == (float_path > 0.5)

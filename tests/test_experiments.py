@@ -80,7 +80,7 @@ def test_rho_curve_tiny_bundles_are_perfect():
 def test_rho_curve_counts_are_complete_and_deterministic(monkeypatch):
     cfg = RhoCurveConfig(dim=500, ks=(5, 20, 60), trials=123, seed=9)
     pts1 = rho_curve(cfg)  # one batch: 123 trials of 61 vectors of 8 words
-    monkeypatch.setattr(experiments, "_BATCH_WORDS", 17 * 61 * 8)
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 8 * 17 * 61 * 8)
     pts2 = rho_curve(cfg)  # batches of 17 trials, the last one short
     for p1, p2 in zip(pts1, pts2):
         assert (p1.tp, p1.fp, p1.fn, p1.tn) == (p2.tp, p2.fp, p2.fn, p2.tn)
@@ -91,7 +91,7 @@ def test_rho_curve_counts_are_complete_and_deterministic(monkeypatch):
 def test_membership_sim_scores_do_not_depend_on_batching(monkeypatch):
     cfg = MembershipSimConfig(dim=200, k=9, trials=25, seed=4)
     one = membership_sim(cfg)  # one batch of 25 trials
-    monkeypatch.setattr(experiments, "_BATCH_WORDS", 3 * 10 * 4)
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 8 * 3 * 10 * 4)
     small = membership_sim(cfg)  # batches of 3 trials, the last one short
     assert one.member_scores.tolist() == small.member_scores.tolist()
     assert one.nonmember_scores.tolist() == small.nonmember_scores.tolist()

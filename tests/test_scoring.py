@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdsem.context import ContextModel, context_arithmetic, context_similarity, similar_words
+from hdsem import core
 from hdsem.core import exact_dots, squared_norms
 from hdsem.errors import EmptyContextError, EmptyQueryError
 from hdsem.sentences import SentenceIndex, query_sentences
@@ -297,12 +298,32 @@ def test_squared_norms_of_float64_rows_on_both_sides_of_2_53(top):
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.float64])
-def test_squared_norms_in_row_blocks(dtype):
-    # 2500 rows span three 1024-row blocks, the last one partial
+def test_squared_norms_in_row_blocks(monkeypatch, dtype):
+    # a budget of 1024 float64 rows of 5 entries: 2500 rows span three
+    # blocks, the last one partial
+    monkeypatch.setattr(core, "BLOCK_BYTES", 1024 * 5 * 8)
     rows = np.random.default_rng(0).integers(-(2**20), 2**20, size=(2500, 5)).astype(dtype)
     got = squared_norms(rows)
     assert got.dtype == np.int64
     assert got.tolist() == [sum(int(x) ** 2 for x in r) for r in rows]
+
+
+@pytest.mark.parametrize("top, tier", [(2**20, np.float64), (2**30, np.int64)])
+def test_exact_dots_in_row_blocks(monkeypatch, top, tier):
+    # float32 rows below 2^20 put the bound past 2^48 but below 2^106, so
+    # each block converts to float64; int64 rows near 2^30 put it past
+    # 2^106, into int64.  As above, 2500 rows span three blocks of 1024,
+    # the last one partial
+    monkeypatch.setattr(core, "BLOCK_BYTES", 1024 * 5 * 8)
+    rng = np.random.default_rng(1)
+    rows = rng.integers(-top, top, size=(2500, 5))
+    queries = rng.integers(-top, top, size=(3, 5))
+    stored = rows.astype(np.float32 if tier is np.float64 else np.int64)
+    ProductRecorder.dtypes.clear()
+    got = exact_dots(stored.view(ProductRecorder), squared_norms(rows), queries)
+    assert ProductRecorder.dtypes == [np.dtype(tier)] * 3
+    assert got.dtype == tier
+    assert [[int(x) for x in row] for row in got] == [[_dot(r, q) for r in rows.tolist()] for q in queries.tolist()]
 
 
 def test_parallel_context_rows_score_exactly_one_past_2_53():

@@ -171,9 +171,11 @@ def test_build_int32_guard(monkeypatch):
 
 @pytest.mark.parametrize("value, dtype", [(2**24, np.float32), (2**24 + 1, np.int32)])
 def test_build_float32_guard(monkeypatch, value, dtype):
-    # at dim 1 the squared norm value^2 is 2^48, or just past it, where the
-    # entry 2^24 + 1 is no float32 value and the rows must stay int32
-    monkeypatch.setattr(Vocabulary, "bow_matrix", lambda self, docs: np.full((len(docs), 1), value, dtype=np.int32))
+    # the index stores the rows in the dtype the bundle kernel returns:
+    # float32 up to the entry 2^24, int32 from 2^24 + 1, which no float32
+    # holds.  At dim 1 the squared norm is value^2, 2^48 or just past it,
+    # where the float32 scoring tier stops and the exact blocks score
+    monkeypatch.setattr(Vocabulary, "bow_matrix", lambda self, docs: np.full((len(docs), 1), value, dtype=dtype))
     idx = build_sentence_index("a b. c.", dim=1, seed=0)
     assert idx.matrix.dtype == dtype and idx.matrix.tolist() == [[value]] * 2
     assert idx.norms_sq.tolist() == [value**2] * 2
