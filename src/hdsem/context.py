@@ -11,7 +11,7 @@ every row's total count is at most 2^24, int32 above it, exact either
 way.  A saved model (format 2) holds the counts, the word occurrences
 and the vocabulary metadata, nothing derived.  Words are compared by
 the cosine of their rows, and context arithmetic ranks every row
-against a sum and difference of rows.  core.cosines scores them
+against a sum and difference of rows with core.nearest.  Both score
 exactly, so ranking is reproducible bit for bit.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .core import cosines, squared_norms, top_rows
+from .core import cosines, nearest, squared_norms
 from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError, UnknownWordError
 from .textpipe import Vocabulary
 
@@ -77,10 +77,6 @@ class ContextModel:
         self.norms_sq = squared_norms(self.matrix)
         self.context_totals = np.asarray(counts.sum(axis=1, dtype=np.int64)).ravel()
         self.context_distinct = np.diff(counts.indptr).astype(np.int64)
-
-    @property
-    def dim(self):
-        return self.vocabulary.dim
 
     def __len__(self):
         return len(self.vocabulary)
@@ -190,10 +186,9 @@ def context_similarity(model, word_a, word_b):
     """
     a = model.vocabulary.index_of(word_a)
     b = model.vocabulary.index_of(word_b)
-    score = cosines(model.matrix[[a]], model.norms_sq[[a]], model.matrix[[b]])[0, 0]
-    if score == -np.inf:
+    if not (model.norms_sq[a] and model.norms_sq[b]):
         raise EmptyContextError("cosine undefined for a zero vector")
-    return float(score)
+    return float(cosines(model.matrix[[a]], model.norms_sq[[a]], model.matrix[[b]])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -201,17 +196,6 @@ class WordMatch:
     rank: int
     word: str
     score: float
-
-
-def _rank_against(model, query_vec, exclude_idx, top_n):
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    if not query_vec.any():
-        raise EmptyQueryError("query context vector is zero")
-    scores = cosines(model.matrix, model.norms_sq, query_vec[None])[0]
-    scores[exclude_idx] = -np.inf
-    ranked = [i for i in top_rows(scores, top_n) if scores[i] > -np.inf]
-    return [WordMatch(r + 1, model.vocabulary.words[i], float(scores[i])) for r, i in enumerate(ranked)]
 
 
 def context_arithmetic(model, plus, minus=(), top_n=5):
@@ -225,8 +209,16 @@ def context_arithmetic(model, plus, minus=(), top_n=5):
     if not plus and not minus:
         raise ValueError("need at least one operand word")
     operands = [model.vocabulary.index_of(w) for w in plus + minus]
+    if top_n < 1:
+        raise ValueError("top_n must be >= 1")
     signs = np.array([1] * len(plus) + [-1] * len(minus), dtype=np.int64)
-    return _rank_against(model, signs @ model.matrix[operands].astype(np.int64), operands, top_n)
+    query = signs @ model.matrix[operands].astype(np.int64)
+    if not query.any():
+        raise EmptyQueryError("query context vector is zero")
+    # the ranking is stable, so without the operands its top rows are the others' in order
+    [ranked] = nearest(model.matrix, model.norms_sq, query[None], top_n + len(operands))
+    ranked = [(i, score) for i, score in ranked if i not in operands][:top_n]
+    return [WordMatch(r + 1, model.vocabulary.words[i], score) for r, (i, score) in enumerate(ranked)]
 
 
 def similar_words(model, word, top_n=5):

@@ -17,8 +17,8 @@ The membership score of a query against a bundle of k vectors is their
 scaled dot; it concentrates around 1 for bundled vectors and around 0
 for fresh ones, with noise sigma = sqrt(k/d), from which
 predict_filter_analytics derives the threshold-1/2 filter's rates.
-Bundles are ranked against integer queries by exact_dots, cosines and
-top_rows, which bound every dot by the squared norms on both sides and
+nearest ranks bundles against integer queries, through cosines or
+exact_dots, which bound every dot by the squared norms on both sides and
 so keep it an exact integer.
 """
 
@@ -117,8 +117,14 @@ def packed_signs(words: np.ndarray, dim: int) -> np.ndarray:
     """Unpack sign words to an int8 array of -1/+1 of shape (..., dim).
 
     One table lookup per byte; np.take runs it faster than fancy indexing.
+    Row blocks bound its intp copy of the byte indices to BLOCK_BYTES, and
+    mode="clip" (every byte is below 256) writes out unbuffered.
     """
-    signs = np.take(_BYTE_SIGNS, _packed_bytes(words), axis=0)
+    data = _packed_bytes(words).reshape(-1, words.shape[-1] * 8)
+    signs = np.empty(data.shape + (8,), dtype=np.int8)
+    step = max(1, BLOCK_BYTES // (64 * words.shape[-1]))
+    for r in range(0, len(data), step):
+        np.take(_BYTE_SIGNS, data[r : r + step], axis=0, out=signs[r : r + step], mode="clip")
     return signs.reshape(words.shape[:-1] + (words.shape[-1] * 64,))[..., :dim]
 
 
@@ -242,7 +248,7 @@ def _dots(rows, norms_sq, queries, qq):
     bound = int(qq.max(initial=0)) * int(norms_sq.max(initial=0))
     if rows.dtype == np.float32 and bound < 2**48:
         # every partial sum stays below 2^24, where float32 is exact
-        return (queries.astype(np.float32) @ rows.T).astype(np.float64)
+        return (queries.astype(np.float32, copy=False) @ rows.T).astype(np.float64)
     # below 2^106 every partial sum stays below 2^53, where float64 is
     # exact; past it both norms still fit int64, and so does every partial sum
     dtype = np.float64 if bound < 2**106 else np.int64
@@ -255,10 +261,11 @@ def _dots(rows, norms_sq, queries, qq):
 
 
 def exact_dots(rows, norms_sq, queries):
-    """Dots of (m, d) integer queries with (n, d) integer-valued rows, (m, n).
+    """Dots of (m, d) integer-valued queries with (n, d) integer-valued rows, (m, n).
 
-    rows may be float32, int32, int64 or float64, with exact squared
-    norms norms_sq; the queries' come from squared_norms, which raises
+    rows and queries may be float32, float64 or any integer dtype, and the
+    queries convert only as a tier needs; norms_sq holds the rows' exact
+    squared norms, and the queries' come from squared_norms, which raises
     ValueError past int64.  By Cauchy-Schwarz, |sum_S q_i r_i| <= |q| |r|
     for any set S of coordinates, so the product of the largest squared
     norms on each side bounds the square of every partial sum: below 2^48
@@ -266,7 +273,7 @@ def exact_dots(rows, norms_sq, queries):
     blocks, and int64 blocks take the rest, so every value is the exact
     integer, as float64 in the first two tiers and int64 in the last.
     """
-    queries = np.asarray(queries, dtype=np.int64)
+    queries = np.asarray(queries)
     return _dots(rows, norms_sq, queries, squared_norms(queries))
 
 
@@ -278,7 +285,7 @@ def cosines(rows, norms_sq, queries):
     ints near +-1, so float rounding never ranks a perfect match below a
     near-duplicate.
     """
-    queries = np.asarray(queries, dtype=np.int64)
+    queries = np.asarray(queries)
     qq = squared_norms(queries)
     dots = _dots(rows, norms_sq, queries, qq)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -290,11 +297,20 @@ def cosines(rows, norms_sq, queries):
     return scores
 
 
-def top_rows(scores, top_n):
-    """Indices of the top_n highest scores along the last axis, best first.
+def nearest(rows, norms_sq, queries, top_n, normalize=True):
+    """The top_n rows for every query, best first: one list of (row, score) per query.
 
-    Ties go to the lowest index; callers drop rows scored -inf.
+    Arguments are as in exact_dots.  Scores are cosines, or with
+    normalize=False exact dots / d.  Ties go to the lowest row index, and
+    rows scored -inf (a zero norm on either side) are left out; top-1 over
+    no rows raises ValueError.
     """
+    if normalize:
+        scores = cosines(rows, norms_sq, queries)
+    else:
+        scores = exact_dots(rows, norms_sq, queries) / rows.shape[-1]
     if top_n == 1:
-        return np.argmax(scores, axis=-1)[..., None]
-    return np.argsort(-scores, axis=-1, kind="stable")[..., :top_n]
+        ranked = np.argmax(scores, axis=-1)[:, None]
+    else:
+        ranked = np.argsort(-scores, axis=-1, kind="stable")[:, :top_n]
+    return [[(int(i), float(row[i])) for i in best if row[i] > -np.inf] for row, best in zip(scores, ranked)]

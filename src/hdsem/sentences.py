@@ -9,17 +9,15 @@ scores exactly 1.0 against it.
 The index stores bow_matrix's rows as they come: float32 while no
 sentence holds more than 2^24 tokens, int32 above that, and exact
 either way, since the bundle kernel raises once a sentence's token count
-reaches 2^31.  core.exact_dots multiplies float32 rows in float32 BLAS
-for as long as that is exact, and scores any other rows exactly in
-float64 or int64 blocks.
+reaches 2^31.  core.nearest ranks them: its kernel multiplies float32
+rows in float32 BLAS for as long as that is exact, and scores any other
+rows exactly in float64 or int64 blocks.
 """
 
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import cosines, exact_dots, squared_norms, top_rows
+from .core import nearest, squared_norms
 from .errors import EmptyIndexError, EmptyQueryError
 from .textpipe import PipelineConfig, build_vocabulary, preprocess
 
@@ -85,10 +83,6 @@ class SentenceIndex:
         self.matrix = matrix
         self.norms_sq = norms_sq
 
-    @property
-    def dim(self):
-        return self.vocabulary.dim
-
     def __len__(self):
         return len(self.sentences)
 
@@ -147,11 +141,6 @@ def query_sentences(index, query_text, top_n=3, normalize=True):
         raise EmptyQueryError(
             f"no query token is present in the document (dropped: {dropped!r})"
         )
-    q = index.vocabulary.bow_matrix([ids])
-    if normalize:
-        scores = cosines(index.matrix, index.norms_sq, q)[0]
-    else:
-        scores = exact_dots(index.matrix, index.norms_sq, q)[0] / index.dim
-    ranked = [i for i in top_rows(scores, top_n) if scores[i] > -np.inf]
-    matches = (SentenceMatch(r + 1, float(scores[i]), int(i), index.sentences[i]) for r, i in enumerate(ranked))
+    [ranked] = nearest(index.matrix, index.norms_sq, index.vocabulary.bow_matrix([ids]), top_n, normalize)
+    matches = (SentenceMatch(r + 1, score, i, index.sentences[i]) for r, (i, score) in enumerate(ranked))
     return QueryOutcome(tuple(matches), tuple(dropped))

@@ -2,7 +2,8 @@
 
 Every training message becomes the integer sum of its word vectors; a
 test message is assigned the label of the training message whose bundle
-has the highest cosine against its own.  No weights are learned: the
+has the highest cosine against its own, found by core.nearest at top-1,
+a block of test messages at a time.  No weights are learned: the
 filter is the training set plus one shared random vocabulary.
 
 The ten-part corpus layout follows the common benchmark convention:
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cosines, squared_norms, top_rows
+from .core import BLOCK_BYTES, nearest, squared_norms
 from .errors import CorpusFormatError, EmptyClassError
 from .textpipe import PipelineConfig, build_vocabulary, preprocess
 
@@ -84,10 +85,6 @@ class SpamFilter:
         self.labels = labels
         self.message_ids = tuple(message_ids)
 
-    @property
-    def dim(self):
-        return self.vocabulary.dim
-
 
 def train_filter(messages, dim, seed, vocabulary=None):
     """Bundle every training message against a shared vocabulary.
@@ -131,17 +128,21 @@ def classify_many(spam_filter, messages):
     A message whose bundle is zero (no token in the filter's vocabulary,
     or exact cancellation) scores -inf against every row; it is marked
     unclassifiable and defaults to ham.  Cosine ties resolve to the
-    earliest training message.
+    earliest training message.  Messages are bundled and scored in blocks
+    whose query rows and scores take about BLOCK_BYTES.
     """
-    q = spam_filter.vocabulary.bow_matrix([spam_filter.vocabulary.encode(m.words) for m in messages])
-    scores = cosines(spam_filter.matrix, spam_filter.norms_sq, q)
+    messages = list(messages)
+    vocab, rows = spam_filter.vocabulary, spam_filter.matrix
+    step = max(1, BLOCK_BYTES // (8 * (vocab.dim + len(rows))))
     results = []
-    for row, best in zip(scores, top_rows(scores, 1)[:, 0]):
-        if row[best] == -np.inf:
-            results.append(ClassifyResult(0, 0.0, None, True))
-        else:
-            label, message_id = int(spam_filter.labels[best]), spam_filter.message_ids[best]
-            results.append(ClassifyResult(label, float(row[best]), message_id, False))
+    for b in range(0, len(messages), step):
+        q = vocab.bow_matrix([vocab.encode(m.words) for m in messages[b : b + step]])
+        for ranked in nearest(rows, spam_filter.norms_sq, q, 1):
+            if ranked:
+                [(i, score)] = ranked
+                results.append(ClassifyResult(int(spam_filter.labels[i]), score, spam_filter.message_ids[i], False))
+            else:
+                results.append(ClassifyResult(0, 0.0, None, True))
     return results
 
 

@@ -40,9 +40,9 @@ from hdsem.core import (
     dot_int_rows,
     exact_dots,
     generate_packed,
+    nearest,
     packed_signs,
     squared_norms,
-    top_rows,
 )
 from hdsem.experiments import (
     MembershipSimConfig,
@@ -215,7 +215,8 @@ def _check_bundle_instance(dim, k, seed):
     dots = [sum(a * b for a, b in zip(qs, s)) for s in signs[:k]]
     best = max(range(k), key=lambda i: (dots[i], -i))
     rows = unpacked[:k]
-    assert top_rows(exact_dots(rows, squared_norms(rows), unpacked[k + 2 :]), 1)[0, 0] == best
+    [[(nearest_row, _)]] = nearest(rows, squared_norms(rows), unpacked[k + 2 :], 1, normalize=False)
+    assert nearest_row == best
 
 
 def test_exact_small_instance_oracles():

@@ -7,8 +7,9 @@ The peak traced bytes while the step runs, less the bytes its result
 still holds, are the temporaries it let go.  The kernels size their
 dense blocks from core.BLOCK_BYTES, so from n to 4n that figure may grow
 only by sparse, corpus-linear inputs and by blocks that were not yet
-full at n, which stays below 2 * BLOCK_BYTES.  tracemalloc counts the
-same bytes on every run, so the check cannot flake on timing.
+full at n, which stays below 2 * BLOCK_BYTES.  One more case bounds the
+sign unpacking of a single vocabulary.  tracemalloc counts the same
+bytes on every run, so the check cannot flake on timing.
 """
 
 import gc
@@ -18,7 +19,7 @@ import tracemalloc
 import pytest
 
 from hdsem.context import ContextModel, build_context_model
-from hdsem.core import BLOCK_BYTES
+from hdsem.core import BLOCK_BYTES, generate_packed, packed_signs
 from hdsem.sentences import build_sentence_index
 from hdsem.spam import Message, classify_many, train_filter
 from hdsem.textpipe import build_vocabulary
@@ -47,12 +48,14 @@ def _context_load(n, tmp_path):
     return lambda: ContextModel.load(path)
 
 
-def _spam_fold(n, tmp_path):
+def _spam_fold(n, tmp_path, test_parts=1):
     """n messages of twenty pool words, every fifth one empty and half of
-    them spam, split nine parts to one as in one cross-validation fold."""
+    them spam, split as one cross-validation fold: the last test_parts of
+    ten parts against the rest."""
     rng = random.Random(n)
     messages = [Message(f"m{i}", i % 2, () if i % 5 == 4 else tuple(_words(rng, 20))) for i in range(n)]
-    train, test = messages[: n * 9 // 10], messages[n * 9 // 10 :]
+    cut = n * (10 - test_parts) // 10
+    train, test = messages[:cut], messages[cut:]
     vocab = build_vocabulary(POOL, DIM, SEED)
 
     def fold():
@@ -60,6 +63,13 @@ def _spam_fold(n, tmp_path):
         return spam_filter, classify_many(spam_filter, test)
 
     return fold
+
+
+def _spam_half_fold(n, tmp_path):
+    """A fold whose test part is half the corpus, so that the test
+    messages' bundles and their scores against the training rows would
+    grow with the corpus if classify_many took them all at once."""
+    return _spam_fold(n, tmp_path, test_parts=5)
 
 
 def _temporary_bytes(step):
@@ -79,8 +89,18 @@ def traced():
     tracemalloc.stop()
 
 
-@pytest.mark.parametrize("case, n", [(_sentence_build, 40), (_context_load, 60), (_spam_fold, 100)])
+@pytest.mark.parametrize(
+    "case, n", [(_sentence_build, 40), (_context_load, 60), (_spam_fold, 100), (_spam_half_fold, 100)]
+)
 def test_temporaries_do_not_grow_with_the_corpus(traced, tmp_path, case, n):
     small = _temporary_bytes(case(n, tmp_path))
     large = _temporary_bytes(case(4 * n, tmp_path))
     assert large - small < 2 * BLOCK_BYTES, (small, large)
+
+
+def test_packed_signs_unpack_in_blocks(traced):
+    # 1000 vectors at d = 4096 unpack to 4 MiB of int8 signs from 0.5 MiB
+    # of words; the byte lookup's intp indices, as large as its output
+    # when taken at once, must stay within a block
+    words = generate_packed(DIM, SEED, range(1000))
+    assert _temporary_bytes(lambda: packed_signs(words, DIM)) < words.nbytes + 2 * BLOCK_BYTES

@@ -51,8 +51,9 @@ def word_signs(vocab, word):
 
 def row_membership(model, word, probe):
     """Scaled dot of the probe word's signs with word's context row."""
-    row = model.matrix[model.vocabulary.index_of(word)].astype(np.int64).tolist()
-    return brute_membership(row, reference_signs(model.dim, model.vocabulary.seed, model.vocabulary.index_of(probe)))
+    vocab = model.vocabulary
+    row = model.matrix[vocab.index_of(word)].astype(np.int64).tolist()
+    return brute_membership(row, reference_signs(vocab.dim, vocab.seed, vocab.index_of(probe)))
 
 
 # ------------------------------------------------------------------- build

@@ -1,7 +1,7 @@
 """Unit tests for the core: generation, packed dots, bundles, analytics.
 
 Bundles are built the way the applications build them, through
-Vocabulary.bow_matrix, and scored through core.exact_dots, top_rows and
+Vocabulary.bow_matrix, and scored through core.exact_dots, nearest and
 the Monte Carlo engine's _prefix_scores, against the pure-Python oracles.
 """
 
@@ -21,13 +21,13 @@ from hdsem.core import (
     dot_int_rows,
     exact_dots,
     generate_packed,
+    nearest,
     normal_cdf,
     orthogonality_bound,
     packed_bits,
     packed_signs,
     predict_filter_analytics,
     squared_norms,
-    top_rows,
     words_per_vector,
 )
 from hdsem.experiments import RhoCurveConfig, _prefix_scores, rho_curve
@@ -400,17 +400,17 @@ def test_membership_distribution_quick_sanity():
 def test_nearest_singleton_and_validation():
     signs = _signs(64, 8, [0])
     norms_sq = squared_norms(signs)
-    assert top_rows(exact_dots(signs, norms_sq, signs), 1).tolist() == [[0]]
+    assert [[i for i, _ in hits] for hits in nearest(signs, norms_sq, signs, 1)] == [[0]]
     with pytest.raises(ValueError):  # an empty exemplar set has no nearest
-        top_rows(exact_dots(signs[:0], norms_sq[:0], signs), 1)
+        nearest(signs[:0], norms_sq[:0], signs, 1)
     with pytest.raises(ValueError):
-        exact_dots(signs, norms_sq, _signs(65, 8, [0]))
+        nearest(signs, norms_sq, _signs(65, 8, [0]), 1)
 
 
 def test_nearest_tie_breaks_to_lowest_index():
     a, b = _signs(64, 8, [1, 2])
     rows = np.stack([b, a, a, b])
-    assert top_rows(exact_dots(rows, squared_norms(rows), a[None]), 1).tolist() == [[1]]
+    assert [[i for i, _ in hits] for hits in nearest(rows, squared_norms(rows), a[None], 1)] == [[1]]
 
 
 def test_nearest_always_finds_the_member():

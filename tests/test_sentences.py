@@ -180,7 +180,7 @@ def test_build_float32_guard(monkeypatch, value, dtype):
     assert idx.matrix.dtype == dtype and idx.matrix.tolist() == [[value]] * 2
     assert idx.norms_sq.tolist() == [value**2] * 2
     out = query_sentences(idx, "a", top_n=2, normalize=False)
-    assert [m.score for m in out.matches] == [value**2 / idx.dim] * 2
+    assert [m.score for m in out.matches] == [value**2 / idx.vocabulary.dim] * 2
     assert [m.score for m in query_sentences(idx, "a", top_n=2).matches] == [1.0, 1.0]
 
 

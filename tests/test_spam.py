@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from hdsem import spam
 from hdsem.errors import CorpusFormatError, EmptyClassError
 from hdsem.spam import (
     ClassifyResult,
@@ -213,6 +214,25 @@ def test_classify_single_equals_batch():
     batch = classify_many(f, queries)
     singles = [classify_many(f, [q])[0] for q in queries]
     assert batch == singles
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+def test_classify_in_blocks_equals_one_block(monkeypatch, per_block):
+    # "paper" ties exemplars b and c, and two queries know no word
+    train = [
+        Message("a", 1, ("cash", "prize")),
+        Message("b", 0, ("paper",)),
+        Message("c", 1, ("paper",)),
+        Message("d", 0, ("study", "draft")),
+    ]
+    f = train_filter(train, dim=64, seed=7)
+    texts = [("paper",), (), ("cash",), ("zzz",), ("study", "draft", "cash"), ("paper", "paper"), ("prize",)]
+    queries = [Message(f"q{i}", 0, words) for i, words in enumerate(texts)]
+    whole = classify_many(f, queries)
+    assert [r.best_match_id for r in whole] == ["b", None, "a", None, "d", "b", "a"]
+    # a block holds BLOCK_BYTES // (8 * (dim + training rows)) messages
+    monkeypatch.setattr(spam, "BLOCK_BYTES", 8 * (64 + len(f.matrix)) * per_block)
+    assert classify_many(f, queries) == whole
 
 
 # --------------------------------------------------------- cross-validation
