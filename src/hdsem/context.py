@@ -4,14 +4,15 @@ For every occurrence of a word, the words inside a symmetric window
 around it (up to half_window on each side, clipped at the ends, center
 excluded) contribute their sign vectors to the word's context row.  The
 row is therefore an integer bundle, and the model is its sparse
-co-occurrence counts: the matrix of rows is the counts times the
-vocabulary's sign matrix, derived by Vocabulary.bundle whenever a model
-is built or loaded and kept as the kernel returns it: float32 while
-every row's total count is at most 2^24, int32 above it, exact either
-way.  A saved model (format 2) holds the counts, the word occurrences
-and the vocabulary metadata, nothing derived.  Words are compared by
-the cosine of their rows, and context arithmetic ranks every row
-against a sum and difference of rows with core.nearest.  Both score
+co-occurrence counts, symmetric like the window (pairs are counted left
+to right, the transpose adds the rest): the matrix of rows is the counts
+times the vocabulary's sign matrix, derived by Vocabulary.bundle
+whenever a model is built or loaded and kept as the kernel returns it:
+float32 while every row's total count is at most 2^24, int32 above it,
+exact either way.  A saved model (format 2) holds the counts, the word
+occurrences and the vocabulary metadata, nothing derived.  Words are
+compared by the cosine of their rows, and context arithmetic ranks every
+row against a sum and difference of rows with core.nearest.  Both score
 exactly, so ranking is reproducible bit for bit.
 """
 
@@ -160,7 +161,8 @@ def build_context_model(tokens, vocabulary, half_window=5):
     at the stream ends and never include the center position itself
     (repeats of the same word nearby do contribute, they are genuine
     neighbors).  The default half_window of 5 gives the usual 10-token
-    total span.
+    total span.  Counts add, so each pair is counted left to right and
+    the transpose adds it right to left.
     """
     if half_window < 1:
         raise ValueError("half_window must be >= 1")
@@ -169,12 +171,14 @@ def build_context_model(tokens, vocabulary, half_window=5):
         unknown = next(t for t in tokens if t not in vocabulary)
         raise UnknownWordError(f"word {unknown!r} is not in the vocabulary")
     n = len(vocabulary)
-    # the pair (position p, position p + k) contributes both ways; ids[:0]
-    # keeps the lists non-empty for a stream of fewer than two tokens
+    # k stops at the stream's end, so a window past it costs no empty
+    # passes; ids[:0] keeps the lists non-empty for fewer than two tokens
     ks = range(1, min(half_window, len(ids) - 1) + 1)
-    rows = np.concatenate([ids[:-k] for k in ks] + [ids[k:] for k in ks] + [ids[:0]])
-    cols = np.concatenate([ids[k:] for k in ks] + [ids[:-k] for k in ks] + [ids[:0]])
-    counts = scipy.sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
+    rows = np.concatenate([ids[:-k] for k in ks] + [ids[:0]])
+    cols = np.concatenate([ids[k:] for k in ks] + [ids[:0]])
+    forward = scipy.sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
+    # the sum's arrays are views into buffers sized for both operands; copy trims them
+    counts = (forward + forward.T).copy()
     return ContextModel(vocabulary, half_window, counts, np.bincount(ids, minlength=n))
 
 

@@ -119,7 +119,7 @@ class RhoCurveConfig:
             raise ValueError(f"every k must be >= 1, got {self.ks}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        # every comparison with NaN is false, so no trial would be counted
+        # every comparison with NaN is false, so no trial would count as a hit
         if np.isnan(self.threshold):
             raise ValueError("threshold must be a number, got nan")
         object.__setattr__(self, "ks", tuple(sorted(set(self.ks))))
@@ -150,20 +150,17 @@ def rho_curve(config: RhoCurveConfig) -> list[RhoCurvePoint]:
     Each trial scores every k in ks on one stream of max(ks) fresh vectors
     (see _prefix_scores).  Marginal score distributions per k are exactly
     those of independent fresh bundles; only the coupling across k within
-    a trial is shared.
+    a trial is shared.  Only hits above the threshold are counted; scores
+    are finite and the threshold a number, so fn = trials - tp, tn = trials - fp.
     """
-    dim, ks, thr = config.dim, config.ks, config.threshold
+    dim, ks, thr, trials = config.dim, config.ks, config.threshold, config.trials
     tp = np.zeros(len(ks), dtype=np.int64)
     fp = np.zeros(len(ks), dtype=np.int64)
-    fn = np.zeros(len(ks), dtype=np.int64)
-    tn = np.zeros(len(ks), dtype=np.int64)
-    for member_scores, outside_scores in _prefix_scores(dim, config.seed, ks, config.trials):
+    for member_scores, outside_scores in _prefix_scores(dim, config.seed, ks, trials):
         tp += (member_scores > thr).sum(axis=0)
-        fn += (member_scores <= thr).sum(axis=0)
         fp += (outside_scores > thr).sum(axis=0)
-        tn += (outside_scores <= thr).sum(axis=0)
     return [
         RhoCurvePoint(k, float(np.sqrt(k / dim)), analytics_for_sigma(np.sqrt(k / dim)).precision_recall,
-                      int(tp[i]), int(fp[i]), int(fn[i]), int(tn[i]))
+                      int(tp[i]), int(fp[i]), trials - int(tp[i]), trials - int(fp[i]))
         for i, k in enumerate(ks)
     ]

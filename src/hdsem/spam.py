@@ -12,6 +12,7 @@ with "spmsg", evaluation by leave-one-part-out cross-validation.
 """
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,8 +204,10 @@ def cross_validate(folds, dim, seed, vocab_mode="per-fold", progress=None):
 
     vocab_mode "per-fold" builds the vocabulary from each fold's
     training messages only, so test-only words stay unknown; "global"
-    builds one vocabulary over the whole corpus up front.  progress, if
-    given, is called with each FoldResult as it completes.
+    builds one vocabulary over the whole corpus up front.  One tally of
+    (true label, verdict) pairs per fold gives tp, fp and fn; tn is the
+    rest.  An unclassifiable message also counts by its ham verdict.
+    progress, if given, is called with each FoldResult as it completes.
     """
     if vocab_mode not in VOCAB_MODES:
         raise ValueError(f"vocab_mode must be one of {VOCAB_MODES}, got {vocab_mode!r}")
@@ -219,19 +222,10 @@ def cross_validate(folds, dim, seed, vocab_mode="per-fold", progress=None):
         train = [m for j, fold in enumerate(folds) if j != k for m in fold]
         spam_filter = train_filter(train, dim, seed, vocabulary=shared)
         verdicts = classify_many(spam_filter, test)
-        tp = fp = fn = tn = unc = 0
-        for msg, v in zip(test, verdicts):
-            if v.unclassifiable:
-                unc += 1
-            if msg.label == 1 and v.label == 1:
-                tp += 1
-            elif msg.label == 0 and v.label == 1:
-                fp += 1
-            elif msg.label == 1 and v.label == 0:
-                fn += 1
-            else:
-                tn += 1
-        results.append(FoldResult(k + 1, tp, fp, fn, tn, unc))
+        tally = Counter((m.label, v.label) for m, v in zip(test, verdicts))
+        tp, fp, fn = tally[1, 1], tally[0, 1], tally[1, 0]
+        unc = sum(v.unclassifiable for v in verdicts)
+        results.append(FoldResult(k + 1, tp, fp, fn, len(test) - tp - fp - fn, unc))
         if progress is not None:
             progress(results[-1])
     return EvaluationReport(dim, seed, vocab_mode, tuple(results))

@@ -7,6 +7,7 @@ realistic dimension with pinned seeds.
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,45 @@ def test_build_empty_stream():
     model = build_context_model([], vocab, half_window=1)
     assert model.context_totals[0] == 0
     assert model.occurrences[0] == 0
+
+
+def _oracle_counts(stream, vocab, half_window):
+    expected = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
+    for w, ctr in brute_context_counts(stream, half_window).items():
+        for other, c in ctr.items():
+            expected[vocab.index_of(w), vocab.index_of(other)] = c
+    return expected
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_build_short_streams_match_counting_oracle(length):
+    # half windows at, and well past, the stream length
+    rng = random.Random(f"short:{length}")
+    stream = [rng.choice("abc") for _ in range(length)]
+    vocab = Vocabulary(["a", "b", "c"], dim=16, seed=0)
+    for half_window in range(1, 11):
+        counts = build_context_model(stream, vocab, half_window=half_window).counts
+        np.testing.assert_array_equal(counts.toarray(), _oracle_counts(stream, vocab, half_window))
+        assert counts.has_canonical_format
+        assert (counts != counts.T).nnz == 0
+        # the dtypes a saved model stores
+        assert counts.data.dtype == np.int64
+        assert counts.indices.dtype == np.int32 and counts.indptr.dtype == np.int32
+
+
+def test_build_window_past_the_stream_stays_small():
+    # pair offsets stop at the stream's end: a million-token half window
+    # over three tokens must not loop, or allocate, a million times
+    stream = ["a", "b", "a"]
+    vocab = Vocabulary(["a", "b"], dim=16, seed=0)
+    tracemalloc.start()
+    try:
+        model = build_context_model(stream, vocab, half_window=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(model.counts.toarray(), _oracle_counts(stream, vocab, 10**6))
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------- contains

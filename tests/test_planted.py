@@ -1,8 +1,8 @@
 """End-to-end CLI runs on synthetic corpora whose answers are planted.
 
-perfbench/synth.py (imported read-only, at the benchmark's probe sizes)
-writes a Zipf book and a ten-part Ling-Spam-layout tree that need no
-download.  The book plants twin words with identical contexts and
+perfbench/synth.py (imported read-only, at the benchmark's probe sizes,
+and once at its full book size to pin the saved counts) writes a Zipf
+book and a ten-part Ling-Spam-layout tree that need no download.  The book plants twin words with identical contexts and
 sentences that must retrieve themselves; the tree carries four edge
 files (an empty message, one of unknown words only, latin-1 bytes, and
 one without a Subject: line).  These tests drive hdsem.cli.main on them,
@@ -11,10 +11,12 @@ checked on the real corpora by the acceptance suite.
 """
 
 import csv
+import hashlib
 import importlib.util
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hdsem.cli import main
@@ -104,3 +106,25 @@ def test_spam_tree_edge_files(mode, unclassifiable, spam_tree):
     # the empty message never has a bundle; the unknown-words message has
     # none against a vocabulary built without its own fold
     assert [f.unclassifiable for f in report.fold_results] == [0] * 9 + [unclassifiable]
+
+
+# sha256 of each array a saved model holds, for the benchmark's full book
+# at seed 42 built with --lemmatizer suffix
+BENCH_BOOK_COUNTS = {
+    "indptr": ("int32", "6d8427711121d7255abd1d1cc6f8de5219f322776b3c78049e41c75e0bc13d62"),
+    "indices": ("int32", "6d4ffbc6355191221519efe48c37d6322e172292226632fe59a5a4c788977e3c"),
+    "data": ("int64", "71e9b411d1937a79c450d58d977e6124a4226eeace02523c56d9434d1afeb9f2"),
+    "occurrences": ("int64", "bdaf0b6595b9f661f01b0be3602146e033f3e5ea87163ec2d59e89c2148b0899"),
+}
+
+
+def test_bench_book_model_counts_are_byte_stable(tmp_path, capsys):
+    # the arrays, not the npz file, whose zip bytes may vary with numpy
+    path, model = tmp_path / "book.txt", tmp_path / "model.npz"
+    book = synth.make_book(SEED, tokens=9_000, vocab=1900, n_twins=12, n_planted=25)
+    path.write_text(book.text, encoding="utf-8")
+    run(["context", "build", "--input", str(path), "--out", str(model), "--lemmatizer", "suffix"], capsys)
+    with np.load(model) as saved:
+        digests = {name: (str(saved[name].dtype), hashlib.sha256(saved[name].tobytes()).hexdigest())
+                   for name in BENCH_BOOK_COUNTS}
+    assert digests == BENCH_BOOK_COUNTS

@@ -286,6 +286,33 @@ def test_fold_isolation_per_fold_vs_global(tmp_path):
     assert global_v.fold_results[0].unclassifiable == 0
 
 
+def test_cross_validate_tallies_each_verdict_exactly():
+    def msg(fold, label, text):
+        return Message(f"part{fold}/{text}", label, tuple(text.split()))
+
+    # folds 2 and 3 each hold one clean spam and one clean ham exemplar;
+    # fold 1 holds one message per cell of the 2x2 table, plus a spam
+    # message whose words no other fold has
+    folds = [
+        [
+            msg(1, 1, "cash win"),  # spam read as spam: tp
+            msg(1, 0, "cash prize"),  # ham read as spam: fp
+            msg(1, 1, "meeting notes"),  # spam read as ham: fn
+            msg(1, 0, "lecture notes"),  # ham read as ham: tn
+            msg(1, 1, "zzz qqq"),  # unclassifiable, so ham: fn
+        ],
+        [msg(2, 1, "cash prize win"), msg(2, 0, "meeting lecture notes")],
+        [msg(3, 1, "cash prize win"), msg(3, 0, "meeting lecture notes")],
+    ]
+    report = cross_validate(folds, dim=1000, seed=7)
+    # folds 2 and 3 each find their exact twin in the other
+    assert report.fold_results == (
+        FoldResult(1, tp=1, fp=1, fn=2, tn=1, unclassifiable=1),
+        FoldResult(2, tp=1, fp=0, fn=0, tn=1, unclassifiable=0),
+        FoldResult(3, tp=1, fp=0, fn=0, tn=1, unclassifiable=0),
+    )
+
+
 def test_cross_validate_validation(tmp_path):
     write_corpus(tmp_path)
     folds = ingest_lingspam(tmp_path)
