@@ -6,14 +6,13 @@ excluded) contribute their sign vectors to the word's context row.  The
 row is therefore an integer bundle, and the model is its sparse
 co-occurrence counts, symmetric like the window (pairs are counted left
 to right, the transpose adds the rest): the matrix of rows is the counts
-times the vocabulary's sign matrix, derived by Vocabulary.bundle
-whenever a model is built or loaded and kept as the kernel returns it:
-float32 while every row's total count is at most 2^24, int32 above it,
-exact either way.  A saved model (format 2) holds the counts, the word
-occurrences and the vocabulary metadata, nothing derived.  Words are
-compared by the cosine of their rows, and context arithmetic ranks every
-row against a sum and difference of rows with core.nearest.  Both score
-exactly, so ranking is reproducible bit for bit.
+times the vocabulary's sign matrix.  A model, in memory or saved (format
+2), holds the counts, the word occurrences and the vocabulary, nothing
+derived.  Each query bundles what it reads with Vocabulary.bundle:
+context_similarity the two rows it compares, and context arithmetic
+every row, which it ranks against a sum and difference of rows with
+core.nearest.  Both score exactly, so ranking is reproducible bit for
+bit; context_stats reads the counts alone.
 """
 
 import json
@@ -25,34 +24,22 @@ import scipy.sparse
 
 from .core import cosines, nearest, squared_norms
 from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError, UnknownWordError
-from .textpipe import Vocabulary
+from .textpipe import Vocabulary, bundle_bound
 
 MODEL_FORMAT_VERSION = 2
 
 
 class ContextModel:
-    """Per-word context bundles over a fixed vocabulary, derived from counts.
+    """Co-occurrence counts over a fixed vocabulary: what a model is and saves.
 
     counts[i, j] is how often word j fell in a window around word i and
     occurrences[i] how often word i itself appeared; both are validated
-    here, and they are all a saved model stores.  Derived from them once:
-    matrix[i], the sum of neighbor sign vectors for word i, in the dtype
-    Vocabulary.bundle returns (exact, since no |entry| reaches 2^31); its
-    exact squared norms norms_sq; context_totals[i], the contributing
-    (occurrence, neighbor) pairs; and context_distinct[i], the distinct
-    neighbor words.
+    here, the counts also against bundle_bound, so that the queries can
+    bundle them.  Word i's context row, the sum of its neighbors' sign
+    vectors, is row i of vocabulary.bundle(counts).
     """
 
-    __slots__ = (
-        "vocabulary",
-        "half_window",
-        "counts",
-        "occurrences",
-        "matrix",
-        "norms_sq",
-        "context_totals",
-        "context_distinct",
-    )
+    __slots__ = ("vocabulary", "half_window", "counts", "occurrences")
 
     def __init__(self, vocabulary, half_window, counts, occurrences):
         n = len(vocabulary)
@@ -70,14 +57,11 @@ class ContextModel:
         occurrences = np.asarray(occurrences)
         if occurrences.shape != (n,) or occurrences.dtype.kind not in "iu" or np.any(occurrences < 0):
             raise ValueError(f"occurrences must be {n} integers >= 0")
+        bundle_bound(counts)
         self.vocabulary = vocabulary
         self.half_window = int(half_window)
         self.counts = counts
         self.occurrences = occurrences.astype(np.int64)
-        self.matrix = vocabulary.bundle(counts)
-        self.norms_sq = squared_norms(self.matrix)
-        self.context_totals = np.asarray(counts.sum(axis=1, dtype=np.int64)).ravel()
-        self.context_distinct = np.diff(counts.indptr).astype(np.int64)
 
     def __len__(self):
         return len(self.vocabulary)
@@ -154,7 +138,7 @@ class ContextModel:
 
 
 def build_context_model(tokens, vocabulary, half_window=5):
-    """Count windowed co-occurrences for every word and bundle them.
+    """Count windowed co-occurrences for every word into a ContextModel.
 
     tokens is a sequence of str, every one of them in the vocabulary
     (UnknownWordError names the first that is not).  Windows are clipped
@@ -188,11 +172,12 @@ def context_similarity(model, word_a, word_b):
     Raises EmptyContextError when either word has an empty context
     (the cosine is undefined for a zero vector).
     """
-    a = model.vocabulary.index_of(word_a)
-    b = model.vocabulary.index_of(word_b)
-    if not (model.norms_sq[a] and model.norms_sq[b]):
+    ids = [model.vocabulary.index_of(word) for word in (word_a, word_b)]
+    rows = model.vocabulary.bundle(model.counts[ids])
+    norms_sq = squared_norms(rows)
+    if not norms_sq.all():
         raise EmptyContextError("cosine undefined for a zero vector")
-    return float(cosines(model.matrix[[a]], model.norms_sq[[a]], model.matrix[[b]])[0, 0])
+    return float(cosines(rows[:1], norms_sq[:1], rows[1:])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -215,12 +200,13 @@ def context_arithmetic(model, plus, minus=(), top_n=5):
     operands = [model.vocabulary.index_of(w) for w in plus + minus]
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
+    matrix = model.vocabulary.bundle(model.counts)
     signs = np.array([1] * len(plus) + [-1] * len(minus), dtype=np.int64)
-    query = signs @ model.matrix[operands].astype(np.int64)
+    query = signs @ matrix[operands].astype(np.int64)
     if not query.any():
         raise EmptyQueryError("query context vector is zero")
     # the ranking is stable, so without the operands its top rows are the others' in order
-    [ranked] = nearest(model.matrix, model.norms_sq, query[None], top_n + len(operands))
+    [ranked] = nearest(matrix, squared_norms(matrix), query[None], top_n + len(operands))
     ranked = [(i, score) for i, score in ranked if i not in operands][:top_n]
     return [WordMatch(r + 1, model.vocabulary.words[i], score) for r, (i, score) in enumerate(ranked)]
 
@@ -243,13 +229,7 @@ def context_stats(model):
     Ties on total resolve to the lower vocabulary index so output
     order is reproducible.
     """
-    n = len(model.vocabulary)
-    order = np.lexsort((np.arange(n), -model.context_totals))
-    return [
-        ContextStatsRow(
-            model.vocabulary.words[i],
-            int(model.context_totals[i]),
-            int(model.context_distinct[i]),
-        )
-        for i in order
-    ]
+    totals = np.asarray(model.counts.sum(axis=1, dtype=np.int64)).ravel()
+    distinct = np.diff(model.counts.indptr)
+    order = np.lexsort((np.arange(len(totals)), -totals))
+    return [ContextStatsRow(model.vocabulary.words[i], int(totals[i]), int(distinct[i])) for i in order]

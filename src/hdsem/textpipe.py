@@ -14,11 +14,12 @@ exactly.  encode() is the one path from tokens to row ids; it skips
 words the vocabulary lacks.  packed() holds the vectors as sign words
 and sign_matrix() unpacks chosen rows of them.  bundle() is the one
 kernel that turns sparse counts into integer bundles: bow_matrix()
-calls it on each document's word counts, and a context model on its
+calls it on each document's word counts, and the context queries on
 co-occurrence counts.  It is also the one place that decides how bundle
 rows are stored: float32 while no row's total count passes 2^24 and
 int32 above that, exact either way, and every holder keeps the rows as
-bundle returns them.
+bundle returns them.  bundle_bound() is its one range check, which a
+context model also runs on the counts it holds.
 """
 
 import functools
@@ -207,6 +208,24 @@ def strip_gutenberg_boilerplate(text):
     return "\n".join(body).strip("\n") + "\n"
 
 
+def bundle_bound(counts):
+    """The largest row total of a CSR matrix of bundle counts (0 for none).
+
+    A row total bounds every partial sum of the row's bundle only when no
+    count is negative, and bundle stores rows in at most int32, so a
+    negative count or a row total of 2^31 or more raises ValueError.  The
+    entries are checked first, so that the int64 row sums cannot wrap.
+    """
+    if counts.data.min(initial=0) < 0:
+        raise ValueError("bundle counts must be non-negative")
+    if counts.data.max(initial=0) >= 2**31:
+        raise ValueError("bundle counts exceed int32 range")
+    total = int(np.asarray(counts.sum(axis=1, dtype=np.int64)).max(initial=0))
+    if total >= 2**31:
+        raise ValueError("bundle counts exceed int32 range")
+    return total
+
+
 class Vocabulary:
     """Distinct words in first-appearance order, each owning one row index.
 
@@ -269,30 +288,31 @@ class Vocabulary:
             self._packed.flags.writeable = False
         return self._packed
 
-    def sign_matrix(self, rows=None):
-        """Unpacked sign vectors of the given rows (every word when None), int8 [k, dim]."""
-        return packed_signs(self.packed() if rows is None else self.packed()[rows], self.dim)
+    def sign_matrix(self, rows=None, start=0, stop=None):
+        """Unpacked sign vectors of the given rows (every word when None), int8 [k, dim].
+
+        start and stop unpack only those columns, from the words holding them."""
+        stop = self.dim if stop is None else min(stop, self.dim)
+        first = start // 64
+        words = self.packed()[slice(None) if rows is None else rows, first : -(-stop // 64)]
+        return packed_signs(words, stop - 64 * first)[:, start - 64 * first :]
 
     def bundle(self, counts):
         """Sum of counts[i, w] times word w's sign vector per row, exact [m, dim].
 
         counts is an (m, len(self)) CSR matrix of non-negative integer
-        counts: the one bundle kernel behind bow_matrix and context models.
-        A row's total count bounds every partial sum of its row, so while
-        the largest total is at most 2^24 the rows are float32, up to
-        2^31 - 1 int32, and either way every entry is exact; a negative
-        count or a total of 2^31 or more raises ValueError.  Only the sign
-        rows of the words the counts use are unpacked, and the products run
-        in blocks of about BLOCK_BYTES, at least 64 columns wide.
+        counts: the one bundle kernel behind bow_matrix and the context
+        queries.  bundle_bound checks the counts and gives the largest row
+        total, which bounds every partial sum of a row: while it is at most
+        2^24 the rows are float32, up to 2^31 - 1 int32, and either way
+        every entry is exact.  Only the sign rows of the words the counts
+        use are unpacked, one column slice at a time, and the slices and
+        products run in blocks of about BLOCK_BYTES, a multiple of 64
+        columns wide.
         """
+        total = bundle_bound(counts)
         if counts.nnz == 0:
             return np.zeros((counts.shape[0], self.dim), dtype=np.float32)
-        # a row total bounds its partial sums only when no count is negative
-        if counts.data.min() < 0:
-            raise ValueError("bundle counts must be non-negative")
-        # the entry check comes first so that the int64 row sums cannot wrap
-        if counts.data.max() >= 2**31 or (total := counts.sum(axis=1, dtype=np.int64).max()) >= 2**31:
-            raise ValueError("bundle counts exceed int32 range")
         # float32 holds every integer up to 2^24 exactly, int32 up to 2^31 - 1
         fast = np.float32 if total <= 2**24 else np.int32
         out = np.zeros((counts.shape[0], self.dim), dtype=fast)
@@ -304,13 +324,12 @@ class Vocabulary:
         counts = scipy.sparse.csr_matrix(
             (counts.data.astype(fast), local, counts.indptr), shape=(len(out), len(used))
         )
-        signs = self.sign_matrix(used)
-        # column slices bound the 4-byte copy of the signs, and row blocks
-        # each product, to BLOCK_BYTES
-        step = max(64, BLOCK_BYTES // (4 * len(used)))
+        # column slices, whole sign words wide, unpack one at a time, so their
+        # 4-byte signs and each row block's product take about BLOCK_BYTES
+        step = 64 * max(1, BLOCK_BYTES // (4 * 64 * len(used)))
         rows = max(1, BLOCK_BYTES // (4 * step))
         for c in range(0, self.dim, step):
-            block = signs[:, c : c + step].astype(fast)
+            block = self.sign_matrix(used, c, c + step).astype(fast)
             for r in range(0, len(out), rows):
                 out[r : r + rows, c : c + step] = counts[r : r + rows] @ block
         return out

@@ -240,14 +240,17 @@ def test_exact_small_instance_oracles():
         model = build_context_model(stream, vocab, half_window=half_window)
         expected_counts = brute_context_counts(stream, half_window)
         signs = vocab.sign_matrix().astype(np.int64)
+        matrix = vocab.bundle(model.counts)
+        totals = np.asarray(model.counts.sum(axis=1)).ravel()
+        distinct = np.diff(model.counts.indptr)
         for word, ctr in expected_counts.items():
             i = vocab.index_of(word)
             row = np.zeros(32, dtype=np.int64)
             for other, c in ctr.items():
                 row += c * signs[vocab.index_of(other)]
-            assert np.array_equal(model.matrix[i], row), (case, word)
-            assert model.context_totals[i] == sum(ctr.values())
-            assert model.context_distinct[i] == len(ctr)
+            assert np.array_equal(matrix[i], row), (case, word)
+            assert totals[i] == sum(ctr.values())
+            assert distinct[i] == len(ctr)
             assert model.occurrences[i] == stream.count(word)
 
 

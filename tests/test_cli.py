@@ -15,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdsem import cli
+from hdsem import cli, context
 from hdsem.cli import main
+from hdsem.core import squared_norms
+from hdsem.textpipe import Vocabulary
 
 
 def run_cli(argv, capsys):
@@ -98,6 +100,21 @@ def test_format_1_model_exits_3(tmp_path, capsys):
     assert "unsupported format_version 1" in err
 
 
+@pytest.mark.parametrize("counts", [[2**31], [2**62, 2**62]], ids=["count-2^31", "row-sum-wraps"])
+@pytest.mark.parametrize("query", [["similar", "a"], ["arith", "plus", "a"], ["stats"]])
+def test_counts_past_the_bundle_kernel_exit_3(tmp_path, capsys, counts, query):
+    # the queries bundle the counts into int32 rows; two counts of 2^62
+    # wrap the int64 row sum to -2^63, so each entry is checked first
+    meta = {"format_version": 2, "dim": 8, "seed": 42, "half_window": 1, "words": ["a", "b"]}
+    model = tmp_path / "m.npz"
+    np.savez(model, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             indptr=np.array([0, len(counts), len(counts)]), indices=np.arange(len(counts)),
+             data=np.array(counts, dtype=np.int64), occurrences=np.ones(2, dtype=np.int64))
+    code, out, err = run_cli(["context", query[0], "--model", str(model), *query[1:]], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "int32" in err
+
+
 @pytest.mark.parametrize(
     "exc, message",
     [
@@ -154,6 +171,17 @@ def test_committed_results_reproduce(tmp_path, capsys, argv, table):
     code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
     assert code == 0
     assert out.read_bytes() == (RESULTS / table).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["membership-sim --trials 3 --dim 1000 --k 100", "rho-curve --k 46,140,300"])
+def test_readme_examples_reproduce_verbatim(capsys, command):
+    # the README quotes each self-contained example's stdout after its
+    # "$ hdsem" line, up to the closing fence
+    readme = (RESULTS.parent / "README.md").read_text(encoding="utf-8")
+    prompt = f"$ hdsem {command}\n"
+    assert prompt in readme
+    quoted = readme.split(prompt, 1)[1].split("```", 1)[0]
+    assert run_cli(command.split(), capsys)[:2] == (0, quoted)
 
 
 def test_membership_sim_csv_layout(capsys):
@@ -299,6 +327,31 @@ def test_context_round_trip(tmp_path, capsys):
     totals = [int(l.split(",")[1]) for l in lines[1:]]
     assert totals == sorted(totals, reverse=True)
     assert "words have total context > 3" in err
+
+
+def test_context_build_and_stats_never_bundle(tmp_path, capsys, monkeypatch):
+    # a model is its counts: only the queries that rank context rows bundle them
+    calls = []
+    bundle = Vocabulary.bundle
+
+    def recording_bundle(vocab, counts):
+        calls.append("bundle")
+        return bundle(vocab, counts)
+
+    def recording_norms(rows):
+        calls.append("squared_norms")
+        return squared_norms(rows)
+
+    monkeypatch.setattr(Vocabulary, "bundle", recording_bundle)
+    monkeypatch.setattr(context, "squared_norms", recording_norms)
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    model = tmp_path / "m.npz"
+    assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)[0] == 0
+    assert run_cli(["context", "stats", "--model", str(model)], capsys)[0] == 0
+    assert calls == []
+    assert run_cli(["context", "similar", "--model", str(model), "cat"], capsys)[0] == 0
+    assert calls == ["bundle", "squared_norms"]
 
 
 def test_context_build_writes_the_path_given(tmp_path, capsys):

@@ -23,7 +23,7 @@ from hdsem.context import (
     context_stats,
     similar_words,
 )
-from hdsem.core import exact_dots, generate_packed, packed_signs
+from hdsem.core import exact_dots, generate_packed, packed_signs, squared_norms
 from hdsem.errors import (
     CorpusFormatError,
     EmptyContextError,
@@ -45,6 +45,21 @@ def make_model(text, dim, seed, half_window):
     return build_context_model(toks, vocab, half_window=half_window)
 
 
+def context_rows(model):
+    """Every word's context row, as the queries bundle them."""
+    return model.vocabulary.bundle(model.counts)
+
+
+def context_totals(model):
+    """Per word, the (occurrence, neighbor) pairs its row sums, int64."""
+    return np.asarray(model.counts.sum(axis=1, dtype=np.int64)).ravel()
+
+
+def context_distinct(model):
+    """Per word, its distinct neighbor words."""
+    return np.diff(model.counts.indptr)
+
+
 def word_signs(vocab, word):
     """The word's sign vector from the pure-Python generator, int64."""
     return np.array(reference_signs(vocab.dim, vocab.seed, vocab.index_of(word)), dtype=np.int64)
@@ -53,7 +68,7 @@ def word_signs(vocab, word):
 def row_membership(model, word, probe):
     """Scaled dot of the probe word's signs with word's context row."""
     vocab = model.vocabulary
-    row = model.matrix[vocab.index_of(word)].astype(np.int64).tolist()
+    row = context_rows(model)[vocab.index_of(word)].astype(np.int64).tolist()
     return brute_membership(row, reference_signs(vocab.dim, vocab.seed, vocab.index_of(probe)))
 
 
@@ -63,9 +78,9 @@ def row_membership(model, word, probe):
 def test_build_tiny_hand_case():
     model = make_model("a b c", dim=64, seed=3, half_window=2)
     v = {w: word_signs(model.vocabulary, w) for w in "abc"}
-    np.testing.assert_array_equal(model.matrix, [v["b"] + v["c"], v["a"] + v["c"], v["a"] + v["b"]])
-    np.testing.assert_array_equal(model.context_totals, [2, 2, 2])
-    np.testing.assert_array_equal(model.context_distinct, [2, 2, 2])
+    np.testing.assert_array_equal(context_rows(model), [v["b"] + v["c"], v["a"] + v["c"], v["a"] + v["b"]])
+    np.testing.assert_array_equal(context_totals(model), [2, 2, 2])
+    np.testing.assert_array_equal(context_distinct(model), [2, 2, 2])
     np.testing.assert_array_equal(model.occurrences, [1, 1, 1])
 
 
@@ -73,9 +88,9 @@ def test_build_repeated_word_neighbors_count():
     # same word at a neighboring position is a genuine neighbor
     model = make_model("a a a", dim=32, seed=0, half_window=1)
     v = word_signs(model.vocabulary, "a")
-    np.testing.assert_array_equal(model.matrix, [4 * v])
-    assert model.context_totals[0] == 4
-    assert model.context_distinct[0] == 1
+    np.testing.assert_array_equal(context_rows(model), [4 * v])
+    assert context_totals(model)[0] == 4
+    assert context_distinct(model)[0] == 1
     assert model.occurrences[0] == 3
 
 
@@ -90,15 +105,16 @@ def test_build_matches_counting_oracle(trial):
     model = build_context_model(stream, vocab, half_window=half_window)
     expected = brute_context_counts(stream, half_window)
     signs = {w: word_signs(vocab, w) for w in vocab.words}
+    rows, totals, distinct = context_rows(model), context_totals(model), context_distinct(model)
     for w in vocab.words:
         ctr = expected.get(w, {})
         row = np.zeros(dim, dtype=np.int64)
         for other, c in ctr.items():
             row += c * signs[other]
         i = vocab.index_of(w)
-        np.testing.assert_array_equal(model.matrix[i], row)
-        assert model.context_totals[i] == sum(ctr.values())
-        assert model.context_distinct[i] == len(ctr)
+        np.testing.assert_array_equal(rows[i], row)
+        assert totals[i] == sum(ctr.values())
+        assert distinct[i] == len(ctr)
         assert model.occurrences[i] == stream.count(w)
 
 
@@ -110,14 +126,14 @@ def test_build_mass_conservation():
     model = build_context_model(stream, vocab, half_window=L)
     m = len(stream)
     expected_pairs = sum(min(p, L) + min(m - 1 - p, L) for p in range(m))
-    assert int(model.context_totals.sum()) == expected_pairs
+    assert int(context_totals(model).sum()) == expected_pairs
 
 
 def test_build_parity_and_magnitude_invariants():
     model = make_model("the quick fox jumps over the lazy dog the fox", 48, 5, 3)
-    totals = model.context_totals[:, None]
-    assert np.all((model.matrix - totals) % 2 == 0)
-    assert np.all(np.abs(model.matrix) <= totals)
+    totals, matrix = context_totals(model)[:, None], context_rows(model)
+    assert np.all((matrix - totals) % 2 == 0)
+    assert np.all(np.abs(matrix) <= totals)
 
 
 def test_build_validation():
@@ -132,9 +148,10 @@ def test_build_validation():
 def test_build_single_token_empty_context():
     vocab = Vocabulary(["a"], dim=32, seed=0)
     model = build_context_model(["a"], vocab, half_window=2)
-    np.testing.assert_array_equal(model.matrix, np.zeros((1, 32), dtype=np.int64))
-    assert model.context_totals[0] == 0
-    assert exact_dots(model.matrix, model.norms_sq, vocab.sign_matrix()).tolist() == [[0]]
+    matrix = context_rows(model)
+    np.testing.assert_array_equal(matrix, np.zeros((1, 32), dtype=np.int64))
+    assert context_totals(model)[0] == 0
+    assert exact_dots(matrix, squared_norms(matrix), vocab.sign_matrix()).tolist() == [[0]]
     with pytest.raises(EmptyContextError):
         context_similarity(model, "a", "a")
 
@@ -142,7 +159,7 @@ def test_build_single_token_empty_context():
 def test_build_empty_stream():
     vocab = Vocabulary(["a"], dim=16, seed=0)
     model = build_context_model([], vocab, half_window=1)
-    assert model.context_totals[0] == 0
+    assert context_totals(model)[0] == 0
     assert model.occurrences[0] == 0
 
 
@@ -199,7 +216,8 @@ def test_contains_accepts_hypervector_probe():
     # a raw sign vector probes a context row as its word does
     model = make_model("x c y", dim=256, seed=2, half_window=1)
     c = [model.vocabulary.index_of("c")]
-    row, norms_sq = model.matrix[c], model.norms_sq[c]
+    row = context_rows(model)[c]
+    norms_sq = squared_norms(row)
     probe = packed_signs(model.vocabulary.packed()[[model.vocabulary.index_of("x")]], 256)
     assert exact_dots(row, norms_sq, probe)[0, 0] / 256 == row_membership(model, "c", "x")
     with pytest.raises(ValueError):
@@ -218,9 +236,9 @@ def test_contains_probability_at_140_pairs():
     for t in range(builds):
         vocab = build_vocabulary(stream, dim=1000, seed=5000 + t)
         model = build_context_model(stream, vocab, half_window=70)
-        assert model.context_totals[vocab.index_of("c")] == 140
-        c = [vocab.index_of("c")]
-        scores = exact_dots(model.matrix[c], model.norms_sq[c], vocab.sign_matrix())[:, 0] / 1000
+        assert context_totals(model)[vocab.index_of("c")] == 140
+        row = context_rows(model)[[vocab.index_of("c")]]
+        scores = exact_dots(row, squared_norms(row), vocab.sign_matrix())[:, 0] / 1000
         hits += sum(scores[vocab.index_of(f)] > 0.5 for f in fillers)
     rate = hits / (builds * per)
     assert abs(rate - P_CONTAINS_140_D1000) < 0.03
@@ -237,7 +255,7 @@ def test_similarity_identical_contexts_exactly_one():
 
 def test_similarity_symmetric_and_matches_oracle():
     model = make_model("u m v u k v w m", dim=64, seed=4, half_window=2)
-    rows = model.matrix.astype(np.int64).tolist()
+    rows = context_rows(model).astype(np.int64).tolist()
     for a, b in [("m", "k"), ("u", "v"), ("m", "w")]:
         s = context_similarity(model, a, b)
         assert s == context_similarity(model, b, a)
@@ -271,13 +289,14 @@ def test_arithmetic_matches_brute_ranking():
     model = build_context_model(stream, vocab, half_window=2)
     plus, minus = ["w1", "w3"], ["w2"]
     got = context_arithmetic(model, plus, minus, top_n=6)
+    matrix = context_rows(model)
 
     query = [0] * 64
     for w in plus:
-        for i, x in enumerate(model.matrix[vocab.index_of(w)]):
+        for i, x in enumerate(matrix[vocab.index_of(w)]):
             query[i] += int(x)
     for w in minus:
-        for i, x in enumerate(model.matrix[vocab.index_of(w)]):
+        for i, x in enumerate(matrix[vocab.index_of(w)]):
             query[i] -= int(x)
     qq = sum(x * x for x in query)
     scored = []
@@ -285,7 +304,7 @@ def test_arithmetic_matches_brute_ranking():
     for idx, w in enumerate(vocab.words):
         if w in operands:
             continue
-        row = [int(x) for x in model.matrix[idx]]
+        row = [int(x) for x in matrix[idx]]
         rr = sum(x * x for x in row)
         if rr == 0:
             continue
@@ -350,8 +369,10 @@ def test_model_save_load_round_trip(tmp_path):
     # format 2 stores the counts and occurrences only, nothing derived
     assert sorted(_saved_members(path)) == ["data", "indices", "indptr", "meta", "occurrences"]
     loaded = ContextModel.load(path)
-    for name in ("matrix", "norms_sq", "context_totals", "context_distinct", "occurrences"):
-        np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+    for derive in (context_rows, lambda m: squared_norms(context_rows(m)), context_totals, context_distinct):
+        np.testing.assert_array_equal(derive(loaded), derive(model))
+    np.testing.assert_array_equal(loaded.counts.toarray(), model.counts.toarray())
+    np.testing.assert_array_equal(loaded.occurrences, model.occurrences)
     assert loaded.vocabulary.words == model.vocabulary.words
     assert loaded.vocabulary.dim == model.vocabulary.dim
     assert loaded.vocabulary.seed == model.vocabulary.seed
@@ -437,7 +458,7 @@ def test_model_constructor_validation():
     vocab = Vocabulary(["a", "b"], dim=8, seed=0)
     good = scipy.sparse.csr_matrix(np.array([[0, 3], [1, 0]], dtype=np.int64))
     model = ContextModel(vocab, 1, good, [1, 1])
-    assert model.context_totals.tolist() == [3, 1]
+    assert context_totals(model).tolist() == [3, 1]
     for half_window, counts, occurrences in (
         (0, good, [1, 1]),
         (1, scipy.sparse.csr_matrix((2, 3), dtype=np.int64), [1, 1]),  # not (V, V)

@@ -363,8 +363,9 @@ def test_parallel_context_rows_score_exactly_one_past_2_53():
     counts[3, 5] = 10**7  # w3: w0's counts plus one extra neighbor v, not parallel
     vocab = Vocabulary(["w0", "w1", "w2", "w3", "u", "v"], dim=4, seed=0)
     model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(counts), np.zeros(6, dtype=np.int64))
-    assert int(model.norms_sq[1]) == 4 * c1 * c1 > 2**53
-    rows = model.matrix.astype(np.int64).tolist()
+    matrix = vocab.bundle(model.counts)
+    assert int(squared_norms(matrix)[1]) == 4 * c1 * c1 > 2**53
+    rows = matrix.astype(np.int64).tolist()
     got = similar_words(model, "w0", top_n=5)
     assert [(m.word, m.score) for m in got[:2]] == [("w1", 1.0), ("w2", 1.0)]
     assert [m.word for m in got] == ["w1", "w2", "w3"]  # u and v have empty contexts

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdsem import textpipe
-from hdsem.context import ContextModel, build_context_model
+from hdsem.context import ContextModel, build_context_model, similar_words
 from hdsem.core import dot_int_rows, generate_packed, packed_signs
 from hdsem.errors import CorpusFormatError, UnknownWordError
 from hdsem.sentences import build_sentence_index, query_sentences
@@ -407,6 +407,33 @@ def test_sign_matrix_values():
     np.testing.assert_array_equal(vocab.bundle(scipy.sparse.identity(2, dtype=np.int64, format="csr")), s)
 
 
+@pytest.mark.parametrize("start, stop", [(0, 64), (0, 200), (64, 128), (3, 70), (60, 68), (128, 200), (130, 999)])
+def test_sign_matrix_columns(start, stop):
+    vocab = Vocabulary(["x", "y", "z"], dim=200, seed=4)
+    want = vocab.sign_matrix()[:, start:stop]
+    np.testing.assert_array_equal(vocab.sign_matrix(None, start, stop), want)
+    np.testing.assert_array_equal(vocab.sign_matrix([2, 0], start, stop), want[[2, 0]])
+
+
+def test_bundle_in_column_slices(monkeypatch):
+    # a budget of 64 4-byte columns over the 3 used words makes 64-column
+    # slices, the last one 8 columns wide
+    vocab = Vocabulary(["u", "v", "w", "unused"], dim=200, seed=6)
+    counts = scipy.sparse.csr_matrix(np.array([[1, 2, 0, 0], [0, 0, 5, 0], [3, 0, 1, 0]], dtype=np.int64))
+    want = counts.toarray() @ vocab.sign_matrix().astype(np.int64)
+    slices = []
+    sign_matrix = Vocabulary.sign_matrix
+
+    def recording(self, rows=None, start=0, stop=None):
+        slices.append((len(rows), start, stop))
+        return sign_matrix(self, rows, start, stop)
+
+    monkeypatch.setattr(textpipe, "BLOCK_BYTES", 4 * 64 * 3)
+    monkeypatch.setattr(Vocabulary, "sign_matrix", recording)
+    np.testing.assert_array_equal(vocab.bundle(counts), want)
+    assert slices == [(3, 0, 64), (3, 64, 128), (3, 128, 192), (3, 192, 256)]
+
+
 def test_bow_matrix_against_sign_sums():
     vocab = Vocabulary(["u", "v", "w"], dim=64, seed=5)
     docs = [vocab.encode(["u", "v", "v"]), vocab.encode(["w"]), np.array([], dtype=np.int64)]
@@ -534,11 +561,14 @@ def test_bundles_never_unpack_the_whole_vocabulary(monkeypatch):
     assert [v.label for v in verdicts] == [0, 0]
     assert [v.unclassifiable for v in verdicts] == [False, True]
     assert unpacked[2:] == [4, 1]
-    # a context build unpacks only the words that are some word's neighbor
+    # a context build unpacks nothing, and a query only the words that
+    # are some word's neighbor
     vocab = Vocabulary(["a", "b", "y", "z"], dim=256, seed=1)
     model = build_context_model(["a", "b", "a"], vocab, half_window=1)
+    assert unpacked[4:] == []
+    assert [m.word for m in similar_words(model, "a")] == ["b"]
     assert unpacked[4:] == [2]
-    assert model.context_totals.tolist() == [2, 2, 0, 0]
+    assert np.asarray(model.counts.sum(axis=1)).ravel().tolist() == [2, 2, 0, 0]
 
 
 def test_bow_matrix_empty_inputs():
