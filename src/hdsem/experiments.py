@@ -64,6 +64,18 @@ class MembershipSimResult:
         return float(self.nonmember_scores.std(ddof=1))
 
 
+def _block_shape(dim, kmax):
+    """Trials per batch and stream vectors per chunk for streams of kmax
+    vectors.  A chunk's packed words take at most BLOCK_BYTES (or one
+    vector, when that is larger), and a stream splits into chunks of
+    near-equal size, so that each chunk's temporaries reuse the memory
+    of the one before instead of faulting in fresh pages."""
+    vector_bytes = 8 * words_per_vector(dim)
+    batch = max(1, BLOCK_BYTES // (vector_bytes * (kmax + 1)))
+    most = max(1, BLOCK_BYTES // (vector_bytes * batch))
+    return batch, -(-kmax // -(-kmax // most))
+
+
 def _prefix_scores(dim, seed, ks, trials):
     """Member and outsider scores per bundle size k in ascending ks, one
     (b, len(ks)) pair per batch of trials.
@@ -72,20 +84,26 @@ def _prefix_scores(dim, seed, ks, trials):
     a stream whose first k vectors form the size-k bundle, then one
     outsider probe.  The member probe is the stream's first vector, which
     belongs to every prefix, so prefix sums of pairwise dots score every
-    k at once.
+    k at once.  A batch draws both probes first, then its streams in
+    chunks (see _block_shape), carrying the int64 prefix sums across them.
     """
     kmax, k_idx = ks[-1], np.asarray(ks) - 1
-    per_trial = kmax + 1
-    # BLOCK_BYTES of packed words hold one trial at d = 10 000, k = 1000
-    batch = max(1, BLOCK_BYTES // (8 * per_trial * words_per_vector(dim)))
+    batch, chunk = _block_shape(dim, kmax)
     for start in range(0, trials, batch):
-        b = min(batch, trials - start)
-        idx = np.arange(start * per_trial, (start + b) * per_trial)
-        rows = generate_packed(dim, seed, idx).reshape(b, per_trial, -1)
-        stream = rows[:, :kmax, :]
-        dm = dot_int_rows(stream, rows[:, :1, :], dim)
-        dn = dot_int_rows(stream, rows[:, kmax:, :], dim)
-        yield dm.cumsum(axis=1)[:, k_idx] / dim, dn.cumsum(axis=1)[:, k_idx] / dim
+        first = np.arange(start, min(start + batch, trials)) * (kmax + 1)
+        probes = [generate_packed(dim, seed, first)[:, None], generate_packed(dim, seed, first + kmax)[:, None]]
+        sums = [np.zeros((len(first), 1), dtype=np.int64) for _ in probes]
+        scores = [np.empty((len(first), len(ks))) for _ in probes]
+        for c in range(0, kmax, chunk):
+            stop = min(c + chunk, kmax)
+            idx = first[:, None] + np.arange(c, stop)
+            stream = generate_packed(dim, seed, idx).reshape(len(first), stop - c, -1)
+            hit = (k_idx >= c) & (k_idx < stop)
+            for probe, carry, score in zip(probes, sums, scores):
+                prefix = carry + dot_int_rows(stream, probe, dim).cumsum(axis=1)
+                score[:, hit] = prefix[:, k_idx[hit] - c] / dim
+                carry[:] = prefix[:, -1:]
+        yield tuple(scores)
 
 
 def membership_sim(config: MembershipSimConfig) -> MembershipSimResult:

@@ -18,7 +18,8 @@ calls it on each document's word counts, and the context queries on
 co-occurrence counts.  It is also the one place that decides how bundle
 rows are stored: float32 while no row's total count passes 2^24 and
 int32 above that, exact either way, and every holder keeps the rows as
-bundle returns them.  bundle_bound() is its one range check, which a
+bundle returns them.  Below a total of 2^15 the product itself runs in
+int16.  bundle_bound() is its one range check, which a
 context model also runs on the counts it holds.
 """
 
@@ -305,33 +306,35 @@ class Vocabulary:
         queries.  bundle_bound checks the counts and gives the largest row
         total, which bounds every partial sum of a row: while it is at most
         2^24 the rows are float32, up to 2^31 - 1 int32, and either way
-        every entry is exact.  Only the sign rows of the words the counts
-        use are unpacked, one column slice at a time, and the slices and
-        products run in blocks of about BLOCK_BYTES, a multiple of 64
-        columns wide.
+        every entry is exact.  The sparse product runs in int16 while the
+        total is below 2^15, else in the rows' own dtype.  Only the sign
+        rows of the words the counts use are unpacked, one column slice at
+        a time, a multiple of 64 columns wide, so that a slice's int8 signs
+        and their copy in the product dtype, (1 + itemsize) bytes per
+        entry, take about BLOCK_BYTES, and so does each row block's product.
         """
         total = bundle_bound(counts)
-        if counts.nnz == 0:
-            return np.zeros((counts.shape[0], self.dim), dtype=np.float32)
         # float32 holds every integer up to 2^24 exactly, int32 up to 2^31 - 1
-        fast = np.float32 if total <= 2**24 else np.int32
-        out = np.zeros((counts.shape[0], self.dim), dtype=fast)
+        out = np.zeros((counts.shape[0], self.dim), dtype=np.float32 if total <= 2**24 else np.int32)
+        if counts.nnz == 0:
+            return out
+        # int16 holds every partial sum of a row whose total is below 2^15
+        product = np.dtype(np.int16 if total < 2**15 else out.dtype)
         # relabel the used words 0..len(used) - 1 in index order, in linear time
         mask = np.zeros(counts.shape[1], dtype=bool)
         mask[counts.indices] = True
         used = np.flatnonzero(mask)
         local = (np.cumsum(mask) - 1)[counts.indices]
         counts = scipy.sparse.csr_matrix(
-            (counts.data.astype(fast), local, counts.indptr), shape=(len(out), len(used))
+            (counts.data.astype(product), local, counts.indptr), shape=(len(out), len(used))
         )
-        # column slices, whole sign words wide, unpack one at a time, so their
-        # 4-byte signs and each row block's product take about BLOCK_BYTES
-        step = 64 * max(1, BLOCK_BYTES // (4 * 64 * len(used)))
-        rows = max(1, BLOCK_BYTES // (4 * step))
+        step = 64 * max(1, BLOCK_BYTES // ((1 + product.itemsize) * 64 * len(used)))
+        rows = max(1, BLOCK_BYTES // (product.itemsize * step))
+        blocks = [(r, counts[r : r + rows]) for r in range(0, len(out), rows)]
         for c in range(0, self.dim, step):
-            block = self.sign_matrix(used, c, c + step).astype(fast)
-            for r in range(0, len(out), rows):
-                out[r : r + rows, c : c + step] = counts[r : r + rows] @ block
+            block = self.sign_matrix(used, c, c + step).astype(product)
+            for r, part in blocks:
+                out[r : r + rows, c : c + step] = part @ block
         return out
 
     def bow_matrix(self, documents):

@@ -2,7 +2,8 @@
 with the corpus.
 
 Each case runs one application step on seeded synthetic text drawn from
-one fixed word pool, at a corpus of n units and of 4n, under tracemalloc.
+one fixed word pool, at a corpus of n units and of 4n, under tracemalloc;
+the Monte Carlo case bundles n vectors and 4n instead.
 The peak traced bytes while the step runs, less the bytes its result
 still holds, are the temporaries it let go.  The kernels size their
 dense blocks from core.BLOCK_BYTES, so from n to 4n that figure may grow
@@ -20,6 +21,7 @@ import pytest
 
 from hdsem.context import ContextModel, build_context_model
 from hdsem.core import BLOCK_BYTES, generate_packed, packed_signs
+from hdsem.experiments import MembershipSimConfig, membership_sim
 from hdsem.sentences import build_sentence_index
 from hdsem.spam import Message, classify_many, train_filter
 from hdsem.textpipe import build_vocabulary
@@ -72,6 +74,12 @@ def _spam_half_fold(n, tmp_path):
     return _spam_fold(n, tmp_path, test_parts=5)
 
 
+def _membership_trials(n, tmp_path):
+    """Two trials of size-n bundles; from n = 2048 on, one trial's packed
+    stream (512 bytes a vector at d = 4096) outgrows a block."""
+    return lambda: membership_sim(MembershipSimConfig(dim=DIM, k=n, trials=2, seed=SEED))
+
+
 def _temporary_bytes(step):
     """Peak traced bytes while step runs, less those its result holds."""
     gc.collect()  # garbage freed mid-step would lower the retained bytes
@@ -90,7 +98,8 @@ def traced():
 
 
 @pytest.mark.parametrize(
-    "case, n", [(_sentence_build, 40), (_context_load, 60), (_spam_fold, 100), (_spam_half_fold, 100)]
+    "case, n",
+    [(_sentence_build, 40), (_context_load, 60), (_spam_fold, 100), (_spam_half_fold, 100), (_membership_trials, 2000)],
 )
 def test_temporaries_do_not_grow_with_the_corpus(traced, tmp_path, case, n):
     small = _temporary_bytes(case(n, tmp_path))

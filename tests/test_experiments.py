@@ -7,10 +7,12 @@ import pytest
 
 import oracles
 from hdsem import experiments
+from hdsem.core import BLOCK_BYTES, words_per_vector
 from hdsem.experiments import (
     MembershipSimConfig,
     MembershipSimResult,
     RhoCurveConfig,
+    _block_shape,
     _prefix_scores,
     membership_sim,
     rho_curve,
@@ -95,6 +97,36 @@ def test_membership_sim_scores_do_not_depend_on_batching(monkeypatch):
     small = membership_sim(cfg)  # batches of 3 trials, the last one short
     assert one.member_scores.tolist() == small.member_scores.tolist()
     assert one.nonmember_scores.tolist() == small.nonmember_scores.tolist()
+
+
+def test_prefix_scores_stream_trials_in_chunks(monkeypatch):
+    # one batch of 5 trials at once, then a budget of 7 vectors of 4 words:
+    # one trial per batch, its 50 stream vectors in chunks of 7, the last
+    # one short, with bundle sizes on and next to the chunk edges
+    dim, ks, trials = 200, [1, 7, 8, 20, 49, 50], 5
+    one = list(_prefix_scores(dim, 13, ks, trials))
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 7 * 32)
+    assert _block_shape(dim, 50) == (1, 7)
+    chunked = list(_prefix_scores(dim, 13, ks, trials))
+    assert len(one) == 1 and len(chunked) == trials
+    for j in range(2):
+        assert np.concatenate([pair[j] for pair in chunked]).tolist() == one[0][j].tolist()
+    cfg = MembershipSimConfig(dim=dim, k=50, trials=trials, seed=13)
+    assert membership_sim(cfg).member_scores.tolist() == one[0][0][:, -1].tolist()
+
+
+@pytest.mark.parametrize("dim, kmax", [(10_000, 1000), (10_000, 10**9), (64, 10**12), (1000, 300), (2**30, 5)])
+def test_block_shape_bounds_a_chunk_for_any_k(dim, kmax):
+    # arithmetic only: a stream of 10^12 vectors is never drawn
+    batch, chunk = _block_shape(dim, kmax)
+    vector_bytes = 8 * words_per_vector(dim)
+    assert 1 <= chunk <= kmax and batch >= 1
+    assert batch * chunk * vector_bytes <= max(BLOCK_BYTES, vector_bytes)
+    # the stream's chunks differ in size by less than their count
+    count = -(-kmax // chunk)
+    assert chunk - (kmax - (count - 1) * chunk) < count
+    if batch > 1:
+        assert chunk == kmax
 
 
 def test_rho_curve_member_scores_match_direct_bundles():

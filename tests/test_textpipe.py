@@ -520,6 +520,62 @@ def test_bundle_rejects_negative_counts(row):
 
 
 @st.composite
+def _rows_near_the_int16_bound(draw):
+    """(vocab size, dim, seed, count rows) whose row totals lie in
+    2^15 - 2 .. 2^15 + 1, each split over one to four words."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 140))
+    seed = draw(st.integers(0, 2**64 - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        total = draw(st.integers(2**15 - 2, 2**15 + 1))
+        words = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+        cuts = draw(st.lists(st.integers(1, total - 1), min_size=len(words) - 1, max_size=len(words) - 1, unique=True))
+        rows.append(dict(zip(words, np.diff([0, *sorted(cuts), total]).tolist())))
+    return n, dim, seed, rows
+
+
+@given(_rows_near_the_int16_bound())
+@settings(max_examples=150, deadline=None)
+def test_bundle_matches_int64_product_near_the_int16_bound(case):
+    # the product runs in int16 only while every row total is below 2^15
+    n, dim, seed, rows = case
+    vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
+    counts = _csr_counts(n, rows)
+    got = vocab.bundle(counts)
+    assert got.dtype == np.float32  # every row total is far below 2^24
+    assert got.tolist() == (counts.toarray() @ vocab.sign_matrix().astype(np.int64)).tolist()
+
+
+@pytest.mark.parametrize("row", [[2**15 - 1], [2**14, 2**14 - 1], [2**15], [2**14, 2**14]])
+def test_bundle_at_the_int16_bound(monkeypatch, row):
+    # at seed 2 both words' signs agree in some columns either way, so a
+    # row reaches plus and minus its total, and +2^15 is the first sum
+    # int16 cannot hold.  A second row keeps both words
+    # in use, and a budget of 128 columns of an int8 sign and its int16
+    # copy over them makes 128-column slices while the product runs in
+    # int16, 64-column ones in float32.
+    vocab = Vocabulary(["x", "y"], dim=200, seed=2)
+    signs = vocab.sign_matrix().astype(np.int64)
+    assert {2, -2} <= set(signs.sum(axis=0).tolist())
+    counts = scipy.sparse.csr_matrix(np.array([row + [0] * (2 - len(row)), [1, 1]], dtype=np.int64))
+    slices = []
+    sign_matrix = Vocabulary.sign_matrix
+
+    def recording(self, rows=None, start=0, stop=None):
+        slices.append(stop - start)
+        return sign_matrix(self, rows, start, stop)
+
+    monkeypatch.setattr(textpipe, "BLOCK_BYTES", 3 * 128 * 2)
+    monkeypatch.setattr(Vocabulary, "sign_matrix", recording)
+    got = vocab.bundle(counts)
+    assert got.dtype == np.float32
+    assert got.tolist() == (counts.toarray() @ signs).tolist()
+    assert {sum(row), -sum(row)} <= set(got[0].tolist())
+    assert slices == ([128, 128] if sum(row) < 2**15 else [64, 64, 64, 64])
+
+
+@st.composite
 def _sparse_documents(draw):
     """(vocab size, dim, seed, documents) drawing ids from a sparse subset."""
     n = draw(st.integers(1, 300))
