@@ -152,10 +152,10 @@ def cmd_rho_curve(args):
 
 
 def cmd_context_build(args):
-    with open(args.input, encoding="utf-8") as fh:
-        text = fh.read()
     if args.window < 2 or args.window % 2:
         raise ValueError("--window is the total window span and must be an even number >= 2")
+    with open(args.input, encoding="utf-8") as fh:
+        text = fh.read()
     config = _pipeline_config(args, stopwords_by_default=True)
     tokens = preprocess(text, config)
     vocab = build_vocabulary(tokens, args.dim, args.seed, config=config)

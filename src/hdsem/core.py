@@ -20,6 +20,10 @@ predict_filter_analytics derives the threshold-1/2 filter's rates.
 nearest ranks bundles against integer queries, through cosines or
 exact_dots, which bound every dot by the squared norms on both sides and
 so keep it an exact integer.
+
+BLOCK_BYTES is the one byte budget of every blocked loop in the package.
+The other modules read it as core.BLOCK_BYTES when they run, so setting
+it here resizes them all.
 """
 
 from __future__ import annotations
@@ -71,25 +75,23 @@ def generate_packed(dim: int, seed: int, indices) -> np.ndarray:
     Args:
         dim: vector dimension, >= 1.
         seed: 64-bit stream seed (wider ints are reduced mod 2^64).
-        indices: integer array-like of vector indices, each >= 0.
+        indices: integer array-like of vector indices, each >= 0, of any shape.
 
     Returns:
-        uint64 array of shape (len(indices), words_per_vector(dim)).  Unused
-        tail bits of the last word are zero, so packed words can be XORed
-        and popcounted directly.
+        uint64 array of shape indices.shape + (words_per_vector(dim),).
+        Unused tail bits of the last word are zero, so packed words can be
+        XORed and popcounted directly.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     idx = np.asarray(indices, dtype=np.uint64)
-    if idx.ndim != 1:
-        idx = idx.reshape(-1)
     nwords = words_per_vector(dim)
     state0 = _U(seed & MASK64) ^ (idx * _U(GOLDEN))
     steps = np.arange(1, nwords + 1, dtype=np.uint64) * _U(GOLDEN)
-    words = _mix64(state0[:, None] + steps[None, :])
+    words = _mix64(state0[..., None] + steps)
     mask = _tail_mask(dim)
     if mask != MASK64:
-        words[:, -1] &= _U(mask)
+        words[..., -1] &= _U(mask)
     return words
 
 
@@ -106,11 +108,6 @@ def _packed_bytes(words: np.ndarray) -> np.ndarray:
 
 # row b holds the eight signs of byte b, most significant bit first
 _BYTE_SIGNS = 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8) - 1
-
-
-def packed_bits(words: np.ndarray, dim: int) -> np.ndarray:
-    """Unpack sign words to a 0/1 uint8 array of shape (..., dim)."""
-    return np.unpackbits(_packed_bytes(words), axis=-1)[..., :dim]
 
 
 def packed_signs(words: np.ndarray, dim: int) -> np.ndarray:

@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    BLOCK_BYTES,
-    DEFAULT_SEED,
-    analytics_for_sigma,
-    dot_int_rows,
-    generate_packed,
-    words_per_vector,
-)
+from . import core
+from .core import DEFAULT_SEED, dot_int_rows, generate_packed, predict_filter_analytics, words_per_vector
 
 @dataclass(frozen=True)
 class MembershipSimConfig:
@@ -66,13 +60,13 @@ class MembershipSimResult:
 
 def _block_shape(dim, kmax):
     """Trials per batch and stream vectors per chunk for streams of kmax
-    vectors.  A chunk's packed words take at most BLOCK_BYTES (or one
+    vectors.  A chunk's packed words take at most core.BLOCK_BYTES (or one
     vector, when that is larger), and a stream splits into chunks of
     near-equal size, so that each chunk's temporaries reuse the memory
     of the one before instead of faulting in fresh pages."""
     vector_bytes = 8 * words_per_vector(dim)
-    batch = max(1, BLOCK_BYTES // (vector_bytes * (kmax + 1)))
-    most = max(1, BLOCK_BYTES // (vector_bytes * batch))
+    batch = max(1, core.BLOCK_BYTES // (vector_bytes * (kmax + 1)))
+    most = max(1, core.BLOCK_BYTES // (vector_bytes * batch))
     return batch, -(-kmax // -(-kmax // most))
 
 
@@ -91,13 +85,12 @@ def _prefix_scores(dim, seed, ks, trials):
     batch, chunk = _block_shape(dim, kmax)
     for start in range(0, trials, batch):
         first = np.arange(start, min(start + batch, trials)) * (kmax + 1)
-        probes = [generate_packed(dim, seed, first)[:, None], generate_packed(dim, seed, first + kmax)[:, None]]
+        probes = [generate_packed(dim, seed, first[:, None] + offset) for offset in (0, kmax)]
         sums = [np.zeros((len(first), 1), dtype=np.int64) for _ in probes]
         scores = [np.empty((len(first), len(ks))) for _ in probes]
         for c in range(0, kmax, chunk):
             stop = min(c + chunk, kmax)
-            idx = first[:, None] + np.arange(c, stop)
-            stream = generate_packed(dim, seed, idx).reshape(len(first), stop - c, -1)
+            stream = generate_packed(dim, seed, first[:, None] + np.arange(c, stop))
             hit = (k_idx >= c) & (k_idx < stop)
             for probe, carry, score in zip(probes, sums, scores):
                 prefix = carry + dot_int_rows(stream, probe, dim).cumsum(axis=1)
@@ -177,8 +170,8 @@ def rho_curve(config: RhoCurveConfig) -> list[RhoCurvePoint]:
     for member_scores, outside_scores in _prefix_scores(dim, config.seed, ks, trials):
         tp += (member_scores > thr).sum(axis=0)
         fp += (outside_scores > thr).sum(axis=0)
+    analytics = [predict_filter_analytics(k, dim) for k in ks]
     return [
-        RhoCurvePoint(k, float(np.sqrt(k / dim)), analytics_for_sigma(np.sqrt(k / dim)).precision_recall,
-                      int(tp[i]), int(fp[i]), trials - int(tp[i]), trials - int(fp[i]))
-        for i, k in enumerate(ks)
+        RhoCurvePoint(k, a.sigma, a.precision_recall, int(t), int(f), trials - int(t), trials - int(f))
+        for k, a, t, f in zip(ks, analytics, tp, fp)
     ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_BYTES, nearest, squared_norms
+from . import core
 from .errors import CorpusFormatError, EmptyClassError
 from .textpipe import PipelineConfig, build_vocabulary, preprocess
 
@@ -102,7 +102,7 @@ def train_filter(messages, dim, seed, vocabulary=None):
     # an empty message bundles to zero; leaving it out spares a copy of the rows
     kept = [i for i, doc in enumerate(docs) if len(doc)]
     matrix = vocabulary.bow_matrix([docs[i] for i in kept])
-    norms_sq = squared_norms(matrix)
+    norms_sq = core.squared_norms(matrix)
     if not norms_sq.all():  # exact cancellation zeroes a non-empty bundle
         nonzero = norms_sq > 0
         matrix, norms_sq = matrix[nonzero], norms_sq[nonzero]
@@ -130,15 +130,15 @@ def classify_many(spam_filter, messages):
     or exact cancellation) scores -inf against every row; it is marked
     unclassifiable and defaults to ham.  Cosine ties resolve to the
     earliest training message.  Messages are bundled and scored in blocks
-    whose query rows and scores take about BLOCK_BYTES.
+    whose query rows and scores take about core.BLOCK_BYTES.
     """
     messages = list(messages)
     vocab, rows = spam_filter.vocabulary, spam_filter.matrix
-    step = max(1, BLOCK_BYTES // (8 * (vocab.dim + len(rows))))
+    step = max(1, core.BLOCK_BYTES // (8 * (vocab.dim + len(rows))))
     results = []
     for b in range(0, len(messages), step):
         q = vocab.bow_matrix([vocab.encode(m.words) for m in messages[b : b + step]])
-        for ranked in nearest(rows, spam_filter.norms_sq, q, 1):
+        for ranked in core.nearest(rows, spam_filter.norms_sq, q, 1):
             if ranked:
                 [(i, score)] = ranked
                 results.append(ClassifyResult(int(spam_filter.labels[i]), score, spam_filter.message_ids[i], False))

@@ -6,6 +6,8 @@ tokenization, a flat stop list, and the fixed suffix table SUFFIX_RULES.
 Conflating word forms ("carried" and "carries" both map to "carri")
 is acceptable here because downstream consumers only need stable,
 shared identifiers for related surface forms, not dictionary lemmas.
+The suffix rewrite depends on the word alone and is one cached
+function; apply_pipeline adds the stop-list guard.
 
 A Vocabulary assigns each distinct word a row index and derives the
 word's random sign vector from (seed, index), so the word list, dim and
@@ -32,13 +34,14 @@ from importlib import resources
 import numpy as np
 import scipy.sparse
 
-from .core import BLOCK_BYTES, generate_packed, packed_signs
+from . import core
+from .core import generate_packed, packed_signs
 from .errors import UnknownWordError
 
 TOKEN_RE = re.compile(r"[^\W_]+")
 
 LEMMATIZER_NAMES = ("identity", "suffix")
-_MEMO_WORDS = 1 << 16  # distinct words a lemmatizer remembers
+_MEMO_WORDS = 1 << 16  # distinct words the suffix rewrite remembers
 
 
 def tokenize(text):
@@ -102,43 +105,27 @@ def load_suffix_rules():
     return SUFFIX_RULES
 
 
-class SuffixLemmatizer:
-    """Suffix rewriting with SUFFIX_RULES, applied until nothing changes.
+@functools.lru_cache(maxsize=_MEMO_WORDS)
+def _rewrite(word):
+    """word rewritten with SUFFIX_RULES until nothing changes.
 
     Per pass the first rule whose suffix matches and whose stem is long
     enough fires; a terminal rule (replacement == suffix) ends rewriting.
-    If the final form landed on a protected word (typically the stop
-    list: "ares" would otherwise collapse to "are"), the original token
-    is returned unchanged, which keeps the map idempotent.  Each distinct
-    word is rewritten once and remembered, up to _MEMO_WORDS words.
+    The rewrite depends on the word alone, so each distinct word is
+    rewritten once and remembered, up to _MEMO_WORDS words.
     """
-
-    def __init__(self, protected=frozenset()):
-        self.protected = frozenset(protected)
-        self._memo = functools.lru_cache(maxsize=_MEMO_WORDS)(self._rewrite)
-
-    def __call__(self, word):
-        return self._memo(word)
-
-    def _rewrite(self, word):
-        original = word
-        while True:
-            changed = False
-            for suffix, replacement, min_stem in SUFFIX_RULES:
-                if not word.endswith(suffix):
-                    continue
-                if len(word) - len(suffix) < min_stem:
-                    continue
-                if replacement == suffix:
-                    break
-                word = word[: len(word) - len(suffix)] + replacement
-                changed = True
-                break
-            if not changed:
-                break
-        if word != original and word in self.protected:
-            return original
-        return word
+    while True:
+        for suffix, replacement, min_stem in SUFFIX_RULES:
+            if not word.endswith(suffix):
+                continue
+            if len(word) - len(suffix) < min_stem:
+                continue
+            if replacement == suffix:
+                return word
+            word = word[: len(word) - len(suffix)] + replacement
+            break
+        else:
+            return word
 
 
 @dataclass(frozen=True)
@@ -159,22 +146,19 @@ class PipelineConfig:
             raise ValueError(f"lemmatizer must be one of {LEMMATIZER_NAMES}, got {self.lemmatizer!r}")
 
 
-@functools.lru_cache(maxsize=8)
-def make_lemmatizer(config):
-    """The lemmatizer a config names; one shared instance per config."""
-    if config.lemmatizer == "identity":
-        return lambda word: word
-    return SuffixLemmatizer(protected=config.stopwords)
-
-
 def apply_pipeline(tokens, config):
     """Filter stop words, then lemmatize; a list of str.
 
-    Expects lowercase tokens as produced by tokenize().  Applying the
-    pipeline twice gives the same result as applying it once.
+    Expects lowercase tokens as produced by tokenize().  The suffix
+    lemmatizer keeps a token whose rewrite lands on a stop word ("ares"
+    would otherwise collapse to "are"), so applying the pipeline twice
+    gives the same result as applying it once.
     """
-    lemma = make_lemmatizer(config)
-    return [lemma(t) for t in tokens if t not in config.stopwords]
+    stop = config.stopwords
+    if config.lemmatizer == "identity":
+        return [t for t in tokens if t not in stop]
+    # a kept token is no stop word, so a rewrite in the stop list changed it
+    return [t if (w := _rewrite(t)) in stop else w for t in tokens if t not in stop]
 
 
 def preprocess(text, config):
@@ -311,7 +295,7 @@ class Vocabulary:
         rows of the words the counts use are unpacked, one column slice at
         a time, a multiple of 64 columns wide, so that a slice's int8 signs
         and their copy in the product dtype, (1 + itemsize) bytes per
-        entry, take about BLOCK_BYTES, and so does each row block's product.
+        entry, take about core.BLOCK_BYTES, and so does each row block's product.
         """
         total = bundle_bound(counts)
         # float32 holds every integer up to 2^24 exactly, int32 up to 2^31 - 1
@@ -328,8 +312,8 @@ class Vocabulary:
         counts = scipy.sparse.csr_matrix(
             (counts.data.astype(product), local, counts.indptr), shape=(len(out), len(used))
         )
-        step = 64 * max(1, BLOCK_BYTES // ((1 + product.itemsize) * 64 * len(used)))
-        rows = max(1, BLOCK_BYTES // (product.itemsize * step))
+        step = 64 * max(1, core.BLOCK_BYTES // ((1 + product.itemsize) * 64 * len(used)))
+        rows = max(1, core.BLOCK_BYTES // (product.itemsize * step))
         blocks = [(r, counts[r : r + rows]) for r in range(0, len(out), rows)]
         for c in range(0, self.dim, step):
             block = self.sign_matrix(used, c, c + step).astype(product)

@@ -44,6 +44,14 @@ def reference_signs(dim, seed, index):
     return signs
 
 
+def packed_bits(rows, dim):
+    """0/1 bits of rows of sign words, a list of dim ints per row.
+
+    Bit j of a row is bit (63 - (j mod 64)) of its word floor(j / 64).
+    """
+    return [[(int(row[j >> 6]) >> (63 - (j & 63))) & 1 for j in range(dim)] for row in rows]
+
+
 def brute_dot(signs_a, signs_b):
     """Scaled dot of two sign lists: (matches - mismatches) / d."""
     assert len(signs_a) == len(signs_b)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdsem import cli, context
+from hdsem import cli, context, core
 from hdsem.cli import main
 from hdsem.core import squared_norms
 from hdsem.textpipe import Vocabulary
@@ -390,6 +390,14 @@ def test_context_build_odd_window_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "even" in err
+    # the window is checked before the input is read
+    code, _, err = run_cli(
+        ["context", "build", "--input", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "m.npz"),
+         "--window", "5"],
+        capsys,
+    )
+    assert code == 1
+    assert "even" in err
 
 
 def test_context_arith_bad_terms_exits_1(tmp_path, capsys):
@@ -505,6 +513,35 @@ def test_spam_eval_missing_corpus_exits_3(tmp_path, capsys):
 
 
 # ------------------------------------------------------------ determinism
+
+
+def test_outputs_do_not_depend_on_the_byte_budget(tmp_path, capsys, monkeypatch):
+    # every blocked loop reads core.BLOCK_BYTES; at 256 bytes the loops these
+    # commands run split into many blocks, and no output may change
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    corpus = corpus_dir(tmp_path)
+
+    def outputs(tag):
+        model = tmp_path / f"{tag}.npz"
+        commands = [
+            ["membership-sim", "--dim", "64", "--k", "40", "--trials", "50"],
+            ["rho-curve", "--dim", "200", "--k", "5,40,90", "--trials", "50"],
+            ["context", "build", "--input", str(doc), "--out", str(model), "--dim", "200", "--window", "2"],
+            ["context", "similar", "--model", str(model), "cat"],
+            ["context", "arith", "--model", str(model), "plus", "cat", "minus", "dog"],
+            ["context", "stats", "--model", str(model), "--threshold", "2"],
+            ["sentence-query", "--input", str(doc), "--dim", "200", "the cat ran"],
+            ["sentence-query", "--input", str(doc), "--dim", "200", "--no-normalize", "the cat ran"],
+            ["spam-eval", "--corpus-dir", str(corpus), "--dim", "128"],
+            ["spam-eval", "--corpus-dir", str(corpus), "--dim", "128", "--vocab-mode", "global"],
+        ]
+        return [run_cli(argv, capsys)[:2] for argv in commands], model.read_bytes()
+
+    default = outputs("default")
+    assert all(code == 0 for code, _ in default[0])
+    monkeypatch.setattr(core, "BLOCK_BYTES", 256)
+    assert outputs("small") == default
 
 
 def test_output_bytes_stable_across_thread_counts(tmp_path):

@@ -24,7 +24,6 @@ from hdsem.core import (
     nearest,
     normal_cdf,
     orthogonality_bound,
-    packed_bits,
     packed_signs,
     predict_filter_analytics,
     squared_norms,
@@ -73,7 +72,7 @@ def test_generated_signs_match_pure_python_reference(seed, index, dim):
 def test_bit_convention_word_msb_first():
     # bit j of the vector is bit (63 - (j mod 64)) of draw floor(j/64)
     draws = oracles.splitmix64_draws(99, 7, 2)
-    bits = packed_bits(generate_packed(100, 99, [7]), 100)[0]
+    bits = oracles.packed_bits(generate_packed(100, 99, [7]), 100)[0]
     for j in [0, 1, 63, 64, 65, 99]:
         expected = (draws[j >> 6] >> (63 - (j & 63))) & 1
         assert bits[j] == expected
@@ -96,6 +95,9 @@ def test_generation_is_deterministic_and_index_sensitive():
     assert not np.array_equal(a1, b) and not np.array_equal(a1, c)
     # a batch regenerates exactly the rows of single draws, in index order
     assert np.array_equal(generate_packed(256, 11, [5, 4]), np.concatenate([b, a1]))
+    # and an index array of any shape gets one row per index, in that shape
+    grid = np.arange(12).reshape(3, 4)
+    assert np.array_equal(generate_packed(130, 11, grid), generate_packed(130, 11, grid.ravel()).reshape(3, 4, 3))
 
 
 def test_generation_input_validation():
@@ -135,7 +137,8 @@ def test_packed_signs_match_packed_bits(dim, lead, seed):
     words = np.random.default_rng(seed).integers(0, 2**64, size=shape, dtype=np.uint64)
     signs = packed_signs(words, dim)
     assert signs.dtype == np.int8 and signs.shape == tuple(lead) + (dim,)
-    assert np.array_equal(signs, 2 * packed_bits(words, dim).astype(np.int8) - 1)
+    bits = np.array(oracles.packed_bits(words.reshape(-1, shape[-1]), dim), dtype=np.int8).reshape(signs.shape)
+    assert np.array_equal(signs, 2 * bits - 1)
 
 
 # ----------------------------------------------------------------------- dot

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from hdsem import experiments
-from hdsem.core import BLOCK_BYTES, words_per_vector
+from hdsem import core
+from hdsem.core import words_per_vector
 from hdsem.experiments import (
     MembershipSimConfig,
     MembershipSimResult,
@@ -82,7 +82,7 @@ def test_rho_curve_tiny_bundles_are_perfect():
 def test_rho_curve_counts_are_complete_and_deterministic(monkeypatch):
     cfg = RhoCurveConfig(dim=500, ks=(5, 20, 60), trials=123, seed=9)
     pts1 = rho_curve(cfg)  # one batch: 123 trials of 61 vectors of 8 words
-    monkeypatch.setattr(experiments, "BLOCK_BYTES", 8 * 17 * 61 * 8)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 17 * 61 * 8)
     pts2 = rho_curve(cfg)  # batches of 17 trials, the last one short
     for p1, p2 in zip(pts1, pts2):
         assert (p1.tp, p1.fp, p1.fn, p1.tn) == (p2.tp, p2.fp, p2.fn, p2.tn)
@@ -93,7 +93,7 @@ def test_rho_curve_counts_are_complete_and_deterministic(monkeypatch):
 def test_membership_sim_scores_do_not_depend_on_batching(monkeypatch):
     cfg = MembershipSimConfig(dim=200, k=9, trials=25, seed=4)
     one = membership_sim(cfg)  # one batch of 25 trials
-    monkeypatch.setattr(experiments, "BLOCK_BYTES", 8 * 3 * 10 * 4)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 3 * 10 * 4)
     small = membership_sim(cfg)  # batches of 3 trials, the last one short
     assert one.member_scores.tolist() == small.member_scores.tolist()
     assert one.nonmember_scores.tolist() == small.nonmember_scores.tolist()
@@ -105,7 +105,7 @@ def test_prefix_scores_stream_trials_in_chunks(monkeypatch):
     # one short, with bundle sizes on and next to the chunk edges
     dim, ks, trials = 200, [1, 7, 8, 20, 49, 50], 5
     one = list(_prefix_scores(dim, 13, ks, trials))
-    monkeypatch.setattr(experiments, "BLOCK_BYTES", 7 * 32)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 7 * 32)
     assert _block_shape(dim, 50) == (1, 7)
     chunked = list(_prefix_scores(dim, 13, ks, trials))
     assert len(one) == 1 and len(chunked) == trials
@@ -121,7 +121,7 @@ def test_block_shape_bounds_a_chunk_for_any_k(dim, kmax):
     batch, chunk = _block_shape(dim, kmax)
     vector_bytes = 8 * words_per_vector(dim)
     assert 1 <= chunk <= kmax and batch >= 1
-    assert batch * chunk * vector_bytes <= max(BLOCK_BYTES, vector_bytes)
+    assert batch * chunk * vector_bytes <= max(core.BLOCK_BYTES, vector_bytes)
     # the stream's chunks differ in size by less than their count
     count = -(-kmax // chunk)
     assert chunk - (kmax - (count - 1) * chunk) < count

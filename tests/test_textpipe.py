@@ -13,7 +13,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdsem import textpipe
+from hdsem import core, textpipe
 from hdsem.context import ContextModel, build_context_model, similar_words
 from hdsem.core import dot_int_rows, generate_packed, packed_signs
 from hdsem.errors import CorpusFormatError, UnknownWordError
@@ -22,12 +22,10 @@ from hdsem.spam import Message, classify_many, train_filter
 from hdsem.textpipe import (
     PipelineConfig,
     SUFFIX_RULES,
-    SuffixLemmatizer,
     Vocabulary,
     apply_pipeline,
     build_vocabulary,
     load_stopwords,
-    make_lemmatizer,
     preprocess,
     stopword_digest,
     strip_gutenberg_boilerplate,
@@ -165,31 +163,30 @@ LEMMA_GOLDENS = {
 }
 
 
+SUFFIX_STOP = PipelineConfig(stopwords=load_stopwords(), lemmatizer="suffix")
+
+
 @pytest.mark.parametrize("word,expected", sorted(LEMMA_GOLDENS.items()))
 def test_lemma_goldens(word, expected):
-    lemma = SuffixLemmatizer()
-    assert lemma(word) == expected
+    assert textpipe._rewrite(word) == expected
 
 
 def test_lemma_guard_restores_original():
-    lemma = SuffixLemmatizer(protected=load_stopwords())
     # without the guard these would collapse onto stop words
-    assert lemma("ares") == "ares"
-    assert lemma("beings") == "beings"
+    assert apply_pipeline(["ares"], SUFFIX_STOP) == ["ares"]
+    assert apply_pipeline(["beings"], SUFFIX_STOP) == ["beings"]
     # guard returns the input, not an intermediate rewrite
-    assert lemma("areses") == "areses"
+    assert apply_pipeline(["areses"], SUFFIX_STOP) == ["areses"]
 
 
 def test_lemma_without_guard():
-    lemma = SuffixLemmatizer(protected=frozenset())
-    assert lemma("ares") == "are"
-    assert lemma("beings") == "being"
+    assert textpipe._rewrite("ares") == "are"
+    assert textpipe._rewrite("beings") == "being"
 
 
 def test_lemma_short_words_untouched():
-    lemma = SuffixLemmatizer()
     for w in ["s", "es", "ly", "a", "ed", "ing"]:
-        assert lemma(w) == w
+        assert textpipe._rewrite(w) == w
 
 
 SUFFIX_POOL = [
@@ -219,34 +216,20 @@ SUFFIX_POOL = [
 )
 def test_lemma_idempotent(base, suffixes):
     word = base + "".join(suffixes)
-    lemma = SuffixLemmatizer(protected=load_stopwords())
-    once = lemma(word)
-    assert lemma(once) == once
+    once = apply_pipeline([word], SUFFIX_STOP)
+    assert apply_pipeline(once, SUFFIX_STOP) == once
 
 
-def test_make_lemmatizer_identity():
-    lemma = make_lemmatizer(PipelineConfig())
-    assert lemma("running") == "running"
-
-
-def test_lemmatizer_remembers_words_and_is_built_once_per_config(monkeypatch):
-    lemma = SuffixLemmatizer(protected=load_stopwords())
-    assert lemma("carried") == "carri"
-    assert lemma("carried") == "carri"
-    built = []
-
-    class Counting(SuffixLemmatizer):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(textpipe, "SuffixLemmatizer", Counting)
-    make_lemmatizer.cache_clear()
+def test_lemmatizer_rewrites_each_distinct_word_once():
+    textpipe._rewrite.cache_clear()
     cfg = PipelineConfig(stopwords=frozenset({"the"}), lemmatizer="suffix")
     assert preprocess("The cats sat.", cfg) == ["cat", "sat"]
-    assert preprocess("The cats ran.", cfg) == ["cat", "ran"]
-    assert len(built) == 1
-    make_lemmatizer.cache_clear()
+    assert preprocess("The cats ran, the cats sat.", cfg) == ["cat", "ran", "cat", "sat"]
+    info = textpipe._rewrite.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    # the identity lemmatizer only filters stop words
+    assert preprocess("The running cats.", PipelineConfig(stopwords=frozenset({"the"}))) == ["running", "cats"]
+    assert textpipe._rewrite.cache_info() == info
 
 
 # ---------------------------------------------------------------- pipeline
@@ -428,7 +411,7 @@ def test_bundle_in_column_slices(monkeypatch):
         slices.append((len(rows), start, stop))
         return sign_matrix(self, rows, start, stop)
 
-    monkeypatch.setattr(textpipe, "BLOCK_BYTES", 4 * 64 * 3)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 4 * 64 * 3)
     monkeypatch.setattr(Vocabulary, "sign_matrix", recording)
     np.testing.assert_array_equal(vocab.bundle(counts), want)
     assert slices == [(3, 0, 64), (3, 64, 128), (3, 128, 192), (3, 192, 256)]
@@ -566,7 +549,7 @@ def test_bundle_at_the_int16_bound(monkeypatch, row):
         slices.append(stop - start)
         return sign_matrix(self, rows, start, stop)
 
-    monkeypatch.setattr(textpipe, "BLOCK_BYTES", 3 * 128 * 2)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 3 * 128 * 2)
     monkeypatch.setattr(Vocabulary, "sign_matrix", recording)
     got = vocab.bundle(counts)
     assert got.dtype == np.float32
