@@ -220,16 +220,28 @@ def test_lemma_idempotent(base, suffixes):
     assert apply_pipeline(once, SUFFIX_STOP) == once
 
 
-def test_lemmatizer_rewrites_each_distinct_word_once():
+def test_make_lemmatizer_identity():
+    # the identity lemmatizer only filters stop words and never rewrites
+    textpipe._rewrite.cache_clear()
+    cfg = PipelineConfig(stopwords=frozenset({"the"}))
+    assert preprocess("The running cats.", cfg) == ["running", "cats"]
+    assert apply_pipeline(["running"], PipelineConfig()) == ["running"]
+    info = textpipe._rewrite.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
+
+
+def test_lemmatizer_remembers_words_and_is_built_once_per_config():
     textpipe._rewrite.cache_clear()
     cfg = PipelineConfig(stopwords=frozenset({"the"}), lemmatizer="suffix")
     assert preprocess("The cats sat.", cfg) == ["cat", "sat"]
     assert preprocess("The cats ran, the cats sat.", cfg) == ["cat", "ran", "cat", "sat"]
     info = textpipe._rewrite.cache_info()
     assert (info.misses, info.hits) == (3, 3)
-    # the identity lemmatizer only filters stop words
-    assert preprocess("The running cats.", PipelineConfig(stopwords=frozenset({"the"}))) == ["running", "cats"]
-    assert textpipe._rewrite.cache_info() == info
+    # one rewrite cache serves every config: another stop list re-rewrites nothing
+    other = PipelineConfig(stopwords=load_stopwords(), lemmatizer="suffix")
+    assert preprocess("Cats ran.", other) == ["cat", "ran"]
+    info = textpipe._rewrite.cache_info()
+    assert (info.misses, info.hits) == (3, 5)
 
 
 # ---------------------------------------------------------------- pipeline
