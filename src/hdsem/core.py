@@ -23,7 +23,9 @@ so keep it an exact integer.
 
 BLOCK_BYTES is the one byte budget of every blocked loop in the package.
 The other modules read it as core.BLOCK_BYTES when they run, so setting
-it here resizes them all.
+it here resizes them all.  packed_signs and squared_norms read none:
+numpy streams their casts, so neither makes a temporary a block would
+bound.
 """
 
 from __future__ import annotations
@@ -95,33 +97,17 @@ def generate_packed(dim: int, seed: int, indices) -> np.ndarray:
     return words
 
 
-def _packed_bytes(words: np.ndarray) -> np.ndarray:
-    """The bytes of each sign word in vector order, uint8 (..., 8 * w).
-
-    Byte-swapping each word to big-endian puts bit 63 first, so the bytes
-    and the bits within each byte, most significant first, follow the
-    generation contract.
-    """
-    be = np.ascontiguousarray(words.astype(">u8"))
-    return be.view(np.uint8).reshape(words.shape[:-1] + (words.shape[-1] * 8,))
-
-
-# row b holds the eight signs of byte b, most significant bit first
-_BYTE_SIGNS = 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8) - 1
-
-
 def packed_signs(words: np.ndarray, dim: int) -> np.ndarray:
     """Unpack sign words to an int8 array of -1/+1 of shape (..., dim).
 
-    One table lookup per byte; np.take runs it faster than fancy indexing.
-    Row blocks bound its intp copy of the byte indices to BLOCK_BYTES, and
-    mode="clip" (every byte is below 256) writes out unbuffered.
+    Byte-swapping each word to big-endian puts bit 63 first, so one flat
+    unpackbits, most significant bit first, follows the generation
+    contract; the bits map to -1/+1 in place, so the only temporary is the
+    byte-swapped copy of the words.
     """
-    data = _packed_bytes(words).reshape(-1, words.shape[-1] * 8)
-    signs = np.empty(data.shape + (8,), dtype=np.int8)
-    step = max(1, BLOCK_BYTES // (64 * words.shape[-1]))
-    for r in range(0, len(data), step):
-        np.take(_BYTE_SIGNS, data[r : r + step], axis=0, out=signs[r : r + step], mode="clip")
+    signs = np.unpackbits(words.astype(">u8", order="C").view(np.uint8)).view(np.int8)
+    signs *= 2
+    signs -= 1
     return signs.reshape(words.shape[:-1] + (words.shape[-1] * 64,))[..., :dim]
 
 
@@ -226,19 +212,15 @@ def squared_norms(rows):
 
     max|entry|^2 * d bounds every partial sum: below 2^53 the rows sum in
     float64, past that in int64, and from 2^63 on it raises ValueError,
-    where the sum could wrap.  Rows convert one BLOCK_BYTES block at a time.
+    where the sum could wrap.  einsum casts the rows in its own fixed-size
+    buffered chunks, so no converted copy of them is ever made.
     """
     peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
     bound = peak**2 * rows.shape[-1]
     if bound >= 2**63:
         raise ValueError("integer squared norms exceed int64 range")
-    dtype = np.float64 if bound < 2**53 else np.int64
-    out = np.empty(len(rows), dtype=np.int64)
-    step = max(1, BLOCK_BYTES // (8 * rows.shape[-1] or 1))
-    for r in range(0, len(rows), step):
-        block = rows[r : r + step].astype(dtype, copy=False)
-        out[r : r + step] = np.einsum("ij,ij->i", block, block)
-    return out
+    tier = np.float64 if bound < 2**53 else np.int64
+    return np.einsum("ij,ij->i", rows, rows, dtype=tier, casting="unsafe").astype(np.int64, copy=False)
 
 
 def _dots(rows, norms_sq, queries, qq):

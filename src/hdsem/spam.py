@@ -4,7 +4,8 @@ Every training message becomes the integer sum of its word vectors; a
 test message is assigned the label of the training message whose bundle
 has the highest cosine against its own, found by core.nearest at top-1,
 a block of test messages at a time.  No weights are learned: the
-filter is the training set plus one shared random vocabulary.
+filter is the training set plus one shared random vocabulary, one row
+per training message; a row that bundles to zero is never a neighbor.
 
 The ten-part corpus layout follows the common benchmark convention:
 part1 .. part10 directories of *.txt files, spam filenames starting
@@ -70,11 +71,12 @@ def ingest_lingspam(root, config=PipelineConfig()):
 class SpamFilter:
     """Training bundles, their labels, and the vocabulary that encodes them.
 
-    Training messages whose bundle is the zero vector (no usable tokens,
-    or exact cancellation) are excluded: they can never be a meaningful
-    nearest neighbor.  Both classes must survive the exclusion.  matrix
-    holds the rows as Vocabulary.bow_matrix returns them, exact since no
-    |entry| exceeds a message's word count.
+    Row i is training message i.  A message whose bundle is the zero
+    vector (no usable tokens, or exact cancellation) keeps its row, but
+    core.nearest scores a zero-norm row -inf and never returns it, so
+    each class needs a row with a non-zero norm.  matrix holds the rows
+    as Vocabulary.bow_matrix returns them, exact since no |entry| exceeds
+    a message's word count.
     """
 
     __slots__ = ("vocabulary", "matrix", "norms_sq", "labels", "message_ids")
@@ -98,21 +100,15 @@ def train_filter(messages, dim, seed, vocabulary=None):
         vocabulary = build_vocabulary((w for m in messages for w in m.words), dim, seed)
     elif vocabulary.dim != dim or vocabulary.seed != seed:
         raise ValueError("vocabulary dim/seed do not match the requested filter")
-    docs = [vocabulary.encode(m.words) for m in messages]
-    # an empty message bundles to zero; leaving it out spares a copy of the rows
-    kept = [i for i, doc in enumerate(docs) if len(doc)]
-    matrix = vocabulary.bow_matrix([docs[i] for i in kept])
+    matrix = vocabulary.bow_matrix([vocabulary.encode(m.words) for m in messages])
     norms_sq = core.squared_norms(matrix)
-    if not norms_sq.all():  # exact cancellation zeroes a non-empty bundle
-        nonzero = norms_sq > 0
-        matrix, norms_sq = matrix[nonzero], norms_sq[nonzero]
-        kept = [i for i, keep in zip(kept, nonzero) if keep]
-    labels = np.fromiter((messages[i].label for i in kept), np.int64, len(kept))
-    if not np.any(labels == 1):
+    labels = np.fromiter((m.label for m in messages), np.int64, len(messages))
+    live = labels[norms_sq > 0]  # core.nearest never returns a zero row
+    if not np.any(live == 1):
         raise EmptyClassError("no spam training message survives encoding")
-    if not np.any(labels == 0):
+    if not np.any(live == 0):
         raise EmptyClassError("no ham training message survives encoding")
-    return SpamFilter(vocabulary, matrix, norms_sq, labels, [messages[i].message_id for i in kept])
+    return SpamFilter(vocabulary, matrix, norms_sq, labels, [m.message_id for m in messages])
 
 
 @dataclass(frozen=True)

@@ -293,9 +293,10 @@ class Vocabulary:
         every entry is exact.  The sparse product runs in int16 while the
         total is below 2^15, else in the rows' own dtype.  Only the sign
         rows of the words the counts use are unpacked, one column slice at
-        a time, a multiple of 64 columns wide, so that a slice's int8 signs
-        and their copy in the product dtype, (1 + itemsize) bytes per
-        entry, take about core.BLOCK_BYTES, and so does each row block's product.
+        a time, a multiple of 64 columns wide and no wider than the words
+        of a vector, so that a slice's int8 signs and their copy in the
+        product dtype, (1 + itemsize) bytes per entry, take about
+        core.BLOCK_BYTES, and so does each row block's product.
         """
         total = bundle_bound(counts)
         # float32 holds every integer up to 2^24 exactly, int32 up to 2^31 - 1
@@ -312,7 +313,8 @@ class Vocabulary:
         counts = scipy.sparse.csr_matrix(
             (counts.data.astype(product), local, counts.indptr), shape=(len(out), len(used))
         )
-        step = 64 * max(1, core.BLOCK_BYTES // ((1 + product.itemsize) * 64 * len(used)))
+        step = max(1, core.BLOCK_BYTES // ((1 + product.itemsize) * 64 * len(used)))
+        step = 64 * min(step, core.words_per_vector(self.dim))
         rows = max(1, core.BLOCK_BYTES // (product.itemsize * step))
         blocks = [(r, counts[r : r + rows]) for r in range(0, len(out), rows)]
         for c in range(0, self.dim, step):

@@ -8,19 +8,22 @@ The peak traced bytes while the step runs, less the bytes its result
 still holds, are the temporaries it let go.  The kernels size their
 dense blocks from core.BLOCK_BYTES, so from n to 4n that figure may grow
 only by sparse, corpus-linear inputs and by blocks that were not yet
-full at n, which stays below 2 * BLOCK_BYTES.  One more case bounds the
-sign unpacking of a single vocabulary.  tracemalloc counts the same
-bytes on every run, so the check cannot flake on timing.
+full at n, which stays below 2 * BLOCK_BYTES.  Two more cases bound the
+sign unpacking of a single vocabulary and the squared norms of a matrix,
+which leave numpy to stream their casts and so need no block of their
+own.  tracemalloc counts the same bytes on every run, so the check
+cannot flake on timing.
 """
 
 import gc
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from hdsem.context import ContextModel, build_context_model
-from hdsem.core import BLOCK_BYTES, generate_packed, packed_signs
+from hdsem.core import BLOCK_BYTES, generate_packed, packed_signs, squared_norms
 from hdsem.experiments import MembershipSimConfig, membership_sim
 from hdsem.sentences import build_sentence_index
 from hdsem.spam import Message, classify_many, train_filter
@@ -109,7 +112,21 @@ def test_temporaries_do_not_grow_with_the_corpus(traced, tmp_path, case, n):
 
 def test_packed_signs_unpack_in_blocks(traced):
     # 1000 vectors at d = 4096 unpack to 4 MiB of int8 signs from 0.5 MiB
-    # of words; the byte lookup's intp indices, as large as its output
-    # when taken at once, must stay within a block
+    # of words; one flat unpackbits, mapped to -1/+1 in place, leaves the
+    # byte-swapped words as its only temporary
     words = generate_packed(DIM, SEED, range(1000))
-    assert _temporary_bytes(lambda: packed_signs(words, DIM)) < words.nbytes + 2 * BLOCK_BYTES
+    assert _temporary_bytes(lambda: packed_signs(words, DIM)) < words.nbytes + BLOCK_BYTES // 8
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+@pytest.mark.parametrize(
+    "dtype, low, high",
+    [(np.float32, -39, 40), (np.int32, 2**24 - 100, 2**24)],
+    ids=["float64-tier", "int64-tier"],
+)
+def test_squared_norms_convert_no_rows(traced, n, dtype, low, high):
+    # float32 rows below 40 sum in float64 and int32 rows near 2^24 in
+    # int64; either way a converted copy of the rows would take 8 bytes
+    # an entry, 16 MB at n = 500, where einsum casts in buffered chunks
+    rows = np.random.default_rng(n).integers(low, high, size=(n, DIM)).astype(dtype)
+    assert _temporary_bytes(lambda: squared_norms(rows)) < BLOCK_BYTES // 4

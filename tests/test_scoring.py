@@ -299,8 +299,10 @@ def test_squared_norms_of_float64_rows_on_both_sides_of_2_53(top):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.float64])
 def test_squared_norms_in_row_blocks(monkeypatch, dtype):
-    # a budget of 1024 float64 rows of 5 entries: 2500 rows span three
-    # blocks, the last one partial
+    # squared_norms reads no budget: einsum casts the rows in buffered
+    # chunks of its own (numpy.getbufsize() elements, 8192 by default),
+    # so 2500 rows of 5 take more than one, and a budget of 1024 float64
+    # rows of 5 entries must change nothing
     monkeypatch.setattr(core, "BLOCK_BYTES", 1024 * 5 * 8)
     rows = np.random.default_rng(0).integers(-(2**20), 2**20, size=(2500, 5)).astype(dtype)
     got = squared_norms(rows)

@@ -123,14 +123,21 @@ def test_ingest_empty_part(tmp_path):
 
 
 def test_train_excludes_zero_norm_messages():
+    # b bundles to zero: it keeps row 1 of the filter, but its norm is 0,
+    # so no query ever reaches it
     msgs = [
         Message("a", 1, ("cash", "prize")),
         Message("b", 1, ()),
         Message("c", 0, ("paper",)),
     ]
     f = train_filter(msgs, dim=64, seed=0)
-    assert f.message_ids == ("a", "c")
-    assert list(f.labels) == [1, 0]
+    assert f.message_ids == ("a", "b", "c")
+    assert list(f.labels) == [1, 1, 0]
+    assert [n > 0 for n in f.norms_sq] == [True, False, True]
+    verdicts = classify_many(f, [Message("q", 0, ("paper",)), Message("r", 0, ("unknown",))])
+    assert [v.best_match_id for v in verdicts] == ["c", None]
+    ranked = core.nearest(f.matrix, f.norms_sq, f.matrix, 3)
+    assert [[i for i, _ in row] for row in ranked] == [[0, 2], [], [2, 0]]
 
 
 def test_train_empty_class_raises():
@@ -138,6 +145,12 @@ def test_train_empty_class_raises():
         train_filter([Message("a", 0, ("x",)), Message("b", 0, ("y",))], dim=32, seed=0)
     with pytest.raises(EmptyClassError):
         train_filter([Message("a", 1, ("x",)), Message("b", 1, ())], dim=32, seed=0)
+    # the only ham message keeps its row, but holds no word of the shared
+    # vocabulary, so it bundles to zero and is never a neighbor
+    vocab = build_vocabulary(["cash", "prize"], dim=32, seed=0)
+    msgs = [Message("a", 1, ("cash",)), Message("b", 0, ("paper",)), Message("c", 1, ("prize",))]
+    with pytest.raises(EmptyClassError, match="no ham training message survives encoding"):
+        train_filter(msgs, dim=32, seed=0, vocabulary=vocab)
 
 
 def test_train_vocabulary_mismatch():

@@ -429,6 +429,25 @@ def test_bundle_in_column_slices(monkeypatch):
     assert slices == [(3, 0, 64), (3, 64, 128), (3, 128, 192), (3, 192, 256)]
 
 
+def test_bundle_rows_sized_from_the_capped_slice(monkeypatch):
+    # 12 used words at d = 128 make one slice of the whole vector, two
+    # words wide, so at the default budget the 36 rows' int16 products,
+    # 9 KiB, run as one row block
+    vocab = Vocabulary([f"w{i}" for i in range(12)], dim=128, seed=7)
+    counts = scipy.sparse.csr_matrix(np.random.default_rng(7).integers(1, 3, size=(36, 12)))
+    want = counts.toarray() @ vocab.sign_matrix().astype(np.int64)
+    blocks = []
+    matmul = scipy.sparse.csr_matrix.__matmul__
+
+    def recording(self, other):
+        blocks.append((self.shape[0], other.shape[1]))
+        return matmul(self, other)
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", recording)
+    np.testing.assert_array_equal(vocab.bundle(counts), want)
+    assert blocks == [(36, 128)]
+
+
 def test_bow_matrix_against_sign_sums():
     vocab = Vocabulary(["u", "v", "w"], dim=64, seed=5)
     docs = [vocab.encode(["u", "v", "v"]), vocab.encode(["w"]), np.array([], dtype=np.int64)]
