@@ -8,6 +8,7 @@ Always produced:
 With data/sherlock.txt present (scripts/fetch_data.py):
   results/sherlock_ctx.npz        context model, window 10, d=1000
   results/sherlock_similar_*.csv  context neighbors for a few probe words
+  results/sherlock_arith.csv      context arithmetic: plus accent minus german
   results/sherlock_stats.csv      per-word context totals
   results/sherlock_irene.csv      top sentences for the Irene question
 

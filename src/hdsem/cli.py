@@ -188,8 +188,6 @@ def _parse_arith_terms(terms):
             raise ValueError("arithmetic terms must start with 'plus' or 'minus'")
         else:
             bucket.append(t)
-    if not plus and not minus:
-        raise ValueError("no operand words given")
     return plus, minus
 
 

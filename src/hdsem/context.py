@@ -10,8 +10,9 @@ times the vocabulary's sign matrix.  A model, in memory or saved (format
 2), holds the counts, the word occurrences and the vocabulary, nothing
 derived.  Each query bundles what it reads with Vocabulary.bundle:
 context_similarity the two rows it compares, and context arithmetic
-every row, which it ranks against a sum and difference of rows with
-core.nearest.  Both score exactly, so ranking is reproducible bit for
+every row, which it ranks against a sum and difference of rows.  Both
+score exactly through core.nearest, context_similarity as the top-1
+score of one row against the other, so ranking is reproducible bit for
 bit; context_stats reads the counts alone.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .core import cosines, nearest, squared_norms
+from .core import nearest, squared_norms
 from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError, UnknownWordError
 from .textpipe import Vocabulary, bundle_bound
 
@@ -177,7 +178,8 @@ def context_similarity(model, word_a, word_b):
     norms_sq = squared_norms(rows)
     if not norms_sq.all():
         raise EmptyContextError("cosine undefined for a zero vector")
-    return float(cosines(rows[:1], norms_sq[:1], rows[1:])[0, 0])
+    [[(_, score)]] = nearest(rows[:1], norms_sq[:1], rows[1:], 1)
+    return score
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ The membership score of a query against a bundle of k vectors is their
 scaled dot; it concentrates around 1 for bundled vectors and around 0
 for fresh ones, with noise sigma = sqrt(k/d), from which
 predict_filter_analytics derives the threshold-1/2 filter's rates.
-nearest ranks bundles against integer queries, through cosines or
-exact_dots, which bound every dot by the squared norms on both sides and
-so keep it an exact integer.
+nearest ranks bundles against integer queries by cosine or by dot / d,
+and it is the only function that turns dots into cosines; it and the
+raw membership score exact_dots share one dot kernel, which bounds every
+dot by the squared norms on both sides and so keeps it an exact integer.
 
 BLOCK_BYTES is the one byte budget of every blocked loop in the package.
 The other modules read it as core.BLOCK_BYTES when they run, so setting
@@ -256,38 +257,29 @@ def exact_dots(rows, norms_sq, queries):
     return _dots(rows, norms_sq, queries, squared_norms(queries))
 
 
-def cosines(rows, norms_sq, queries):
-    """Cosine of every query against every row, shape (m, n).
-
-    Arguments are as in exact_dots.  A zero norm on either side scores
-    -inf.  Integer-parallel pairs score exactly +-1, checked with Python
-    ints near +-1, so float rounding never ranks a perfect match below a
-    near-duplicate.
-    """
-    queries = np.asarray(queries)
-    qq = squared_norms(queries)
-    dots = _dots(rows, norms_sq, queries, qq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = dots / np.sqrt(qq[:, None] * norms_sq.astype(np.float64))
-    scores[(qq[:, None] == 0) | (norms_sq == 0)] = -np.inf
-    for i, j in zip(*np.nonzero(np.abs(np.abs(scores) - 1.0) < 1e-9)):
-        if int(dots[i, j]) ** 2 == int(qq[i]) * int(norms_sq[j]):
-            scores[i, j] = 1.0 if dots[i, j] > 0 else -1.0
-    return scores
-
-
 def nearest(rows, norms_sq, queries, top_n, normalize=True):
     """The top_n rows for every query, best first: one list of (row, score) per query.
 
     Arguments are as in exact_dots.  Scores are cosines, or with
-    normalize=False exact dots / d.  Ties go to the lowest row index, and
-    rows scored -inf (a zero norm on either side) are left out; top-1 over
-    no rows raises ValueError.
+    normalize=False exact dots / d.  A cosine with a zero norm on either
+    side scores -inf, and integer-parallel pairs score exactly +-1,
+    checked with Python ints near +-1, so float rounding never ranks a
+    perfect match below a near-duplicate.  Ties go to the lowest row
+    index, and rows scored -inf are left out; top-1 over no rows raises
+    ValueError.
     """
+    queries = np.asarray(queries)
+    qq = squared_norms(queries)
+    dots = _dots(rows, norms_sq, queries, qq)
     if normalize:
-        scores = cosines(rows, norms_sq, queries)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = dots / np.sqrt(qq[:, None] * norms_sq.astype(np.float64))
+        scores[(qq[:, None] == 0) | (norms_sq == 0)] = -np.inf
+        for i, j in zip(*np.nonzero(np.abs(np.abs(scores) - 1.0) < 1e-9)):
+            if int(dots[i, j]) ** 2 == int(qq[i]) * int(norms_sq[j]):
+                scores[i, j] = 1.0 if dots[i, j] > 0 else -1.0
     else:
-        scores = exact_dots(rows, norms_sq, queries) / rows.shape[-1]
+        scores = dots / rows.shape[-1]
     if top_n == 1:
         ranked = np.argmax(scores, axis=-1)[:, None]
     else:

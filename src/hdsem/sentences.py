@@ -9,9 +9,10 @@ scores exactly 1.0 against it.
 The index stores bow_matrix's rows as they come: float32 while no
 sentence holds more than 2^24 tokens, int32 above that, and exact
 either way, since the bundle kernel raises once a sentence's token count
-reaches 2^31.  core.nearest ranks them: its kernel multiplies float32
-rows in float32 BLAS for as long as that is exact, and scores any other
-rows exactly in float64 or int64 blocks.
+reaches 2^31.  core.nearest scores and ranks them, by cosine or by
+dot / d: its kernel multiplies float32 rows in float32 BLAS for as long
+as that is exact, and scores any other rows exactly in float64 or int64
+blocks.
 """
 
 import re

@@ -18,7 +18,7 @@ import pytest
 from hdsem import cli, context, core
 from hdsem.cli import main
 from hdsem.core import squared_norms
-from hdsem.textpipe import Vocabulary
+from hdsem.textpipe import Vocabulary, stopword_digest
 
 
 def run_cli(argv, capsys):
@@ -98,6 +98,18 @@ def test_format_1_model_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "unsupported format_version 1" in err
+
+
+def test_unknown_lemmatizer_in_model_exits_3(tmp_path, capsys):
+    meta = {"format_version": 2, "dim": 8, "seed": 42, "half_window": 1, "words": ["a", "b"],
+            "lemmatizer": "porter"}
+    model = tmp_path / "m.npz"
+    np.savez(model, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             indptr=np.zeros(3, dtype=np.int64), indices=np.zeros(0, dtype=np.int64),
+             data=np.zeros(0, dtype=np.int64), occurrences=np.ones(2, dtype=np.int64))
+    code, out, err = run_cli(["context", "stats", "--model", str(model)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'porter'" in err
 
 
 @pytest.mark.parametrize("counts", [[2**31], [2**62, 2**62]], ids=["count-2^31", "row-sum-wraps"])
@@ -286,6 +298,12 @@ def test_rho_curve_conflicting_k_exits_1(capsys):
 def test_rho_curve_bad_k_exits_1(capsys):
     code, _, _ = run_cli(["rho-curve", "--k", "2,banana"], capsys)
     assert code == 1
+    for argv, message in [
+        (["--k", ","], "--k produced no bundle sizes"),
+        (["--k-min", "5", "--k-max", "3"], "--k-min 5 exceeds --k-max 3"),
+    ]:
+        code, out, err = run_cli(["rho-curve", *argv], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # ----------------------------------------------------------------- context
@@ -400,6 +418,26 @@ def test_context_build_odd_window_exits_1(tmp_path, capsys):
     assert "even" in err
 
 
+def test_context_build_custom_stopwords(tmp_path, capsys):
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    stop = tmp_path / "stop.txt"
+    stop.write_text("# animals\nCat\ndog\n\n")
+    model = tmp_path / "m.npz"
+    argv = ["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64", "--stopwords"]
+    code, _, _ = run_cli([*argv, str(stop)], capsys)
+    assert code == 0
+    with np.load(model) as data:
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+    assert "the" in meta["words"] and not {"cat", "dog"} & set(meta["words"])
+    assert meta["stopword_digest"] == stopword_digest({"cat", "dog"})
+    code, _, err = run_cli([*argv, str(tmp_path / "missing.txt")], capsys)
+    assert code == 2 and err.startswith("error: ")
+    stop.write_bytes("caf\u00e9\n".encode("latin-1"))
+    code, _, err = run_cli([*argv, str(stop)], capsys)
+    assert code == 3 and "codec can't decode" in err
+
+
 def test_context_arith_bad_terms_exits_1(tmp_path, capsys):
     doc = tmp_path / "d.txt"
     doc.write_text(DOC)
@@ -408,6 +446,9 @@ def test_context_arith_bad_terms_exits_1(tmp_path, capsys):
     code, _, err = run_cli(["context", "arith", "--model", str(model), "cat", "plus"], capsys)
     assert code == 1
     assert "plus" in err
+    for sign in ("plus", "minus"):
+        code, out, err = run_cli(["context", "arith", "--model", str(model), sign], capsys)
+        assert (code, out, err) == (1, "", "error: need at least one operand word\n")
 
 
 # ---------------------------------------------------------- sentence-query

@@ -1,8 +1,9 @@
 """Unit tests for the core: generation, packed dots, bundles, analytics.
 
 Bundles are built the way the applications build them, through
-Vocabulary.bow_matrix, and scored through core.exact_dots, nearest and
-the Monte Carlo engine's _prefix_scores, against the pure-Python oracles.
+Vocabulary.bow_matrix, and scored through core.exact_dots, the cosine
+rankings of core.nearest and the Monte Carlo engine's _prefix_scores,
+against the pure-Python oracles.
 """
 
 import math
@@ -17,7 +18,6 @@ import oracles
 from hdsem.core import (
     FilterAnalytics,
     analytics_for_sigma,
-    cosines,
     dot_int_rows,
     exact_dots,
     generate_packed,
@@ -499,10 +499,12 @@ def test_analytics_validation():
 def test_cosines_exact_cases():
     a = np.array([2, -4, 6], dtype=np.int64)
     rows = np.array([a, 3 * a, -a, np.zeros(3), [1, 1, 1]], dtype=np.int64)
-    scores = cosines(rows, squared_norms(rows), a[None])[0]
-    assert scores[:4].tolist() == [1.0, 1.0, -1.0, -np.inf]
+    [ranked] = nearest(rows, squared_norms(rows), a[None], len(rows))
+    scores = dict(ranked)
+    assert [i for i, _ in ranked] == [0, 1, 4, 2]
+    assert [scores[i] for i in (0, 1, 2)] == [1.0, 1.0, -1.0]
     assert -1.0 < scores[4] < 1.0
-    assert np.all(cosines(rows, squared_norms(rows), np.zeros((1, 3), dtype=np.int64)) == -np.inf)
+    assert nearest(rows, squared_norms(rows), np.zeros((1, 3), dtype=np.int64), len(rows)) == [[]]
 
 
 @st.composite
@@ -538,22 +540,22 @@ def test_cosines_match_brute(data):
     rr = squared_norms(R)
     assert rr.tolist() == [sum(x * x for x in r) for r in rows]
     if not fits(queries):
-        for kernel in (exact_dots, cosines):
+        for kernel in (exact_dots, lambda R, rr, Q: nearest(R, rr, Q, len(R))):
             with pytest.raises(ValueError, match="integer squared norms exceed int64 range"):
                 kernel(R, rr, Q)
         return
     dots = exact_dots(R, rr, Q)
     assert dots.tolist() == [[sum(x * y for x, y in zip(r, q)) for r in rows] for q in queries]
-    scores = cosines(R, rr, Q)
-    for q, got_row in zip(queries, scores):
-        for r, aa, got in zip(rows, rr.tolist(), got_row):
-            bb = sum(x * x for x in q)
-            if not aa or not bb:
-                assert got == -np.inf
-            elif sum(x * y for x, y in zip(r, q)) ** 2 == aa * bb:
-                assert got == oracles.brute_cosine(r, q)  # exactly +-1
+    for q, ranked in zip(queries, nearest(R, rr, Q, top_n=len(R))):
+        want = [oracles.brute_cosine(r, q) if any(r) and any(q) else None for r in rows]
+        # rows with a zero norm on either side score -inf and are left out
+        assert [i for i, _ in ranked] == oracles.brute_top(want, len(rows))
+        for i, got in ranked:
+            aa, bb = int(rr[i]), sum(x * x for x in q)
+            if sum(x * y for x, y in zip(rows[i], q)) ** 2 == aa * bb:
+                assert got == want[i]  # exactly +-1
             else:
-                assert math.isclose(got, oracles.brute_cosine(r, q), rel_tol=2e-15)
+                assert math.isclose(got, want[i], rel_tol=2e-15)
                 if aa * bb < 2**53:
                     assert -1.0 <= got <= 1.0
 

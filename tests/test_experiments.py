@@ -152,6 +152,8 @@ def test_rho_curve_sorts_and_dedupes_ks():
 
 
 def test_rho_curve_validation():
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        RhoCurveConfig(dim=0, ks=(1,))
     with pytest.raises(ValueError):
         RhoCurveConfig(dim=100, ks=())
     with pytest.raises(ValueError):

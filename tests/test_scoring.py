@@ -1,4 +1,4 @@
-"""Tests of the one scoring kernel: core.exact_dots, cosines and nearest.
+"""Tests of the one scoring kernel: core.exact_dots and nearest.
 
 Property tests drive each caller (context ranking, pairwise context
 similarity, sentence scoring in both modes, the spam batch at top-1)
@@ -334,9 +334,9 @@ def test_exact_dots_in_row_blocks(monkeypatch, top, tier):
 )
 def test_queries_score_alike_in_every_dtype(stored, top, q_top, tier):
     # the same integer queries as int8, int32, int64 and float32, each where
-    # it holds them, give the same dots and cosines, scored in the one tier;
-    # row 0 and query 0 sit at the top of their ranges, row 1 is zero and
-    # row 2 a copy of query 1
+    # it holds them, give the same dots and cosine rankings, scored in the
+    # one tier; row 0 and query 0 sit at the top of their ranges, row 1 is
+    # zero and row 2 a copy of query 1
     rng = np.random.default_rng(3)
     rows = rng.integers(-top, top, size=(6, 5))
     queries = rng.integers(-q_top, q_top, size=(3, 5))
@@ -346,12 +346,13 @@ def test_queries_score_alike_in_every_dtype(stored, top, q_top, tier):
     assert len(dtypes) >= 3
     want = [[_dot(r, q) for r in rows.tolist()] for q in queries.tolist()]
     ProductRecorder.dtypes.clear()
-    got = [(exact_dots(R, norms_sq, q), core.cosines(R, norms_sq, q)) for q in map(queries.astype, dtypes)]
+    got = [(exact_dots(R, norms_sq, q), core.nearest(R, norms_sq, q, len(rows))) for q in map(queries.astype, dtypes)]
     assert ProductRecorder.dtypes == [np.dtype(tier)] * 2 * len(dtypes)
-    for dots, cos in got:
+    for dots, ranked in got:
         assert [[int(x) for x in row] for row in dots] == want
-        assert np.array_equal(cos, got[0][1])
-    assert got[0][1][1, 2] == 1.0 and np.all(got[0][1][:, 1] == -np.inf)
+        assert ranked == got[0][1]
+    scores = [dict(ranked) for ranked in got[0][1]]
+    assert scores[1][2] == 1.0 and all(1 not in row for row in scores)
 
 
 def test_parallel_context_rows_score_exactly_one_past_2_53():
