@@ -7,13 +7,13 @@ row is therefore an integer bundle, and the model is its sparse
 co-occurrence counts, symmetric like the window (pairs are counted left
 to right, the transpose adds the rest): the matrix of rows is the counts
 times the vocabulary's sign matrix.  A model, in memory or saved (format
-2), holds the counts, the word occurrences and the vocabulary, nothing
-derived.  Each query bundles what it reads with Vocabulary.bundle:
-context_similarity the two rows it compares, and context arithmetic
-every row, which it ranks against a sum and difference of rows.  Both
-score exactly through core.nearest, context_similarity as the top-1
-score of one row against the other, so ranking is reproducible bit for
-bit; context_stats reads the counts alone.
+3), holds the counts and the vocabulary, nothing derived.  Each query
+bundles what it reads with Vocabulary.bundle: context_similarity the
+two rows it compares, and context arithmetic every row, which it ranks
+against a sum and difference of rows.  Both score exactly through
+core.nearest, context_similarity as the top-1 score of one row against
+the other, so ranking is reproducible bit for bit; context_stats reads
+the counts alone.
 """
 
 import json
@@ -27,22 +27,21 @@ from .core import nearest, squared_norms
 from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError, UnknownWordError
 from .textpipe import Vocabulary, bundle_bound
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 class ContextModel:
     """Co-occurrence counts over a fixed vocabulary: what a model is and saves.
 
-    counts[i, j] is how often word j fell in a window around word i and
-    occurrences[i] how often word i itself appeared; both are validated
-    here, the counts also against bundle_bound, so that the queries can
-    bundle them.  Word i's context row, the sum of its neighbors' sign
-    vectors, is row i of vocabulary.bundle(counts).
+    counts[i, j] is how often word j fell in a window around word i.  The
+    counts are validated here, also against bundle_bound, so that the
+    queries can bundle them.  Word i's context row, the sum of its
+    neighbors' sign vectors, is row i of vocabulary.bundle(counts).
     """
 
-    __slots__ = ("vocabulary", "half_window", "counts", "occurrences")
+    __slots__ = ("vocabulary", "half_window", "counts")
 
-    def __init__(self, vocabulary, half_window, counts, occurrences):
+    def __init__(self, vocabulary, half_window, counts):
         n = len(vocabulary)
         if half_window < 1:
             raise ValueError("half_window must be >= 1")
@@ -55,17 +54,10 @@ class ContextModel:
             or np.any(counts.data < 1)
         ):
             raise ValueError(f"counts must be a canonical ({n}, {n}) CSR matrix of integer counts >= 1")
-        occurrences = np.asarray(occurrences)
-        if occurrences.shape != (n,) or occurrences.dtype.kind not in "iu" or np.any(occurrences < 0):
-            raise ValueError(f"occurrences must be {n} integers >= 0")
         bundle_bound(counts)
         self.vocabulary = vocabulary
         self.half_window = int(half_window)
         self.counts = counts
-        self.occurrences = occurrences.astype(np.int64)
-
-    def __len__(self):
-        return len(self.vocabulary)
 
     def save(self, path):
         meta = {
@@ -88,7 +80,6 @@ class ContextModel:
                 indptr=self.counts.indptr,
                 indices=self.counts.indices,
                 data=self.counts.data,
-                occurrences=self.occurrences,
             )
 
     @classmethod
@@ -107,9 +98,10 @@ class ContextModel:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorpusFormatError(f"context model {path}: bad metadata ({exc})") from None
         version = meta.get("format_version") if isinstance(meta, dict) else None
-        if version != MODEL_FORMAT_VERSION:
+        # format 2 also saved each word's occurrence count, which is not read
+        if version not in (2, MODEL_FORMAT_VERSION):
             raise CorpusFormatError(f"context model {path}: unsupported format_version {version!r}")
-        missing = {"indptr", "indices", "data", "occurrences"} - members.keys()
+        missing = {"indptr", "indices", "data"} - members.keys()
         if missing:
             raise CorpusFormatError(f"context model {path}: missing arrays {sorted(missing)}")
         needed = {"dim", "seed", "half_window", "words"} - meta.keys()
@@ -133,13 +125,13 @@ class ContextModel:
                 raise ValueError("indices and indptr must be integer arrays")
             csr = (members["data"], members["indices"], members["indptr"])
             counts = scipy.sparse.csr_matrix(csr, shape=(len(vocab), len(vocab)))
-            return cls(vocab, meta["half_window"], counts, members["occurrences"])
+            return cls(vocab, meta["half_window"], counts)
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"context model {path}: {exc}") from None
 
 
 def build_context_model(tokens, vocabulary, half_window=5):
-    """Count windowed co-occurrences for every word into a ContextModel.
+    """Count every word's windowed co-occurrence pairs into a ContextModel.
 
     tokens is a sequence of str, every one of them in the vocabulary
     (UnknownWordError names the first that is not).  Windows are clipped
@@ -164,7 +156,7 @@ def build_context_model(tokens, vocabulary, half_window=5):
     forward = scipy.sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
     # the sum's arrays are views into buffers sized for both operands; copy trims them
     counts = (forward + forward.T).copy()
-    return ContextModel(vocabulary, half_window, counts, np.bincount(ids, minlength=n))
+    return ContextModel(vocabulary, half_window, counts)
 
 
 def context_similarity(model, word_a, word_b):

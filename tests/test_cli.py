@@ -100,6 +100,26 @@ def test_format_1_model_exits_3(tmp_path, capsys):
     assert "unsupported format_version 1" in err
 
 
+def test_format_2_model_answers_like_format_3(tmp_path, capsys):
+    # format 2 also stored each word's occurrence count; it loads, and the
+    # extra member is never read
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    v3, v2 = tmp_path / "v3.npz", tmp_path / "v2.npz"
+    assert run_cli(["context", "build", "--input", str(doc), "--out", str(v3), "--dim", "200"], capsys)[0] == 0
+    with np.load(v3) as saved:
+        members = {name: saved[name] for name in saved.files}
+    meta = json.loads(bytes(members["meta"]).decode())
+    assert meta["format_version"] == 3
+    meta["format_version"] = 2
+    members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(v2, occurrences=np.ones(len(meta["words"]), dtype=np.int64), **members)
+    for query in (["similar", "cat"], ["arith", "plus", "cat", "minus", "dog"], ["stats", "--threshold", "2"]):
+        answers = [run_cli(["context", query[0], "--model", str(m), *query[1:]], capsys) for m in (v2, v3)]
+        assert answers[0] == answers[1]
+        assert answers[0][0] == 0 and answers[0][1].startswith(("rank,", "word,"))
+
+
 def test_unknown_lemmatizer_in_model_exits_3(tmp_path, capsys):
     meta = {"format_version": 2, "dim": 8, "seed": 42, "half_window": 1, "words": ["a", "b"],
             "lemmatizer": "porter"}

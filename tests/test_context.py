@@ -81,7 +81,6 @@ def test_build_tiny_hand_case():
     np.testing.assert_array_equal(context_rows(model), [v["b"] + v["c"], v["a"] + v["c"], v["a"] + v["b"]])
     np.testing.assert_array_equal(context_totals(model), [2, 2, 2])
     np.testing.assert_array_equal(context_distinct(model), [2, 2, 2])
-    np.testing.assert_array_equal(model.occurrences, [1, 1, 1])
 
 
 def test_build_repeated_word_neighbors_count():
@@ -91,7 +90,6 @@ def test_build_repeated_word_neighbors_count():
     np.testing.assert_array_equal(context_rows(model), [4 * v])
     assert context_totals(model)[0] == 4
     assert context_distinct(model)[0] == 1
-    assert model.occurrences[0] == 3
 
 
 @pytest.mark.parametrize("trial", range(8))
@@ -115,7 +113,6 @@ def test_build_matches_counting_oracle(trial):
         np.testing.assert_array_equal(rows[i], row)
         assert totals[i] == sum(ctr.values())
         assert distinct[i] == len(ctr)
-        assert model.occurrences[i] == stream.count(w)
 
 
 def test_build_mass_conservation():
@@ -160,7 +157,6 @@ def test_build_empty_stream():
     vocab = Vocabulary(["a"], dim=16, seed=0)
     model = build_context_model([], vocab, half_window=1)
     assert context_totals(model)[0] == 0
-    assert model.occurrences[0] == 0
 
 
 def _oracle_counts(stream, vocab, half_window):
@@ -366,13 +362,14 @@ def test_model_save_load_round_trip(tmp_path):
     model = make_model("the quick brown fox jumps over the lazy dog", 128, 21, 3)
     path = tmp_path / "model.npz"
     model.save(path)
-    # format 2 stores the counts and occurrences only, nothing derived
-    assert sorted(_saved_members(path)) == ["data", "indices", "indptr", "meta", "occurrences"]
+    # format 3 stores the vocabulary and the counts only, nothing derived
+    members = _saved_members(path)
+    assert sorted(members) == ["data", "indices", "indptr", "meta"]
+    assert json.loads(bytes(members["meta"]).decode())["format_version"] == 3
     loaded = ContextModel.load(path)
     for derive in (context_rows, lambda m: squared_norms(context_rows(m)), context_totals, context_distinct):
         np.testing.assert_array_equal(derive(loaded), derive(model))
     np.testing.assert_array_equal(loaded.counts.toarray(), model.counts.toarray())
-    np.testing.assert_array_equal(loaded.occurrences, model.occurrences)
     assert loaded.vocabulary.words == model.vocabulary.words
     assert loaded.vocabulary.dim == model.vocabulary.dim
     assert loaded.vocabulary.seed == model.vocabulary.seed
@@ -401,7 +398,7 @@ def test_model_load_missing_arrays(tmp_path):
         ContextModel.load(p)
     make_model("a b", dim=16, seed=0, half_window=1).save(p)
     members = _saved_members(p)
-    del members["occurrences"]
+    del members["data"]
     np.savez(p, **members)
     with pytest.raises(CorpusFormatError, match="missing arrays"):
         ContextModel.load(p)
@@ -432,9 +429,6 @@ MALFORMED = {
     "decreasing-indptr": ("indptr", [0, 4, 2, 6]),
     "short-indptr": ("indptr", [0, 2, 6]),
     "long-indptr": ("indptr", [0, 2, 4, 6, 6]),
-    "occurrences-shape": ("occurrences", [2, 2]),
-    "occurrences-float": ("occurrences", [2.0, 2.0, 1.0]),
-    "occurrences-negative": ("occurrences", [2, -2, 1]),
 }
 
 
@@ -447,7 +441,6 @@ def test_model_load_rejects_malformed_counts(tmp_path, member, value):
     assert members["indptr"].tolist() == [0, 2, 4, 6]
     assert members["indices"].tolist() == [1, 2, 0, 2, 0, 1]
     assert members["data"].tolist() == [2, 1, 2, 1, 1, 1]
-    assert members["occurrences"].tolist() == [2, 2, 1]
     members[member] = np.array(value)
     np.savez(p, **members)
     with pytest.raises(CorpusFormatError):
@@ -457,17 +450,14 @@ def test_model_load_rejects_malformed_counts(tmp_path, member, value):
 def test_model_constructor_validation():
     vocab = Vocabulary(["a", "b"], dim=8, seed=0)
     good = scipy.sparse.csr_matrix(np.array([[0, 3], [1, 0]], dtype=np.int64))
-    model = ContextModel(vocab, 1, good, [1, 1])
+    model = ContextModel(vocab, 1, good)
     assert context_totals(model).tolist() == [3, 1]
-    for half_window, counts, occurrences in (
-        (0, good, [1, 1]),
-        (1, scipy.sparse.csr_matrix((2, 3), dtype=np.int64), [1, 1]),  # not (V, V)
-        (1, good.astype(np.float64), [1, 1]),
-        (1, scipy.sparse.csr_matrix(([0, 1], [1, 0], [0, 1, 2]), shape=(2, 2)), [1, 1]),  # a stored zero
-        (1, scipy.sparse.csr_matrix(([1, 1], [1, 1], [0, 2, 2]), shape=(2, 2)), [1, 1]),  # duplicate
-        (1, good, [1]),
-        (1, good, [1.0, 1.0]),
-        (1, good, [-1, 1]),
+    for half_window, counts in (
+        (0, good),
+        (1, scipy.sparse.csr_matrix((2, 3), dtype=np.int64)),  # not (V, V)
+        (1, good.astype(np.float64)),
+        (1, scipy.sparse.csr_matrix(([0, 1], [1, 0], [0, 1, 2]), shape=(2, 2))),  # a stored zero
+        (1, scipy.sparse.csr_matrix(([1, 1], [1, 1], [0, 2, 2]), shape=(2, 2))),  # duplicate
     ):
         with pytest.raises(ValueError):
-            ContextModel(vocab, half_window, counts, occurrences)
+            ContextModel(vocab, half_window, counts)

@@ -114,7 +114,6 @@ BENCH_BOOK_COUNTS = {
     "indptr": ("int32", "6d8427711121d7255abd1d1cc6f8de5219f322776b3c78049e41c75e0bc13d62"),
     "indices": ("int32", "6d4ffbc6355191221519efe48c37d6322e172292226632fe59a5a4c788977e3c"),
     "data": ("int64", "71e9b411d1937a79c450d58d977e6124a4226eeace02523c56d9434d1afeb9f2"),
-    "occurrences": ("int64", "bdaf0b6595b9f661f01b0be3602146e033f3e5ea87163ec2d59e89c2148b0899"),
 }
 
 

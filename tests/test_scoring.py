@@ -71,7 +71,7 @@ def _model(counts, dim, seed=0):
     signs = [reference_signs(dim, seed, j) for j in range(n)]
     rows = [[sum(c * s[k] for c, s in zip(row, signs)) for k in range(dim)] for row in counts]
     counts = scipy.sparse.csr_matrix(np.array(counts, dtype=np.int64))
-    return ContextModel(vocab, 1, counts, np.zeros(n, dtype=np.int64)), rows
+    return ContextModel(vocab, 1, counts), rows
 
 
 def _signs(vocab, words):
@@ -365,7 +365,7 @@ def test_parallel_context_rows_score_exactly_one_past_2_53():
     counts[[0, 1, 2, 3], 4] = c0, c1, c2, c0
     counts[3, 5] = 10**7  # w3: w0's counts plus one extra neighbor v, not parallel
     vocab = Vocabulary(["w0", "w1", "w2", "w3", "u", "v"], dim=4, seed=0)
-    model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(counts), np.zeros(6, dtype=np.int64))
+    model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(counts))
     matrix = vocab.bundle(model.counts)
     assert int(squared_norms(matrix)[1]) == 4 * c1 * c1 > 2**53
     rows = matrix.astype(np.int64).tolist()

@@ -26,6 +26,7 @@ from hdsem.textpipe import (
     apply_pipeline,
     build_vocabulary,
     load_stopwords,
+    load_suffix_rules,
     preprocess,
     stopword_digest,
     strip_gutenberg_boilerplate,
@@ -113,6 +114,10 @@ def test_bundled_rule_table_shape():
     assert terminals == {"ss", "us"}
     # every other rule shortens the word, so the rewrite loop ends
     assert all(len(r) < len(s) and m >= 0 for s, r, m in SUFFIX_RULES if r != s)
+
+
+def test_load_suffix_rules_is_the_table():
+    assert load_suffix_rules() is SUFFIX_RULES
 
 
 def test_rule_table_longer_suffixes_first():
