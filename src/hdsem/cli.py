@@ -13,6 +13,7 @@ UTF-8, empty query, ...).
 import argparse
 import contextlib
 import csv
+import functools
 import sys
 
 from .context import ContextModel, build_context_model, context_arithmetic, context_stats, similar_words
@@ -265,6 +266,7 @@ def cmd_spam_eval(args):
 # ----------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="hdsem", description="high-dimensional vector semantics toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -275,7 +277,7 @@ def build_parser():
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="CSV destination (default stdout)")
-    p.set_defaults(func=cmd_membership_sim)
+    p.set_defaults(handler="cmd_membership_sim")
 
     p = sub.add_parser("rho-curve", help="empirical vs analytic retrieval quality by bundle size")
     p.add_argument("--dim", type=int, default=1000)
@@ -286,7 +288,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_rho_curve)
+    p.set_defaults(handler="cmd_rho_curve")
 
     ctx = sub.add_parser("context", help="context embedding models")
     ctxsub = ctx.add_subparsers(dest="context_command", required=True, parser_class=_Parser)
@@ -299,27 +301,27 @@ def build_parser():
                    help="total context window span, split evenly on both sides of the center")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_pipeline_args(p)
-    p.set_defaults(func=cmd_context_build)
+    p.set_defaults(handler="cmd_context_build")
 
     p = ctxsub.add_parser("similar", help="words with the most similar contexts")
     p.add_argument("--model", required=True)
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--out")
     p.add_argument("word")
-    p.set_defaults(func=cmd_context_similar)
+    p.set_defaults(handler="cmd_context_similar")
 
     p = ctxsub.add_parser("arith", help="rank words against plus/minus context sums")
     p.add_argument("--model", required=True)
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--out")
     p.add_argument("terms", nargs="+", metavar="TERM", help="e.g. plus king woman minus man")
-    p.set_defaults(func=cmd_context_arith)
+    p.set_defaults(handler="cmd_context_arith")
 
     p = ctxsub.add_parser("stats", help="context size per word")
     p.add_argument("--model", required=True)
     p.add_argument("--threshold", type=int, default=DEFAULT_STATS_THRESHOLD)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_context_stats)
+    p.set_defaults(handler="cmd_context_stats")
 
     p = sub.add_parser("sentence-query", help="retrieve sentences from a document")
     p.add_argument("--input", required=True, help="document file")
@@ -330,7 +332,7 @@ def build_parser():
     p.add_argument("--out")
     _add_pipeline_args(p)
     p.add_argument("query")
-    p.set_defaults(func=cmd_sentence_query)
+    p.set_defaults(handler="cmd_sentence_query")
 
     p = sub.add_parser("spam-eval", help="cross-validate the spam filter on a ten-part corpus")
     p.add_argument("--corpus-dir", required=True)
@@ -339,16 +341,16 @@ def build_parser():
     p.add_argument("--vocab-mode", choices=VOCAB_MODES, default="per-fold")
     p.add_argument("--out")
     _add_pipeline_args(p)
-    p.set_defaults(func=cmd_spam_eval)
+    p.set_defaults(handler="cmd_spam_eval")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the cached parser names its handler, so a patched or traced one runs
+        return globals()[args.handler](args)
     except (DataError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

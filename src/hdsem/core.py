@@ -18,15 +18,14 @@ scaled dot; it concentrates around 1 for bundled vectors and around 0
 for fresh ones, with noise sigma = sqrt(k/d), from which
 predict_filter_analytics derives the threshold-1/2 filter's rates.
 nearest ranks bundles against integer queries by cosine or by dot / d,
-and it is the only function that turns dots into cosines; it and the
-raw membership score exact_dots share one dot kernel, which bounds every
-dot by the squared norms on both sides and so keeps it an exact integer.
+and it is the only function that turns dots into cosines; it ranks the
+dots of exact_dots, the one dot kernel, which bounds every dot by the
+squared norms on both sides and so keeps it an exact integer.
 
-BLOCK_BYTES is the one byte budget of every blocked loop in the package.
-The other modules read it as core.BLOCK_BYTES when they run, so setting
-it here resizes them all.  packed_signs and squared_norms read none:
-numpy streams their casts, so neither makes a temporary a block would
-bound.
+BLOCK_BYTES is the one byte budget of every blocked loop in the package,
+nearest's blocks of queries among them.  The other modules read it as
+core.BLOCK_BYTES when they run, so setting it here resizes them all.
+packed_signs and squared_norms read none: numpy streams their casts.
 """
 
 from __future__ import annotations
@@ -204,8 +203,7 @@ def analytics_for_sigma(sigma: float) -> FilterAnalytics:
     )
 
 
-# Every cosine and ranking of integer bundles goes through the scoring
-# kernel below, so one exactness guard covers them all.
+# The scoring kernel: one exactness guard covers every cosine and ranking.
 
 
 def squared_norms(rows):
@@ -224,8 +222,22 @@ def squared_norms(rows):
     return np.einsum("ij,ij->i", rows, rows, dtype=tier, casting="unsafe").astype(np.int64, copy=False)
 
 
-def _dots(rows, norms_sq, queries, qq):
-    bound = int(qq.max(initial=0)) * int(norms_sq.max(initial=0))
+def exact_dots(rows, norms_sq, queries):
+    """Dots of (m, d) integer-valued queries with (n, d) integer-valued rows, (m, n).
+
+    The one dot kernel, which nearest ranks.  rows and queries may be
+    float32, float64 or any integer dtype, and the queries convert only
+    as a tier needs; norms_sq holds the rows' exact squared norms, and
+    the queries' come from squared_norms, which raises ValueError past
+    int64.  By Cauchy-Schwarz, |sum_S q_i r_i| <= |q| |r| for any set S
+    of coordinates, so the product of the largest squared norms on each
+    side bounds the square of every partial sum: below 2^48 float32 rows
+    multiply in float32, below 2^106 any rows in float64 blocks, and
+    int64 blocks take the rest, so every value is the exact integer, as
+    float64 in the first two tiers and int64 in the last.
+    """
+    queries = np.asarray(queries)
+    bound = int(squared_norms(queries).max(initial=0)) * int(norms_sq.max(initial=0))
     if rows.dtype == np.float32 and bound < 2**48:
         # every partial sum stays below 2^24, where float32 is exact
         return (queries.astype(np.float32, copy=False) @ rows.T).astype(np.float64)
@@ -240,23 +252,6 @@ def _dots(rows, norms_sq, queries, qq):
     return out
 
 
-def exact_dots(rows, norms_sq, queries):
-    """Dots of (m, d) integer-valued queries with (n, d) integer-valued rows, (m, n).
-
-    rows and queries may be float32, float64 or any integer dtype, and the
-    queries convert only as a tier needs; norms_sq holds the rows' exact
-    squared norms, and the queries' come from squared_norms, which raises
-    ValueError past int64.  By Cauchy-Schwarz, |sum_S q_i r_i| <= |q| |r|
-    for any set S of coordinates, so the product of the largest squared
-    norms on each side bounds the square of every partial sum: below 2^48
-    float32 rows multiply in float32, below 2^106 any rows in float64
-    blocks, and int64 blocks take the rest, so every value is the exact
-    integer, as float64 in the first two tiers and int64 in the last.
-    """
-    queries = np.asarray(queries)
-    return _dots(rows, norms_sq, queries, squared_norms(queries))
-
-
 def nearest(rows, norms_sq, queries, top_n, normalize=True):
     """The top_n rows for every query, best first: one list of (row, score) per query.
 
@@ -266,22 +261,27 @@ def nearest(rows, norms_sq, queries, top_n, normalize=True):
     checked with Python ints near +-1, so float rounding never ranks a
     perfect match below a near-duplicate.  Ties go to the lowest row
     index, and rows scored -inf are left out; top-1 over no rows raises
-    ValueError.
+    ValueError.  A block of queries gets about BLOCK_BYTES of scores.
     """
     queries = np.asarray(queries)
-    qq = squared_norms(queries)
-    dots = _dots(rows, norms_sq, queries, qq)
-    if normalize:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = dots / np.sqrt(qq[:, None] * norms_sq.astype(np.float64))
-        scores[(qq[:, None] == 0) | (norms_sq == 0)] = -np.inf
-        for i, j in zip(*np.nonzero(np.abs(np.abs(scores) - 1.0) < 1e-9)):
-            if int(dots[i, j]) ** 2 == int(qq[i]) * int(norms_sq[j]):
-                scores[i, j] = 1.0 if dots[i, j] > 0 else -1.0
-    else:
-        scores = dots / rows.shape[-1]
-    if top_n == 1:
-        ranked = np.argmax(scores, axis=-1)[:, None]
-    else:
-        ranked = np.argsort(-scores, axis=-1, kind="stable")[:, :top_n]
-    return [[(int(i), float(row[i])) for i in best if row[i] > -np.inf] for row, best in zip(scores, ranked)]
+    step = max(1, BLOCK_BYTES // (8 * len(rows) or 1))
+    ranked = []
+    for b in range(0, len(queries), step):
+        block = queries[b : b + step]
+        dots = exact_dots(rows, norms_sq, block)
+        if normalize:
+            qq = squared_norms(block)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scores = dots / np.sqrt(qq[:, None] * norms_sq.astype(np.float64))
+            scores[(qq[:, None] == 0) | (norms_sq == 0)] = -np.inf
+            for i, j in zip(*np.nonzero(np.abs(np.abs(scores) - 1.0) < 1e-9)):
+                if int(dots[i, j]) ** 2 == int(qq[i]) * int(norms_sq[j]):
+                    scores[i, j] = 1.0 if dots[i, j] > 0 else -1.0
+        else:
+            scores = dots / rows.shape[-1]
+        if top_n == 1:
+            best = np.argmax(scores, axis=-1)[:, None]
+        else:
+            best = np.argsort(-scores, axis=-1, kind="stable")[:, :top_n]
+        ranked += [[(int(i), float(row[i])) for i in top if row[i] > -np.inf] for row, top in zip(scores, best)]
+    return ranked

@@ -2,8 +2,8 @@
 
 Every training message becomes the integer sum of its word vectors; a
 test message is assigned the label of the training message whose bundle
-has the highest cosine against its own, found by core.nearest at top-1,
-a block of test messages at a time.  No weights are learned: the
+has the highest cosine against its own, found by core.nearest at top-1;
+test messages are bundled a block at a time.  No weights are learned: the
 filter is the training set plus one shared random vocabulary, one row
 per training message; a row that bundles to zero is never a neighbor.
 
@@ -125,16 +125,16 @@ def classify_many(spam_filter, messages):
     A message whose bundle is zero (no token in the filter's vocabulary,
     or exact cancellation) scores -inf against every row; it is marked
     unclassifiable and defaults to ham.  Cosine ties resolve to the
-    earliest training message.  Messages are bundled and scored in blocks
-    whose query rows and scores take about core.BLOCK_BYTES.
+    earliest training message.  Messages are bundled in blocks of about
+    core.BLOCK_BYTES of bundle rows; core.nearest blocks their scores.
     """
     messages = list(messages)
-    vocab, rows = spam_filter.vocabulary, spam_filter.matrix
-    step = max(1, core.BLOCK_BYTES // (8 * (vocab.dim + len(rows))))
+    vocab = spam_filter.vocabulary
+    step = max(1, core.BLOCK_BYTES // (4 * vocab.dim))
     results = []
     for b in range(0, len(messages), step):
         q = vocab.bow_matrix([vocab.encode(m.words) for m in messages[b : b + step]])
-        for ranked in core.nearest(rows, spam_filter.norms_sq, q, 1):
+        for ranked in core.nearest(spam_filter.matrix, spam_filter.norms_sq, q, 1):
             if ranked:
                 [(i, score)] = ranked
                 results.append(ClassifyResult(int(spam_filter.labels[i]), score, spam_filter.message_ids[i], False))

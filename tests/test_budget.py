@@ -8,11 +8,12 @@ The peak traced bytes while the step runs, less the bytes its result
 still holds, are the temporaries it let go.  The kernels size their
 dense blocks from core.BLOCK_BYTES, so from n to 4n that figure may grow
 only by sparse, corpus-linear inputs and by blocks that were not yet
-full at n, which stays below 2 * BLOCK_BYTES.  Two more cases bound the
-sign unpacking of a single vocabulary and the squared norms of a matrix,
-which leave numpy to stream their casts and so need no block of their
-own.  tracemalloc counts the same bytes on every run, so the check
-cannot flake on timing.
+full at n, which stays below 2 * BLOCK_BYTES.  Two cases rank n and 4n
+queries against fixed rows, so only the queries' scores could grow.  Two
+more cases bound the sign unpacking of a single vocabulary and the
+squared norms of a matrix, which leave numpy to stream their casts and
+so need no block of their own.  tracemalloc counts the same bytes on
+every run, so the check cannot flake on timing.
 """
 
 import gc
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from hdsem.context import ContextModel, build_context_model
-from hdsem.core import BLOCK_BYTES, generate_packed, packed_signs, squared_norms
+from hdsem.core import BLOCK_BYTES, generate_packed, nearest, packed_signs, squared_norms
 from hdsem.experiments import MembershipSimConfig, membership_sim
 from hdsem.sentences import build_sentence_index
 from hdsem.spam import Message, classify_many, train_filter
@@ -77,6 +78,21 @@ def _spam_half_fold(n, tmp_path):
     return _spam_fold(n, tmp_path, test_parts=5)
 
 
+def _nearest_top1(n, tmp_path, top_n=1):
+    """n float32 queries ranked against 1000 fixed float32 rows of 64
+    entries: scored all at once, their float64 scores alone would take
+    8000 bytes a query."""
+    rows = np.random.default_rng(0).integers(-20, 20, size=(1000, 64)).astype(np.float32)
+    norms_sq = squared_norms(rows)
+    queries = np.random.default_rng(n).integers(-20, 20, size=(n, 64)).astype(np.float32)
+    return lambda: nearest(rows, norms_sq, queries, top_n)
+
+
+def _nearest_top5(n, tmp_path):
+    """As above at top-5, which ranks by a stable argsort."""
+    return _nearest_top1(n, tmp_path, top_n=5)
+
+
 def _membership_trials(n, tmp_path):
     """Two trials of size-n bundles; from n = 2048 on, one trial's packed
     stream (512 bytes a vector at d = 4096) outgrows a block."""
@@ -102,7 +118,15 @@ def traced():
 
 @pytest.mark.parametrize(
     "case, n",
-    [(_sentence_build, 40), (_context_load, 60), (_spam_fold, 100), (_spam_half_fold, 100), (_membership_trials, 2000)],
+    [
+        (_sentence_build, 40),
+        (_context_load, 60),
+        (_spam_fold, 100),
+        (_spam_half_fold, 100),
+        (_nearest_top1, 300),
+        (_nearest_top5, 300),
+        (_membership_trials, 2000),
+    ],
 )
 def test_temporaries_do_not_grow_with_the_corpus(traced, tmp_path, case, n):
     small = _temporary_bytes(case(n, tmp_path))

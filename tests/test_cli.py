@@ -165,6 +165,15 @@ def test_memory_error_exits_1(monkeypatch, capsys, exc, message):
     assert (code, out, err) == (1, "", message + "\n")
 
 
+def test_parser_is_built_once_and_names_its_handlers(monkeypatch, capsys):
+    # main runs the cmd_* function the module holds when it is called, even
+    # one patched in before the cached parser was built
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "cmd_membership_sim", lambda args: print(f"patched {args.k}") or 0)
+    assert run_cli(["membership-sim", "--k", "3"], capsys) == (0, "patched 3\n", "")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_missing_model_exits_2(capsys):
     code, _, _ = run_cli(["context", "stats", "--model", "/nonexistent/m.npz"], capsys)
     assert code == 2

@@ -188,6 +188,31 @@ def test_spam_batch_matches_oracle(data):
     assert classify_many(spam_filter, messages) == want
 
 
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_nearest_in_query_blocks_equals_one_block(data):
+    # a block holds BLOCK_BYTES // (8 * rows) queries, patched here to 1, 2
+    # or 3; queries and rows mix zero rows, duplicates and parallel copies,
+    # and one query scaled by 2^20 puts its block past float32's 2^48
+    # bound while the others stay in float32
+    d = data.draw(st.integers(1, 6), label="dim")
+    seed = data.draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d), label="seed")
+    rows = data.draw(rows_around(seed), label="rows")
+    queries = data.draw(rows_around(seed, max_size=8), label="queries")
+    if data.draw(st.booleans(), label="big"):
+        queries[0] = [2**20 * x for x in queries[0]]
+    dtype = data.draw(st.sampled_from([np.float32, np.int32, np.int64]), label="dtype")
+    per_block = data.draw(st.integers(1, 3), label="per_block")
+    R, Q = np.array(rows, dtype=dtype), np.array(queries, dtype=np.int64)
+    rr = squared_norms(R)
+    for normalize in (True, False):
+        for top_n in range(1, len(rows) + 2):
+            whole = core.nearest(R, rr, Q, top_n, normalize)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "BLOCK_BYTES", 8 * len(rows) * per_block)
+                assert core.nearest(R, rr, Q, top_n, normalize) == whole
+
+
 # ------------------------------------------------------------ crafted bounds
 
 

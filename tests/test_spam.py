@@ -243,8 +243,8 @@ def test_classify_in_blocks_equals_one_block(monkeypatch, per_block):
     queries = [Message(f"q{i}", 0, words) for i, words in enumerate(texts)]
     whole = classify_many(f, queries)
     assert [r.best_match_id for r in whole] == ["b", None, "a", None, "d", "b", "a"]
-    # a block holds core.BLOCK_BYTES // (8 * (dim + training rows)) messages
-    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * (64 + len(f.matrix)) * per_block)
+    # a block holds core.BLOCK_BYTES // (4 * dim) messages
+    monkeypatch.setattr(core, "BLOCK_BYTES", 4 * 64 * per_block)
     assert classify_many(f, queries) == whole
 
 
