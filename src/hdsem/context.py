@@ -6,14 +6,20 @@ excluded) contribute their sign vectors to the word's context row.  The
 row is therefore an integer bundle, and the model is its sparse
 co-occurrence counts, symmetric like the window (pairs are counted left
 to right, the transpose adds the rest): the matrix of rows is the counts
-times the vocabulary's sign matrix.  A model, in memory or saved (format
-3), holds the counts and the vocabulary, nothing derived.  Each query
-bundles what it reads with Vocabulary.bundle: context_similarity the
-two rows it compares, and context arithmetic every row, which it ranks
-against a sum and difference of rows.  Both score exactly through
-core.nearest, context_similarity as the top-1 score of one row against
-the other, so ranking is reproducible bit for bit; context_stats reads
-the counts alone.
+times the vocabulary's sign matrix.  A model holds the counts, the
+vocabulary and one derived array, each row's exact squared norm, which
+the build computes by bundling every row once.  A saved model (format 4)
+stores the counts' upper triangle and the norms; formats 2 and 3 stored
+the full counts, and loading them computes the norms.
+
+No query forms the matrix of rows.  context_similarity bundles the two
+rows it compares and scores them through core.nearest, as the top-1
+score of one against the other.  Context arithmetic bundles only its
+operand rows into a query q and gets every row's dot with q as the
+counts times the sign vectors' dots with q, then ranks the dots against
+the stored norms through core.rank.  Every dot is an exact integer, so
+ranking is reproducible bit for bit; context_stats reads the counts
+alone.
 """
 
 import json
@@ -23,41 +29,80 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .core import nearest, squared_norms
+from . import core
+from .core import exact_dots, nearest, rank, squared_norms
 from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError, UnknownWordError
 from .textpipe import Vocabulary, bundle_bound
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
+
+
+def _check_counts(counts, n):
+    """Validate a (n, n) CSR matrix of counts, ValueError unless canonical integers >= 1."""
+    counts.check_format(full_check=True)
+    if (
+        counts.shape != (n, n)
+        or counts.dtype.kind not in "iu"
+        or not counts.has_canonical_format
+        or np.any(counts.data < 1)
+    ):
+        raise ValueError(f"counts must be a canonical ({n}, {n}) CSR matrix of integer counts >= 1")
+
+
+def _check_norms(norms_sq, counts, dim):
+    """ValueError unless norms_sq could be the squared norms of the counts' bundles.
+
+    Every entry of a row's bundle is a sum of as many signs as the row's
+    total T, so it is congruent to T mod 2 and at most T in size: the
+    row's squared norm is at most d T^2 (so 0 when T is 0), congruent to
+    d T mod 2, and at least d when T is odd.
+    """
+    n = counts.shape[0]
+    if not isinstance(norms_sq, np.ndarray) or norms_sq.dtype != np.int64 or norms_sq.shape != (n,):
+        raise ValueError(f"norms_sq must be an int64 array of length {n}")
+    totals = np.asarray(counts.sum(axis=1, dtype=np.int64)).ravel()
+    # totals < 2^31 (bundle_bound), so totals^2 fits int64 where d * totals^2 may not
+    whole, part = np.divmod(norms_sq, dim)
+    if (
+        np.any(norms_sq < 0)
+        or np.any((whole > totals**2) | ((whole == totals**2) & (part > 0)))
+        or np.any(norms_sq % 2 != (dim % 2) * (totals % 2))
+        or np.any(norms_sq[totals % 2 == 1] < dim)
+    ):
+        raise ValueError("norms_sq are not squared norms of the counts' bundles")
 
 
 class ContextModel:
-    """Co-occurrence counts over a fixed vocabulary: what a model is and saves.
+    """Co-occurrence counts over a fixed vocabulary, and their rows' squared norms.
 
-    counts[i, j] is how often word j fell in a window around word i.  The
-    counts are validated here, also against bundle_bound, so that the
-    queries can bundle them.  Word i's context row, the sum of its
-    neighbors' sign vectors, is row i of vocabulary.bundle(counts).
+    counts[i, j] is how often word j fell in a window around word i, so
+    a built model's counts are symmetric, and only symmetric counts save.
+    Word i's context row, the sum of its neighbors' sign vectors, is row
+    i of vocabulary.bundle(counts), and norms_sq[i] is its exact int64
+    squared norm.  The norms are the one derived array a model keeps:
+    every ranked query needs all of them, while its dots come from the
+    counts and the query alone.  Without norms_sq they are computed here,
+    by bundling every row once; given, they are checked against the
+    invariants of _check_norms.  The counts are validated here too, also
+    against bundle_bound, so that the queries can bundle them.
     """
 
-    __slots__ = ("vocabulary", "half_window", "counts")
+    __slots__ = ("vocabulary", "half_window", "counts", "norms_sq")
 
-    def __init__(self, vocabulary, half_window, counts):
-        n = len(vocabulary)
+    def __init__(self, vocabulary, half_window, counts, norms_sq=None):
         if half_window < 1:
             raise ValueError("half_window must be >= 1")
         counts = scipy.sparse.csr_matrix(counts)
-        counts.check_format(full_check=True)
-        if (
-            counts.shape != (n, n)
-            or counts.dtype.kind not in "iu"
-            or not counts.has_canonical_format
-            or np.any(counts.data < 1)
-        ):
-            raise ValueError(f"counts must be a canonical ({n}, {n}) CSR matrix of integer counts >= 1")
+        _check_counts(counts, len(vocabulary))
         bundle_bound(counts)
+        if norms_sq is None:
+            norms_sq = squared_norms(vocabulary.bundle(counts))
+        else:
+            _check_norms(norms_sq, counts, vocabulary.dim)
         self.vocabulary = vocabulary
         self.half_window = int(half_window)
         self.counts = counts
+        self.norms_sq = norms_sq
 
     def save(self, path):
         meta = {
@@ -72,18 +117,24 @@ class ContextModel:
         meta_bytes = np.frombuffer(
             json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8
         )
+        # symmetric counts are their upper triangle, diagonal included
+        if (self.counts != self.counts.T).nnz:
+            raise ValueError("only symmetric counts can be saved")
+        upper = scipy.sparse.triu(self.counts, format="csr")
         # a file handle, since savez would append .npz to a bare path
         with open(path, "wb") as fh:
             np.savez_compressed(
                 fh,
                 meta=meta_bytes,
-                indptr=self.counts.indptr,
-                indices=self.counts.indices,
-                data=self.counts.data,
+                indptr=upper.indptr,
+                indices=upper.indices,
+                data=upper.data,
+                norms_sq=self.norms_sq,
             )
 
     @classmethod
     def load(cls, path):
+        """A saved model: format 4, or formats 2 and 3, which hold the full counts and no norms."""
         try:
             with np.load(path, allow_pickle=False) as data:
                 members = {name: data[name] for name in data.files}
@@ -99,9 +150,11 @@ class ContextModel:
             raise CorpusFormatError(f"context model {path}: bad metadata ({exc})") from None
         version = meta.get("format_version") if isinstance(meta, dict) else None
         # format 2 also saved each word's occurrence count, which is not read
-        if version not in (2, MODEL_FORMAT_VERSION):
+        if version not in (2, 3, MODEL_FORMAT_VERSION):
             raise CorpusFormatError(f"context model {path}: unsupported format_version {version!r}")
         missing = {"indptr", "indices", "data"} - members.keys()
+        if version == MODEL_FORMAT_VERSION:
+            missing |= {"norms_sq"} - members.keys()
         if missing:
             raise CorpusFormatError(f"context model {path}: missing arrays {sorted(missing)}")
         needed = {"dim", "seed", "half_window", "words"} - meta.keys()
@@ -123,9 +176,16 @@ class ContextModel:
             # csr_matrix would truncate float indices to ints without a word
             if members["indices"].dtype.kind not in "iu" or members["indptr"].dtype.kind not in "iu":
                 raise ValueError("indices and indptr must be integer arrays")
-            csr = (members["data"], members["indices"], members["indptr"])
-            counts = scipy.sparse.csr_matrix(csr, shape=(len(vocab), len(vocab)))
-            return cls(vocab, meta["half_window"], counts)
+            n = len(vocab)
+            counts = scipy.sparse.csr_matrix((members["data"], members["indices"], members["indptr"]), shape=(n, n))
+            if version < MODEL_FORMAT_VERSION:
+                return cls(vocab, meta["half_window"], counts)
+            _check_counts(counts, n)
+            if np.any(counts.indices < np.repeat(np.arange(n), np.diff(counts.indptr))):
+                raise ValueError("counts below the diagonal")
+            # the mirrored strict upper triangle fills in the rest
+            counts = counts + scipy.sparse.triu(counts, k=1).T
+            return cls(vocab, meta["half_window"], counts, members["norms_sq"])
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"context model {path}: {exc}") from None
 
@@ -185,24 +245,49 @@ def context_arithmetic(model, plus, minus=(), top_n=5):
     """Rank words by cosine against sum(plus contexts) - sum(minus contexts).
 
     Operand words and words with empty contexts never appear in the
-    result; score ties resolve to the lower vocabulary index.
+    result; score ties resolve to the lower vocabulary index.  Only the
+    operand rows are bundled, into the query q.  Row i's dot with q is
+    counts[i] @ y for y = S q, the dots of the sign vectors S with q, so
+    y is computed exactly in blocks of sign rows and the dots in int64,
+    while bundle_bound(counts) * sum(|q|), which bounds every partial
+    sum, stays below 2^63 (else ValueError).  The dots rank against the
+    stored norms, and an operand row whose stored norm differs from its
+    own raises CorpusFormatError.
     """
     plus = list(plus)
     minus = list(minus)
     if not plus and not minus:
         raise ValueError("need at least one operand word")
-    operands = [model.vocabulary.index_of(w) for w in plus + minus]
+    vocab = model.vocabulary
+    operands = [vocab.index_of(w) for w in plus + minus]
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    matrix = model.vocabulary.bundle(model.counts)
+    rows = vocab.bundle(model.counts[operands]).astype(np.int64)
+    for i, norm_sq in zip(operands, squared_norms(rows)):
+        if norm_sq != model.norms_sq[i]:
+            raise CorpusFormatError(f"stored squared norm of {vocab.words[i]!r} does not match its context row")
     signs = np.array([1] * len(plus) + [-1] * len(minus), dtype=np.int64)
-    query = signs @ matrix[operands].astype(np.int64)
+    query = signs @ rows
     if not query.any():
         raise EmptyQueryError("query context vector is zero")
+    if bundle_bound(model.counts) * int(np.abs(query).sum()) >= 2**63:
+        raise ValueError("context dots exceed int64 range")
+    # a block's int8 signs and their float32 copy take about BLOCK_BYTES;
+    # float32 signs let exact_dots take its float32 tier wherever that is exact
+    step = max(1, core.BLOCK_BYTES // (5 * vocab.dim))
+    sign_norms = np.full(step, vocab.dim, dtype=np.int64)
+    # the dots read y only at the words that some row counts
+    used = np.flatnonzero(np.bincount(model.counts.indices, minlength=len(vocab)))
+    y = np.zeros(len(vocab), dtype=np.int64)
+    for w in range(0, len(used), step):
+        block = vocab.sign_matrix(used[w : w + step]).astype(np.float32)
+        y[used[w : w + step]] = exact_dots(block, sign_norms[: len(block)], query[None])[0]
+    # uint64 counts, which a saved file may hold, would multiply int64 y in float64
+    dots = model.counts.astype(np.int64, copy=False) @ y
     # the ranking is stable, so without the operands its top rows are the others' in order
-    [ranked] = nearest(matrix, squared_norms(matrix), query[None], top_n + len(operands))
+    [ranked] = rank(dots[None], top_n + len(operands), squared_norms(query[None]), model.norms_sq)
     ranked = [(i, score) for i, score in ranked if i not in operands][:top_n]
-    return [WordMatch(r + 1, model.vocabulary.words[i], score) for r, (i, score) in enumerate(ranked)]
+    return [WordMatch(r + 1, vocab.words[i], score) for r, (i, score) in enumerate(ranked)]
 
 
 def similar_words(model, word, top_n=5):

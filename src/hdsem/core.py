@@ -17,10 +17,12 @@ The membership score of a query against a bundle of k vectors is their
 scaled dot; it concentrates around 1 for bundled vectors and around 0
 for fresh ones, with noise sigma = sqrt(k/d), from which
 predict_filter_analytics derives the threshold-1/2 filter's rates.
-nearest ranks bundles against integer queries by cosine or by dot / d,
-and it is the only function that turns dots into cosines; it ranks the
-dots of exact_dots, the one dot kernel, which bounds every dot by the
-squared norms on both sides and so keeps it an exact integer.
+rank is the one scorer: it turns exact dots into cosines, or takes
+them as they are, and orders them.  nearest ranks bundles against
+integer queries by cosine or by dot / d through it, from the dots of
+exact_dots, the one dot kernel, which bounds every dot by the squared
+norms on both sides and so keeps it an exact integer; the context
+queries rank dots they compute without the rows.
 
 BLOCK_BYTES is the one byte budget of every blocked loop in the package,
 nearest's blocks of queries among them.  The other modules read it as
@@ -252,16 +254,39 @@ def exact_dots(rows, norms_sq, queries):
     return out
 
 
+def rank(dots, top_n, qq=None, norms_sq=None):
+    """The top_n rows for every query, best first: one list of (row, score) per query.
+
+    dots holds the exact (m, n) integer dots of m queries with n rows, as
+    float64 or int64.  Given the exact int64 squared norms qq of the
+    queries and norms_sq of the rows, the scores are cosines; without
+    them, the dots themselves.  A cosine with a zero norm on either side
+    scores -inf, and integer-parallel pairs score exactly +-1, checked
+    with Python ints near +-1, so float rounding never ranks a perfect
+    match below a near-duplicate.  Ties go to the lowest row index, and
+    rows scored -inf are left out; top-1 over no rows raises ValueError.
+    """
+    scores = dots
+    if qq is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = dots / np.sqrt(qq[:, None] * norms_sq.astype(np.float64))
+        scores[(qq[:, None] == 0) | (norms_sq == 0)] = -np.inf
+        for i, j in zip(*np.nonzero(np.abs(np.abs(scores) - 1.0) < 1e-9)):
+            if int(dots[i, j]) ** 2 == int(qq[i]) * int(norms_sq[j]):
+                scores[i, j] = 1.0 if dots[i, j] > 0 else -1.0
+    if top_n == 1:
+        best = np.argmax(scores, axis=-1)[:, None]
+    else:
+        best = np.argsort(-scores, axis=-1, kind="stable")[:, :top_n]
+    return [[(int(i), float(row[i])) for i in top if row[i] > -np.inf] for row, top in zip(scores, best)]
+
+
 def nearest(rows, norms_sq, queries, top_n, normalize=True):
     """The top_n rows for every query, best first: one list of (row, score) per query.
 
-    Arguments are as in exact_dots.  Scores are cosines, or with
-    normalize=False exact dots / d.  A cosine with a zero norm on either
-    side scores -inf, and integer-parallel pairs score exactly +-1,
-    checked with Python ints near +-1, so float rounding never ranks a
-    perfect match below a near-duplicate.  Ties go to the lowest row
-    index, and rows scored -inf are left out; top-1 over no rows raises
-    ValueError.  A block of queries gets about BLOCK_BYTES of scores.
+    Arguments are as in exact_dots.  rank scores and orders the dots:
+    cosines, or with normalize=False exact dots / d (d is
+    rows.shape[-1]).  A block of queries gets about BLOCK_BYTES of scores.
     """
     queries = np.asarray(queries)
     step = max(1, BLOCK_BYTES // (8 * len(rows) or 1))
@@ -270,18 +295,7 @@ def nearest(rows, norms_sq, queries, top_n, normalize=True):
         block = queries[b : b + step]
         dots = exact_dots(rows, norms_sq, block)
         if normalize:
-            qq = squared_norms(block)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scores = dots / np.sqrt(qq[:, None] * norms_sq.astype(np.float64))
-            scores[(qq[:, None] == 0) | (norms_sq == 0)] = -np.inf
-            for i, j in zip(*np.nonzero(np.abs(np.abs(scores) - 1.0) < 1e-9)):
-                if int(dots[i, j]) ** 2 == int(qq[i]) * int(norms_sq[j]):
-                    scores[i, j] = 1.0 if dots[i, j] > 0 else -1.0
+            ranked += rank(dots, top_n, squared_norms(block), norms_sq)
         else:
-            scores = dots / rows.shape[-1]
-        if top_n == 1:
-            best = np.argmax(scores, axis=-1)[:, None]
-        else:
-            best = np.argsort(-scores, axis=-1, kind="stable")[:, :top_n]
-        ranked += [[(int(i), float(row[i])) for i in top if row[i] > -np.inf] for row, top in zip(scores, best)]
+            ranked += rank(dots / rows.shape[-1], top_n)
     return ranked

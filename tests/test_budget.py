@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hdsem.context import ContextModel, build_context_model
+from hdsem.context import ContextModel, build_context_model, context_arithmetic
 from hdsem.core import BLOCK_BYTES, generate_packed, nearest, packed_signs, squared_norms
 from hdsem.experiments import MembershipSimConfig, membership_sim
 from hdsem.sentences import build_sentence_index
@@ -114,6 +114,25 @@ def traced():
     tracemalloc.start()
     yield
     tracemalloc.stop()
+
+
+def _context_query(words):
+    """context_arithmetic on a model of a 20-token-per-word stream over
+    `words` distinct words, its signs already unpacked once."""
+    rng = random.Random(words)
+    pool = [f"w{i}" for i in range(words)]
+    model = build_context_model([rng.choice(pool) for _ in range(20 * words)], build_vocabulary(pool, DIM, SEED))
+    return lambda: context_arithmetic(model, ["w1", "w2"], ["w3"], top_n=10)
+
+
+def test_context_query_grows_by_words_not_rows(traced):
+    # the query bundles its three operand rows only and gets every other
+    # row's dot from the counts: from 250 to 1000 words at the same d its
+    # temporaries may grow by a few int64 and float64 values per word,
+    # where the V x d rows it never forms would add 4 * d = 16 KiB a word
+    small = _temporary_bytes(_context_query(250))
+    large = _temporary_bytes(_context_query(1000))
+    assert large - small < 128 * 750, (small, large)
 
 
 @pytest.mark.parametrize(

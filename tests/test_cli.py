@@ -17,6 +17,7 @@ import pytest
 
 from hdsem import cli, context, core
 from hdsem.cli import main
+from hdsem.context import ContextModel
 from hdsem.core import squared_norms
 from hdsem.textpipe import Vocabulary, stopword_digest
 
@@ -101,22 +102,24 @@ def test_format_1_model_exits_3(tmp_path, capsys):
 
 
 def test_format_2_model_answers_like_format_3(tmp_path, capsys):
-    # format 2 also stored each word's occurrence count; it loads, and the
-    # extra member is never read
+    # formats 2 and 3 stored the full counts and no norms, and format 2
+    # also each word's occurrence count, which is never read; both load,
+    # computing the norms, and answer like the format-4 file of the model
     doc = tmp_path / "d.txt"
     doc.write_text(DOC)
-    v3, v2 = tmp_path / "v3.npz", tmp_path / "v2.npz"
-    assert run_cli(["context", "build", "--input", str(doc), "--out", str(v3), "--dim", "200"], capsys)[0] == 0
-    with np.load(v3) as saved:
-        members = {name: saved[name] for name in saved.files}
-    meta = json.loads(bytes(members["meta"]).decode())
-    assert meta["format_version"] == 3
-    meta["format_version"] = 2
-    members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(v2, occurrences=np.ones(len(meta["words"]), dtype=np.int64), **members)
+    v4, v3, v2 = tmp_path / "v4.npz", tmp_path / "v3.npz", tmp_path / "v2.npz"
+    assert run_cli(["context", "build", "--input", str(doc), "--out", str(v4), "--dim", "200"], capsys)[0] == 0
+    with np.load(v4) as saved:
+        meta = json.loads(bytes(saved["meta"]).decode())
+    assert meta["format_version"] == 4
+    counts = ContextModel.load(v4).counts
+    full = {"indptr": counts.indptr, "indices": counts.indices, "data": counts.data}
+    for version, path, extra in ((3, v3, {}), (2, v2, {"occurrences": np.ones(len(meta["words"]), dtype=np.int64)})):
+        meta["format_version"] = version
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **full, **extra)
     for query in (["similar", "cat"], ["arith", "plus", "cat", "minus", "dog"], ["stats", "--threshold", "2"]):
-        answers = [run_cli(["context", query[0], "--model", str(m), *query[1:]], capsys) for m in (v2, v3)]
-        assert answers[0] == answers[1]
+        answers = [run_cli(["context", query[0], "--model", str(m), *query[1:]], capsys) for m in (v2, v3, v4)]
+        assert answers[0] == answers[1] == answers[2]
         assert answers[0][0] == 0 and answers[0][1].startswith(("rank,", "word,"))
 
 
@@ -376,17 +379,18 @@ def test_context_round_trip(tmp_path, capsys):
     assert "words have total context > 3" in err
 
 
-def test_context_build_and_stats_never_bundle(tmp_path, capsys, monkeypatch):
-    # a model is its counts: only the queries that rank context rows bundle them
+def test_context_build_bundles_every_row_once_and_queries_their_operands(tmp_path, capsys, monkeypatch):
+    # the build bundles every row once, for the norms it saves; stats reads
+    # the counts alone, and a query bundles only its operand rows
     calls = []
     bundle = Vocabulary.bundle
 
     def recording_bundle(vocab, counts):
-        calls.append("bundle")
+        calls.append(("bundle", counts.shape[0]))
         return bundle(vocab, counts)
 
     def recording_norms(rows):
-        calls.append("squared_norms")
+        calls.append(("squared_norms", len(rows)))
         return squared_norms(rows)
 
     monkeypatch.setattr(Vocabulary, "bundle", recording_bundle)
@@ -395,10 +399,34 @@ def test_context_build_and_stats_never_bundle(tmp_path, capsys, monkeypatch):
     doc.write_text(DOC)
     model = tmp_path / "m.npz"
     assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)[0] == 0
+    words = len(ContextModel.load(model).vocabulary)
+    assert calls == [("bundle", words), ("squared_norms", words)]
+    calls.clear()
     assert run_cli(["context", "stats", "--model", str(model)], capsys)[0] == 0
     assert calls == []
     assert run_cli(["context", "similar", "--model", str(model), "cat"], capsys)[0] == 0
-    assert calls == ["bundle", "squared_norms"]
+    # the operand's row, its norm checked against the stored one, and the query's norm
+    assert calls == [("bundle", 1), ("squared_norms", 1), ("squared_norms", 1)]
+    calls.clear()
+    assert run_cli(["context", "arith", "--model", str(model), "plus", "cat", "minus", "dog"], capsys)[0] == 0
+    assert calls == [("bundle", 2), ("squared_norms", 2), ("squared_norms", 1)]
+
+
+def test_query_with_a_contradicted_stored_norm_exits_3(tmp_path, capsys):
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    model = tmp_path / "m.npz"
+    assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)[0] == 0
+    with np.load(model) as saved:
+        members = {name: saved[name] for name in saved.files}
+    cat = json.loads(bytes(members["meta"]).decode())["words"].index("cat")
+    # 4 less keeps it even and at least d, so the file still loads
+    members["norms_sq"][cat] -= 4
+    np.savez(model, **members)
+    assert run_cli(["context", "stats", "--model", str(model)], capsys)[0] == 0
+    code, out, err = run_cli(["context", "similar", "--model", str(model), "cat"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: stored squared norm of 'cat' does not match its context row\n"
 
 
 def test_context_build_writes_the_path_given(tmp_path, capsys):

@@ -312,6 +312,39 @@ def test_arithmetic_matches_brute_ranking():
     assert [m.rank for m in got] == list(range(1, len(got) + 1))
 
 
+def _bound_model(m):
+    """Words a and z share m counts; a hub shares 2^30 - 1 counts with x
+    and 2^30 - 2 with y, whose signs at d = 8 and seed 111 are opposite,
+    so the hub's row total is 2^31 - 3 but its row is x's signs alone."""
+    vocab = Vocabulary(["a", "z", "hub", "x", "y"], dim=8, seed=111)
+    signs = [reference_signs(8, 111, i) for i in range(5)]
+    assert signs[3] == [-v for v in signs[4]]
+    c1, c2 = 2**30 - 1, 2**30 - 2
+    counts = np.zeros((5, 5), dtype=np.int64)
+    counts[0, 1] = counts[1, 0] = m
+    counts[2, 3] = counts[3, 2] = c1
+    counts[2, 4] = counts[4, 2] = c2
+    rows = [[sum(int(c) * s[k] for c, s in zip(row, signs)) for k in range(8)] for row in counts]
+    assert rows[2] == signs[3]
+    return ContextModel(vocab, 1, scipy.sparse.csr_matrix(counts)), rows
+
+
+def test_arithmetic_int64_dot_bound():
+    # a's query is m times z's signs, so sum(|q|) = 8m, and the hub's row
+    # total times 8m reaches 2^63 from m = 2^29 + 1 on, while every norm
+    # still fits int64
+    model, rows = _bound_model(2**29)
+    assert (2**31 - 3) * 8 * 2**29 < 2**63 <= (2**31 - 3) * 8 * (2**29 + 1)
+    got = context_arithmetic(model, ["a"], top_n=4)
+    query = rows[0]
+    scores = {w: brute_cosine(rows[i], query) for i, w in enumerate(model.vocabulary.words) if i}
+    assert [m.word for m in got] == sorted(scores, key=lambda w: (-scores[w], model.vocabulary.index_of(w)))
+    assert [m.score for m in got] == pytest.approx([scores[m.word] for m in got], abs=1e-12)
+    model, _ = _bound_model(2**29 + 1)
+    with pytest.raises(ValueError, match="context dots exceed int64 range"):
+        context_arithmetic(model, ["a"], top_n=4)
+
+
 def test_ranking_excludes_empty_contexts_and_operands():
     vocab = Vocabulary(["a", "b", "z"], dim=64, seed=0)
     model = build_context_model(["a", "b"], vocab, half_window=1)
@@ -362,14 +395,21 @@ def test_model_save_load_round_trip(tmp_path):
     model = make_model("the quick brown fox jumps over the lazy dog", 128, 21, 3)
     path = tmp_path / "model.npz"
     model.save(path)
-    # format 3 stores the vocabulary and the counts only, nothing derived
+    # format 4 stores the vocabulary, the counts' upper triangle and one
+    # derived array, the rows' squared norms
     members = _saved_members(path)
-    assert sorted(members) == ["data", "indices", "indptr", "meta"]
-    assert json.loads(bytes(members["meta"]).decode())["format_version"] == 3
+    assert sorted(members) == ["data", "indices", "indptr", "meta", "norms_sq"]
+    assert json.loads(bytes(members["meta"]).decode())["format_version"] == 4
+    upper = scipy.sparse.csr_matrix((members["data"], members["indices"], members["indptr"]), shape=model.counts.shape)
+    np.testing.assert_array_equal(upper.toarray(), np.triu(model.counts.toarray()))
+    np.testing.assert_array_equal(members["norms_sq"], squared_norms(context_rows(model)))
     loaded = ContextModel.load(path)
     for derive in (context_rows, lambda m: squared_norms(context_rows(m)), context_totals, context_distinct):
         np.testing.assert_array_equal(derive(loaded), derive(model))
     np.testing.assert_array_equal(loaded.counts.toarray(), model.counts.toarray())
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(loaded.counts, attr).dtype == getattr(model.counts, attr).dtype
+    np.testing.assert_array_equal(loaded.norms_sq, model.norms_sq)
     assert loaded.vocabulary.words == model.vocabulary.words
     assert loaded.vocabulary.dim == model.vocabulary.dim
     assert loaded.vocabulary.seed == model.vocabulary.seed
@@ -397,11 +437,13 @@ def test_model_load_missing_arrays(tmp_path):
     with pytest.raises(CorpusFormatError):
         ContextModel.load(p)
     make_model("a b", dim=16, seed=0, half_window=1).save(p)
-    members = _saved_members(p)
-    del members["data"]
-    np.savez(p, **members)
-    with pytest.raises(CorpusFormatError, match="missing arrays"):
-        ContextModel.load(p)
+    saved = _saved_members(p)
+    for name in ("data", "norms_sq"):
+        members = dict(saved)
+        del members[name]
+        np.savez(p, **members)
+        with pytest.raises(CorpusFormatError, match=rf"missing arrays \['{name}'\]"):
+            ContextModel.load(p)
 
 
 def test_model_load_bad_version(tmp_path):
@@ -418,17 +460,17 @@ def test_model_load_bad_version(tmp_path):
 
 
 MALFORMED = {
-    "float-data": ("data", [2.0, 1.0, 2.0, 1.0, 1.0, 1.0]),
-    "float-indices": ("indices", [1.7, 2.0, 0.0, 2.0, 0.0, 1.0]),
-    "float-indptr": ("indptr", [0.0, 2.0, 4.0, 6.0]),
-    "zero-count": ("data", [2, 0, 2, 1, 1, 1]),
-    "negative-count": ("data", [2, -1, 2, 1, 1, 1]),
-    "index-out-of-range": ("indices", [1, 3, 0, 2, 0, 1]),
-    "duplicate-index": ("indices", [1, 1, 0, 2, 0, 1]),
-    "unsorted-indices": ("indices", [2, 1, 0, 2, 0, 1]),
-    "decreasing-indptr": ("indptr", [0, 4, 2, 6]),
-    "short-indptr": ("indptr", [0, 2, 6]),
-    "long-indptr": ("indptr", [0, 2, 4, 6, 6]),
+    "float-data": ("data", [2.0, 1.0, 1.0]),
+    "float-indices": ("indices", [1.7, 2.0, 2.0]),
+    "float-indptr": ("indptr", [0.0, 2.0, 3.0, 3.0]),
+    "zero-count": ("data", [2, 0, 1]),
+    "negative-count": ("data", [2, -1, 1]),
+    "index-out-of-range": ("indices", [1, 3, 2]),
+    "duplicate-index": ("indices", [1, 1, 2]),
+    "unsorted-indices": ("indices", [2, 1, 2]),
+    "decreasing-indptr": ("indptr", [0, 3, 2, 3]),
+    "short-indptr": ("indptr", [0, 2, 3]),
+    "long-indptr": ("indptr", [0, 2, 3, 3, 3]),
 }
 
 
@@ -437,14 +479,103 @@ def test_model_load_rejects_malformed_counts(tmp_path, member, value):
     p = tmp_path / "model.npz"
     make_model("a b c a b", dim=16, seed=0, half_window=1).save(p)
     members = _saved_members(p)
-    # a: b twice, c once; b: a twice, c once; c: a once, b once
-    assert members["indptr"].tolist() == [0, 2, 4, 6]
-    assert members["indices"].tolist() == [1, 2, 0, 2, 0, 1]
-    assert members["data"].tolist() == [2, 1, 2, 1, 1, 1]
+    # the upper triangle of a: b twice, c once; b: a twice, c once; c: a once, b once
+    assert members["indptr"].tolist() == [0, 2, 3, 3]
+    assert members["indices"].tolist() == [1, 2, 2]
+    assert members["data"].tolist() == [2, 1, 1]
     members[member] = np.array(value)
     np.savez(p, **members)
     with pytest.raises(CorpusFormatError):
         ContextModel.load(p)
+
+
+def test_model_load_rejects_counts_below_the_diagonal(tmp_path):
+    p = tmp_path / "model.npz"
+    make_model("a b c a b", dim=16, seed=0, half_window=1).save(p)
+    members = _saved_members(p)
+    members["indices"] = np.array([1, 2, 0])  # b's count of c moved to a
+    np.savez(p, **members)
+    with pytest.raises(CorpusFormatError, match="counts below the diagonal"):
+        ContextModel.load(p)
+
+
+def test_model_load_rejects_triangle_counts_past_the_bundle_kernel(tmp_path):
+    # a format-4 file reaches the bundle kernel's range check through the
+    # rebuilt counts, as a format-2 file does through its own
+    p = tmp_path / "model.npz"
+    make_model("a b c a b", dim=16, seed=0, half_window=1).save(p)
+    members = _saved_members(p)
+    members["indices"] = np.array([1, 2, 1])
+    members["data"] = np.array([2, 1, 2**62])
+    np.savez(p, **members)
+    with pytest.raises(CorpusFormatError, match="int32 range"):
+        ContextModel.load(p)
+
+
+def _norms_model():
+    """Words a, b, c over the stream "a b c a b" at dim 16, and z, which
+    never occurs: row totals 3, 3, 2 and 0."""
+    vocab = Vocabulary(["a", "b", "c", "z"], dim=16, seed=0)
+    return build_context_model(["a", "b", "c", "a", "b"], vocab, half_window=1)
+
+
+BAD_NORMS = {
+    "float": lambda n: n.astype(np.float64),
+    "int32": lambda n: n.astype(np.int32),
+    "short": lambda n: n[:-1],
+    "two-dimensional": lambda n: n[None],
+    "negative": lambda n: np.where(np.arange(4) == 2, -n, n),
+    "empty-row-not-zero": lambda n: n + [0, 0, 0, 2],
+    # c's total of 2 bounds its norm by 16 * 2^2
+    "above-d-total-squared": lambda n: np.where(np.arange(4) == 2, 66, n),
+    "odd-parity": lambda n: n + [1, 0, 0, 0],
+    # a's total is odd, so every entry of its row is odd
+    "odd-total-below-d": lambda n: np.where(np.arange(4) == 0, 14, n),
+}
+
+
+@pytest.mark.parametrize("corrupt", BAD_NORMS.values(), ids=BAD_NORMS.keys())
+def test_model_load_rejects_impossible_norms(tmp_path, corrupt):
+    p = tmp_path / "model.npz"
+    model = _norms_model()
+    model.save(p)
+    members = _saved_members(p)
+    totals = context_totals(model)
+    assert totals.tolist() == [3, 3, 2, 0]
+    norms_sq = members["norms_sq"]
+    # the saved norms obey every invariant the corruptions break
+    assert norms_sq.dtype == np.int64 and norms_sq[3] == 0 and np.all(norms_sq[:3] % 2 == 0)
+    assert np.all(norms_sq[:2] >= 16) and norms_sq[2] <= 64 and norms_sq[2] != 66 and norms_sq[0] != 14
+    members["norms_sq"] = corrupt(norms_sq)
+    np.savez(p, **members)
+    with pytest.raises(CorpusFormatError, match="norms_sq"):
+        ContextModel.load(p)
+
+
+def test_query_rejects_a_stored_norm_its_operand_contradicts(tmp_path):
+    # a norm that passes every load check but is not a's: the query that
+    # bundles a's row sees it, and a query that does not bundle it cannot
+    p = tmp_path / "model.npz"
+    model = _norms_model()
+    model.save(p)
+    members = _saved_members(p)
+    members["norms_sq"] = members["norms_sq"] + [4, 0, 0, 0]
+    np.savez(p, **members)
+    loaded = ContextModel.load(p)
+    with pytest.raises(CorpusFormatError, match="stored squared norm of 'a'"):
+        similar_words(loaded, "a")
+    with pytest.raises(CorpusFormatError, match="stored squared norm of 'a'"):
+        context_arithmetic(loaded, ["b"], ["a"])
+    assert [m.word for m in similar_words(loaded, "b")] == [m.word for m in similar_words(model, "b")]
+
+
+def test_model_save_rejects_asymmetric_counts(tmp_path):
+    # the saved upper triangle would drop the counts below the diagonal
+    vocab = Vocabulary(["a", "b"], dim=8, seed=0)
+    model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(np.array([[0, 3], [1, 0]], dtype=np.int64)))
+    with pytest.raises(ValueError, match="symmetric"):
+        model.save(tmp_path / "model.npz")
+    assert not (tmp_path / "model.npz").exists()
 
 
 def test_model_constructor_validation():

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from hdsem.cli import main
+from hdsem.context import ContextModel
 from hdsem.spam import cross_validate, ingest_lingspam
 
 _SYNTH = Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
@@ -108,13 +109,26 @@ def test_spam_tree_edge_files(mode, unclassifiable, spam_tree):
     assert [f.unclassifiable for f in report.fold_results] == [0] * 9 + [unclassifiable]
 
 
-# sha256 of each array a saved model holds, for the benchmark's full book
-# at seed 42 built with --lemmatizer suffix
+# sha256 of the count arrays of the benchmark's full book at seed 42 built
+# with --lemmatizer suffix, as loaded: the same since the counts were first
+# pinned, before format 4 saved their upper triangle
 BENCH_BOOK_COUNTS = {
     "indptr": ("int32", "6d8427711121d7255abd1d1cc6f8de5219f322776b3c78049e41c75e0bc13d62"),
     "indices": ("int32", "6d4ffbc6355191221519efe48c37d6322e172292226632fe59a5a4c788977e3c"),
     "data": ("int64", "71e9b411d1937a79c450d58d977e6124a4226eeace02523c56d9434d1afeb9f2"),
 }
+
+# sha256 of each array the format-4 file of that model holds
+BENCH_BOOK_SAVED = {
+    "indptr": ("int32", "2aec5dfd872fd6a1908e6c994bb62a57567696d3475c13180aada4f1e8d38855"),
+    "indices": ("int32", "4aa7514521c4aa78cbbaf53ab0e3fa4c7e703b34c9a510d541957d00264c70ae"),
+    "data": ("int64", "6e9c7554c880205d3258436f8e946dcdaa39d61288e8d7522eaf59121070a729"),
+    "norms_sq": ("int64", "b66fa9fdfa6dd691e24dd5615fb010c5cd8a4d933c0d14e5e4e313f360cfee85"),
+}
+
+
+def _digests(arrays, names):
+    return {name: (str(arrays[name].dtype), hashlib.sha256(arrays[name].tobytes()).hexdigest()) for name in names}
 
 
 def test_bench_book_model_counts_are_byte_stable(tmp_path, capsys):
@@ -123,7 +137,8 @@ def test_bench_book_model_counts_are_byte_stable(tmp_path, capsys):
     book = synth.make_book(SEED, tokens=9_000, vocab=1900, n_twins=12, n_planted=25)
     path.write_text(book.text, encoding="utf-8")
     run(["context", "build", "--input", str(path), "--out", str(model), "--lemmatizer", "suffix"], capsys)
+    counts = ContextModel.load(model).counts
+    assert _digests({name: getattr(counts, name) for name in BENCH_BOOK_COUNTS}, BENCH_BOOK_COUNTS) == BENCH_BOOK_COUNTS
     with np.load(model) as saved:
-        digests = {name: (str(saved[name].dtype), hashlib.sha256(saved[name].tobytes()).hexdigest())
-                   for name in BENCH_BOOK_COUNTS}
-    assert digests == BENCH_BOOK_COUNTS
+        assert sorted(saved.files) == sorted([*BENCH_BOOK_SAVED, "meta"])
+        assert _digests(saved, BENCH_BOOK_SAVED) == BENCH_BOOK_SAVED

@@ -8,6 +8,9 @@ and signs, and so exact ties.  Crafted cases sit on both sides of each
 exactness bound and are checked against Python ints.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from hdsem.context import ContextModel, context_arithmetic, context_similarity, similar_words
 from hdsem import core
-from hdsem.core import exact_dots, squared_norms
+from hdsem.core import exact_dots, nearest, squared_norms
 from hdsem.errors import EmptyContextError, EmptyQueryError
 from hdsem.sentences import SentenceIndex, query_sentences
 from hdsem.spam import ClassifyResult, Message, SpamFilter, classify_many
@@ -62,6 +65,29 @@ def count_rows(draw, n):
         else:
             rows.append(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     return rows
+
+
+@st.composite
+def symmetric_counts(draw, n):
+    """A symmetric n x n count matrix: random counts, then spoke words
+    whose one neighbor is a hub, at multipliers 1, 3, 5, 6 or 7, so that
+    their rows are parallel at ratios that are not powers of two, and
+    words with no counts at all; returns the counts and the spokes."""
+    counts = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            counts[i][j] = counts[j][i] = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    hub = draw(st.integers(0, n - 1))
+    others = [k for k in range(n) if k != hub]
+    spokes = draw(st.lists(st.sampled_from(others), unique=True, min_size=min(2, n - 1), max_size=n - 1))
+    empty = draw(st.lists(st.sampled_from(others), unique=True, max_size=2))
+    for k in spokes + empty:
+        for j in range(n):
+            counts[k][j] = counts[j][k] = 0
+    for k in spokes:
+        if k not in empty:
+            counts[k][hub] = counts[hub][k] = draw(st.sampled_from([1, 3, 5, 6, 7]))
+    return counts, [k for k in spokes if k not in empty]
 
 
 def _model(counts, dim, seed=0):
@@ -126,6 +152,38 @@ def test_context_similarity_matches_oracle(data):
             context_similarity(model, f"w{a}", f"w{b}")
         return
     assert context_similarity(model, f"w{a}", f"w{b}") == brute_cosine(rows[a], rows[b])
+
+
+@given(data=st.data(), reload=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_factorized_arithmetic_equals_ranking_every_bundled_row(data, reload):
+    # context_arithmetic never bundles the rows it ranks; nearest over the
+    # oracle's rows must give the same words and the same float scores
+    d = data.draw(st.integers(1, 70), label="dim")
+    n = data.draw(st.integers(2, 7), label="words")
+    seed = data.draw(st.integers(0, 3), label="seed")
+    counts, spokes = data.draw(symmetric_counts(n), label="counts")
+    model, rows = _model(counts, d, seed)
+    if reload:
+        with tempfile.TemporaryDirectory() as tmp:
+            model.save(Path(tmp) / "model.npz")
+            model = ContextModel.load(Path(tmp) / "model.npz")
+    # a spoke alone ranks the other spokes at exactly 1
+    operand = st.sampled_from(spokes) if spokes and data.draw(st.booleans(), label="spoke") else st.integers(0, n - 1)
+    plus = data.draw(st.lists(operand, max_size=2), label="plus")
+    minus = data.draw(st.lists(st.integers(0, n - 1), min_size=0 if plus else 1, max_size=2), label="minus")
+    top_n = data.draw(st.integers(1, n + 3), label="top_n")
+    query = [sum(rows[i][k] for i in plus) - sum(rows[i][k] for i in minus) for k in range(d)]
+    words = lambda idx: [f"w{i}" for i in idx]  # noqa: E731
+    if not any(query):
+        with pytest.raises(EmptyQueryError):
+            context_arithmetic(model, words(plus), words(minus), top_n=top_n)
+        return
+    matrix = np.array(rows, dtype=np.int64)
+    [ranked] = nearest(matrix, squared_norms(matrix), np.array([query]), top_n + len(plus) + len(minus))
+    want = [(i, score) for i, score in ranked if i not in plus + minus][:top_n]
+    got = context_arithmetic(model, words(plus), words(minus), top_n=top_n)
+    assert [(m.rank, m.word, m.score) for m in got] == [(r + 1, f"w{i}", s) for r, (i, s) in enumerate(want)]
 
 
 @given(data=st.data(), normalize=st.booleans())

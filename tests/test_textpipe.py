@@ -636,13 +636,14 @@ def test_bundles_never_unpack_the_whole_vocabulary(monkeypatch):
     assert [v.label for v in verdicts] == [0, 0]
     assert [v.unclassifiable for v in verdicts] == [False, True]
     assert unpacked[2:] == [4, 1]
-    # a context build unpacks nothing, and a query only the words that
-    # are some word's neighbor
+    # a context build bundles every row for its norms, and a query its
+    # operand row, each unpacking only the words that are some word's
+    # neighbor; the query then unpacks those again for their dots with it
     vocab = Vocabulary(["a", "b", "y", "z"], dim=256, seed=1)
     model = build_context_model(["a", "b", "a"], vocab, half_window=1)
-    assert unpacked[4:] == []
-    assert [m.word for m in similar_words(model, "a")] == ["b"]
     assert unpacked[4:] == [2]
+    assert [m.word for m in similar_words(model, "a")] == ["b"]
+    assert unpacked[5:] == [1, 2]
     assert np.asarray(model.counts.sum(axis=1)).ravel().tolist() == [2, 2, 0, 0]
 
 
