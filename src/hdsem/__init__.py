@@ -40,7 +40,7 @@ from .textpipe import (
     tokenize,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "DEFAULT_SEED",

@@ -4,13 +4,11 @@ For every occurrence of a word, the words inside a symmetric window
 around it (up to half_window on each side, clipped at the ends, center
 excluded) contribute their sign vectors to the word's context row.  The
 row is therefore an integer bundle, and the model is its sparse
-co-occurrence counts, symmetric like the window (pairs are counted left
-to right, the transpose adds the rest): the matrix of rows is the counts
-times the vocabulary's sign matrix.  A model holds the counts, the
-vocabulary and one derived array, each row's exact squared norm, which
-the build computes by bundling every row once.  A saved model (format 4)
-stores the counts' upper triangle and the norms; formats 2 and 3 stored
-the full counts, and loading them computes the norms.
+co-occurrence counts, symmetric like the window: the matrix of rows is
+the counts times the vocabulary's sign matrix.  The build counts each
+pair once, in the upper triangle, which a model mirrors into the full
+counts; it also holds each row's exact squared norm.  A saved model
+(format 4, the only one that loads) stores the triangle and the norms.
 
 No query forms the matrix of rows.  context_similarity bundles the two
 rows it compares and scores them through core.nearest, as the top-1
@@ -60,6 +58,9 @@ def _check_norms(norms_sq, counts, dim):
     n = counts.shape[0]
     if not isinstance(norms_sq, np.ndarray) or norms_sq.dtype != np.int64 or norms_sq.shape != (n,):
         raise ValueError(f"norms_sq must be an int64 array of length {n}")
+    # the checks below compute with dim in int64
+    if dim >= 2**63:
+        raise ValueError("dim must be below 2^63")
     totals = np.asarray(counts.sum(axis=1, dtype=np.int64)).ravel()
     # totals < 2^31 (bundle_bound), so totals^2 fits int64 where d * totals^2 may not
     whole, part = np.divmod(norms_sq, dim)
@@ -76,24 +77,30 @@ class ContextModel:
     """Co-occurrence counts over a fixed vocabulary, and their rows' squared norms.
 
     counts[i, j] is how often word j fell in a window around word i, so
-    a built model's counts are symmetric, and only symmetric counts save.
-    Word i's context row, the sum of its neighbors' sign vectors, is row
-    i of vocabulary.bundle(counts), and norms_sq[i] is its exact int64
-    squared norm.  The norms are the one derived array a model keeps:
-    every ranked query needs all of them, while its dots come from the
-    counts and the query alone.  Without norms_sq they are computed here,
-    by bundling every row once; given, they are checked against the
-    invariants of _check_norms.  The counts are validated here too, also
-    against bundle_bound, so that the queries can bundle them.
+    the counts are symmetric.  A model is made from their upper triangle
+    (i <= j), which the constructor validates (canonical integer counts
+    >= 1, none below the diagonal, within bundle_bound so that the
+    queries can bundle them) and mirrors into the full counts.  Word i's
+    context row, the sum of its neighbors' sign vectors, is row i of
+    vocabulary.bundle(counts), and norms_sq[i] is its exact int64 squared
+    norm, the one derived array a model keeps: every ranked query needs
+    all of them, while its dots come from the counts and the query alone.
+    Without norms_sq they are computed here, by bundling every row once;
+    given, they are checked against the invariants of _check_norms.
     """
 
     __slots__ = ("vocabulary", "half_window", "counts", "norms_sq")
 
-    def __init__(self, vocabulary, half_window, counts, norms_sq=None):
+    def __init__(self, vocabulary, half_window, upper, norms_sq=None):
         if half_window < 1:
             raise ValueError("half_window must be >= 1")
-        counts = scipy.sparse.csr_matrix(counts)
-        _check_counts(counts, len(vocabulary))
+        upper = scipy.sparse.csr_matrix(upper)
+        n = len(vocabulary)
+        _check_counts(upper, n)
+        if np.any(upper.indices < np.repeat(np.arange(n), np.diff(upper.indptr))):
+            raise ValueError("counts below the diagonal")
+        # the mirrored strict upper triangle fills in the rest
+        counts = upper + scipy.sparse.triu(upper, k=1).T
         bundle_bound(counts)
         if norms_sq is None:
             norms_sq = squared_norms(vocabulary.bundle(counts))
@@ -117,9 +124,6 @@ class ContextModel:
         meta_bytes = np.frombuffer(
             json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8
         )
-        # symmetric counts are their upper triangle, diagonal included
-        if (self.counts != self.counts.T).nnz:
-            raise ValueError("only symmetric counts can be saved")
         upper = scipy.sparse.triu(self.counts, format="csr")
         # a file handle, since savez would append .npz to a bare path
         with open(path, "wb") as fh:
@@ -134,7 +138,7 @@ class ContextModel:
 
     @classmethod
     def load(cls, path):
-        """A saved model: format 4, or formats 2 and 3, which hold the full counts and no norms."""
+        """A saved model, format 4 only: the older formats exit 3, and context build rebuilds them."""
         try:
             with np.load(path, allow_pickle=False) as data:
                 members = {name: data[name] for name in data.files}
@@ -149,12 +153,9 @@ class ContextModel:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorpusFormatError(f"context model {path}: bad metadata ({exc})") from None
         version = meta.get("format_version") if isinstance(meta, dict) else None
-        # format 2 also saved each word's occurrence count, which is not read
-        if version not in (2, 3, MODEL_FORMAT_VERSION):
+        if version != MODEL_FORMAT_VERSION:
             raise CorpusFormatError(f"context model {path}: unsupported format_version {version!r}")
-        missing = {"indptr", "indices", "data"} - members.keys()
-        if version == MODEL_FORMAT_VERSION:
-            missing |= {"norms_sq"} - members.keys()
+        missing = {"indptr", "indices", "data", "norms_sq"} - members.keys()
         if missing:
             raise CorpusFormatError(f"context model {path}: missing arrays {sorted(missing)}")
         needed = {"dim", "seed", "half_window", "words"} - meta.keys()
@@ -176,16 +177,9 @@ class ContextModel:
             # csr_matrix would truncate float indices to ints without a word
             if members["indices"].dtype.kind not in "iu" or members["indptr"].dtype.kind not in "iu":
                 raise ValueError("indices and indptr must be integer arrays")
-            n = len(vocab)
-            counts = scipy.sparse.csr_matrix((members["data"], members["indices"], members["indptr"]), shape=(n, n))
-            if version < MODEL_FORMAT_VERSION:
-                return cls(vocab, meta["half_window"], counts)
-            _check_counts(counts, n)
-            if np.any(counts.indices < np.repeat(np.arange(n), np.diff(counts.indptr))):
-                raise ValueError("counts below the diagonal")
-            # the mirrored strict upper triangle fills in the rest
-            counts = counts + scipy.sparse.triu(counts, k=1).T
-            return cls(vocab, meta["half_window"], counts, members["norms_sq"])
+            shape = (len(vocab), len(vocab))
+            upper = scipy.sparse.csr_matrix((members["data"], members["indices"], members["indptr"]), shape=shape)
+            return cls(vocab, meta["half_window"], upper, members["norms_sq"])
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"context model {path}: {exc}") from None
 
@@ -198,8 +192,9 @@ def build_context_model(tokens, vocabulary, half_window=5):
     at the stream ends and never include the center position itself
     (repeats of the same word nearby do contribute, they are genuine
     neighbors).  The default half_window of 5 gives the usual 10-token
-    total span.  Counts add, so each pair is counted left to right and
-    the transpose adds it right to left.
+    total span.  The counts are symmetric, so each pair is counted once,
+    at (min, max) in their upper triangle, and a word next to itself
+    twice, once from each side.
     """
     if half_window < 1:
         raise ValueError("half_window must be >= 1")
@@ -208,15 +203,18 @@ def build_context_model(tokens, vocabulary, half_window=5):
         unknown = next(t for t in tokens if t not in vocabulary)
         raise UnknownWordError(f"word {unknown!r} is not in the vocabulary")
     n = len(vocabulary)
-    # k stops at the stream's end, so a window past it costs no empty
-    # passes; ids[:0] keeps the lists non-empty for fewer than two tokens
+    # k stops at the stream's end, so a window past it costs no empty passes
     ks = range(1, min(half_window, len(ids) - 1) + 1)
-    rows = np.concatenate([ids[:-k] for k in ks] + [ids[:0]])
-    cols = np.concatenate([ids[k:] for k in ks] + [ids[:0]])
-    forward = scipy.sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
-    # the sum's arrays are views into buffers sized for both operands; copy trims them
-    counts = (forward + forward.T).copy()
-    return ContextModel(vocabulary, half_window, counts)
+    ends = np.cumsum([0] + [len(ids) - k for k in ks])
+    lo, hi = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1], dtype=np.int64)
+    # each offset's pairs go straight into their slices, with no temporaries
+    for k, start, stop in zip(ks, ends, ends[1:]):
+        np.minimum(ids[:-k], ids[k:], out=lo[start:stop])
+        np.maximum(ids[:-k], ids[k:], out=hi[start:stop])
+    # summed as the lower triangle, whose rows sort faster (frequent words have the small ids)
+    upper = scipy.sparse.csr_matrix((np.where(lo == hi, 2, 1), (hi, lo)), shape=(n, n)).T.tocsr()
+    del lo, hi  # not held while the norms bundle every row
+    return ContextModel(vocabulary, half_window, upper)
 
 
 def context_similarity(model, word_a, word_b):

@@ -88,51 +88,71 @@ def test_unknown_word_exits_3(tmp_path, capsys):
     assert "vocabulary" in err
 
 
+def _save_model(path, meta, **arrays):
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
 def test_format_1_model_exits_3(tmp_path, capsys):
     # format 1 stored the dense context matrix; such files must be rebuilt
     meta = {"format_version": 1, "dim": 8, "seed": 42, "half_window": 1, "words": ["a", "b"]}
     model = tmp_path / "v1.npz"
     arrays = {k: np.ones(2, dtype=np.int64) for k in ("context_totals", "context_distinct", "occurrences")}
-    np.savez(model, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             matrix=np.ones((2, 8), dtype=np.int64), **arrays)
+    _save_model(model, meta, matrix=np.ones((2, 8), dtype=np.int64), **arrays)
     code, out, err = run_cli(["context", "similar", "--model", str(model), "a"], capsys)
     assert code == 3
     assert out == ""
     assert "unsupported format_version 1" in err
 
 
-def test_format_2_model_answers_like_format_3(tmp_path, capsys):
-    # formats 2 and 3 stored the full counts and no norms, and format 2
-    # also each word's occurrence count, which is never read; both load,
-    # computing the norms, and answer like the format-4 file of the model
+@pytest.mark.parametrize("version", [2, 3])
+def test_format_2_and_3_models_exit_3(tmp_path, capsys, version):
+    # formats 2 and 3 stored the full counts and no norms (format 2 also
+    # each word's occurrence count); like format 1 they must be rebuilt
     doc = tmp_path / "d.txt"
     doc.write_text(DOC)
-    v4, v3, v2 = tmp_path / "v4.npz", tmp_path / "v3.npz", tmp_path / "v2.npz"
-    assert run_cli(["context", "build", "--input", str(doc), "--out", str(v4), "--dim", "200"], capsys)[0] == 0
-    with np.load(v4) as saved:
+    model = tmp_path / "m.npz"
+    assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "200"], capsys)[0] == 0
+    loaded = ContextModel.load(model)
+    with np.load(model) as saved:
         meta = json.loads(bytes(saved["meta"]).decode())
-    assert meta["format_version"] == 4
-    counts = ContextModel.load(v4).counts
-    full = {"indptr": counts.indptr, "indices": counts.indices, "data": counts.data}
-    for version, path, extra in ((3, v3, {}), (2, v2, {"occurrences": np.ones(len(meta["words"]), dtype=np.int64)})):
-        meta["format_version"] = version
-        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **full, **extra)
+    meta["format_version"] = version
+    counts = {"indptr": loaded.counts.indptr, "indices": loaded.counts.indices, "data": loaded.counts.data}
+    extra = {"occurrences": np.ones(len(meta["words"]), dtype=np.int64)} if version == 2 else {}
+    _save_model(model, meta, **counts, **extra)
     for query in (["similar", "cat"], ["arith", "plus", "cat", "minus", "dog"], ["stats", "--threshold", "2"]):
-        answers = [run_cli(["context", query[0], "--model", str(m), *query[1:]], capsys) for m in (v2, v3, v4)]
-        assert answers[0] == answers[1] == answers[2]
-        assert answers[0][0] == 0 and answers[0][1].startswith(("rank,", "word,"))
+        code, out, err = run_cli(["context", query[0], "--model", str(model), *query[1:]], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"unsupported format_version {version}" in err
+
+
+# a format-4 file of two words a and b with no counts, their norms zero
+EMPTY_V4 = {
+    "meta": {"format_version": 4, "dim": 8, "seed": 42, "half_window": 1, "words": ["a", "b"]},
+    "indptr": np.zeros(3, dtype=np.int64),
+    "indices": np.zeros(0, dtype=np.int64),
+    "data": np.zeros(0, dtype=np.int64),
+    "norms_sq": np.zeros(2, dtype=np.int64),
+}
 
 
 def test_unknown_lemmatizer_in_model_exits_3(tmp_path, capsys):
-    meta = {"format_version": 2, "dim": 8, "seed": 42, "half_window": 1, "words": ["a", "b"],
-            "lemmatizer": "porter"}
     model = tmp_path / "m.npz"
-    np.savez(model, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             indptr=np.zeros(3, dtype=np.int64), indices=np.zeros(0, dtype=np.int64),
-             data=np.zeros(0, dtype=np.int64), occurrences=np.ones(2, dtype=np.int64))
+    _save_model(model, **{**EMPTY_V4, "meta": {**EMPTY_V4["meta"], "lemmatizer": "porter"}})
     code, out, err = run_cli(["context", "stats", "--model", str(model)], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "'porter'" in err
+
+
+def test_model_dim_past_int64_exits_3(tmp_path, capsys):
+    # the stored norms are checked in int64 against the model's dim
+    model = tmp_path / "m.npz"
+    _save_model(model, **EMPTY_V4)
+    assert run_cli(["context", "stats", "--model", str(model)], capsys)[:2] == (0, "word,total_context_words,distinct_context_words\na,0,0\nb,0,0\n")
+    _save_model(model, **{**EMPTY_V4, "meta": {**EMPTY_V4["meta"], "dim": 2**70}})
+    code, out, err = run_cli(["context", "stats", "--model", str(model)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "dim must be below 2^63" in err
 
 
 @pytest.mark.parametrize("counts", [[2**31], [2**62, 2**62]], ids=["count-2^31", "row-sum-wraps"])
@@ -140,11 +160,9 @@ def test_unknown_lemmatizer_in_model_exits_3(tmp_path, capsys):
 def test_counts_past_the_bundle_kernel_exit_3(tmp_path, capsys, counts, query):
     # the queries bundle the counts into int32 rows; two counts of 2^62
     # wrap the int64 row sum to -2^63, so each entry is checked first
-    meta = {"format_version": 2, "dim": 8, "seed": 42, "half_window": 1, "words": ["a", "b"]}
     model = tmp_path / "m.npz"
-    np.savez(model, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             indptr=np.array([0, len(counts), len(counts)]), indices=np.arange(len(counts)),
-             data=np.array(counts, dtype=np.int64), occurrences=np.ones(2, dtype=np.int64))
+    _save_model(model, **{**EMPTY_V4, "indptr": np.array([0, len(counts), len(counts)]),
+                          "indices": np.arange(len(counts)), "data": np.array(counts, dtype=np.int64)})
     code, out, err = run_cli(["context", query[0], "--model", str(model), *query[1:]], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "int32" in err

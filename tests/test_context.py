@@ -326,7 +326,7 @@ def _bound_model(m):
     counts[2, 4] = counts[4, 2] = c2
     rows = [[sum(int(c) * s[k] for c, s in zip(row, signs)) for k in range(8)] for row in counts]
     assert rows[2] == signs[3]
-    return ContextModel(vocab, 1, scipy.sparse.csr_matrix(counts)), rows
+    return ContextModel(vocab, 1, scipy.sparse.triu(counts)), rows
 
 
 def test_arithmetic_int64_dot_bound():
@@ -391,8 +391,19 @@ def _saved_members(path):
         return {k: data[k] for k in data.files}
 
 
-def test_model_save_load_round_trip(tmp_path):
-    model = make_model("the quick brown fox jumps over the lazy dog", 128, 21, 3)
+ROUND_TRIP_STREAMS = {
+    "sentence": "the quick brown fox jumps over the lazy dog",
+    # a word next to itself counts twice on the diagonal of the triangle
+    "repeats": "a a a b",
+    "one-token": "a",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("half_window", [1, 2, 3, 4])
+@pytest.mark.parametrize("text", ROUND_TRIP_STREAMS.values(), ids=ROUND_TRIP_STREAMS.keys())
+def test_model_save_load_round_trip(tmp_path, text, half_window):
+    model = make_model(text, 128, 21, half_window)
     path = tmp_path / "model.npz"
     model.save(path)
     # format 4 stores the vocabulary, the counts' upper triangle and one
@@ -416,7 +427,16 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.vocabulary.lemmatizer == model.vocabulary.lemmatizer
     assert loaded.vocabulary.stopword_digest == model.vocabulary.stopword_digest
     assert loaded.half_window == model.half_window
-    assert similar_words(loaded, "fox", top_n=3) == similar_words(model, "fox", top_n=3)
+    assert context_stats(loaded) == context_stats(model)
+    for word, norm_sq in zip(model.vocabulary.words, model.norms_sq):
+        if norm_sq:
+            assert similar_words(loaded, word, top_n=3) == similar_words(model, word, top_n=3)
+    # the loaded model saves the same arrays again
+    loaded.save(tmp_path / "again.npz")
+    again = _saved_members(tmp_path / "again.npz")
+    assert sorted(again) == sorted(members)
+    for name, array in members.items():
+        assert (again[name].dtype, again[name].tobytes()) == (array.dtype, array.tobytes()), name
 
 
 def test_model_load_missing_file(tmp_path):
@@ -500,8 +520,7 @@ def test_model_load_rejects_counts_below_the_diagonal(tmp_path):
 
 
 def test_model_load_rejects_triangle_counts_past_the_bundle_kernel(tmp_path):
-    # a format-4 file reaches the bundle kernel's range check through the
-    # rebuilt counts, as a format-2 file does through its own
+    # the mirrored counts reach the bundle kernel's range check
     p = tmp_path / "model.npz"
     make_model("a b c a b", dim=16, seed=0, half_window=1).save(p)
     members = _saved_members(p)
@@ -569,26 +588,21 @@ def test_query_rejects_a_stored_norm_its_operand_contradicts(tmp_path):
     assert [m.word for m in similar_words(loaded, "b")] == [m.word for m in similar_words(model, "b")]
 
 
-def test_model_save_rejects_asymmetric_counts(tmp_path):
-    # the saved upper triangle would drop the counts below the diagonal
-    vocab = Vocabulary(["a", "b"], dim=8, seed=0)
-    model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(np.array([[0, 3], [1, 0]], dtype=np.int64)))
-    with pytest.raises(ValueError, match="symmetric"):
-        model.save(tmp_path / "model.npz")
-    assert not (tmp_path / "model.npz").exists()
-
-
 def test_model_constructor_validation():
     vocab = Vocabulary(["a", "b"], dim=8, seed=0)
-    good = scipy.sparse.csr_matrix(np.array([[0, 3], [1, 0]], dtype=np.int64))
+    good = scipy.sparse.csr_matrix(np.array([[1, 3], [0, 0]], dtype=np.int64))
     model = ContextModel(vocab, 1, good)
-    assert context_totals(model).tolist() == [3, 1]
+    # the triangle mirrors into the full counts
+    np.testing.assert_array_equal(model.counts.toarray(), [[1, 3], [3, 0]])
+    assert context_totals(model).tolist() == [4, 3]
     for half_window, counts in (
         (0, good),
         (1, scipy.sparse.csr_matrix((2, 3), dtype=np.int64)),  # not (V, V)
         (1, good.astype(np.float64)),
-        (1, scipy.sparse.csr_matrix(([0, 1], [1, 0], [0, 1, 2]), shape=(2, 2))),  # a stored zero
+        (1, scipy.sparse.csr_matrix(([0, 1], [1, 1], [0, 1, 2]), shape=(2, 2))),  # a stored zero
         (1, scipy.sparse.csr_matrix(([1, 1], [1, 1], [0, 2, 2]), shape=(2, 2))),  # duplicate
+        # a count below the diagonal, which the mirrored triangle would drop
+        (1, scipy.sparse.csr_matrix(np.array([[0, 3], [1, 0]], dtype=np.int64))),
     ):
         with pytest.raises(ValueError):
             ContextModel(vocab, half_window, counts)

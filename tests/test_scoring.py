@@ -51,23 +51,6 @@ def rows_around(draw, query, min_size=1, max_size=10):
 
 
 @st.composite
-def count_rows(draw, n):
-    """n rows of co-occurrence counts over n words, mixing random rows,
-    zero rows, duplicates of earlier rows and earlier rows times 2 or 3."""
-    rows = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["random", "zero", "duplicate", "scaled"]))
-        if kind in ("duplicate", "scaled") and rows:
-            c = 1 if kind == "duplicate" else draw(st.sampled_from([2, 3]))
-            rows.append([c * x for x in draw(st.sampled_from(rows))])
-        elif kind == "zero":
-            rows.append([0] * n)
-        else:
-            rows.append(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    return rows
-
-
-@st.composite
 def symmetric_counts(draw, n):
     """A symmetric n x n count matrix: random counts, then spoke words
     whose one neighbor is a hub, at multipliers 1, 3, 5, 6 or 7, so that
@@ -79,6 +62,8 @@ def symmetric_counts(draw, n):
             counts[i][j] = counts[j][i] = draw(st.sampled_from([0, 0, 1, 2, 3]))
     hub = draw(st.integers(0, n - 1))
     others = [k for k in range(n) if k != hub]
+    if not others:  # one word has no spokes
+        return counts, []
     spokes = draw(st.lists(st.sampled_from(others), unique=True, min_size=min(2, n - 1), max_size=n - 1))
     empty = draw(st.lists(st.sampled_from(others), unique=True, max_size=2))
     for k in spokes + empty:
@@ -91,13 +76,12 @@ def symmetric_counts(draw, n):
 
 
 def _model(counts, dim, seed=0):
-    """A context model over co-occurrence counts, with its rows as Python ints."""
+    """A context model over symmetric co-occurrence counts, with its rows as Python ints."""
     n = len(counts)
     vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
     signs = [reference_signs(dim, seed, j) for j in range(n)]
     rows = [[sum(c * s[k] for c, s in zip(row, signs)) for k in range(dim)] for row in counts]
-    counts = scipy.sparse.csr_matrix(np.array(counts, dtype=np.int64))
-    return ContextModel(vocab, 1, counts), rows
+    return ContextModel(vocab, 1, scipy.sparse.triu(np.array(counts, dtype=np.int64))), rows
 
 
 def _signs(vocab, words):
@@ -118,7 +102,8 @@ def test_context_ranking_matches_oracle(data):
     d = data.draw(st.integers(2, 6), label="dim")
     n = data.draw(st.integers(2, 10), label="words")
     seed = data.draw(st.integers(0, 3), label="seed")
-    model, rows = _model(data.draw(count_rows(n), label="counts"), d, seed)
+    counts, _ = data.draw(symmetric_counts(n), label="counts")
+    model, rows = _model(counts, d, seed)
     plus = [0] + data.draw(st.lists(st.integers(0, n - 1), max_size=1), label="plus")
     minus = data.draw(st.lists(st.integers(0, n - 1), max_size=1), label="minus")
     top_n = data.draw(st.integers(1, n + 1), label="top_n")
@@ -145,7 +130,8 @@ def test_context_similarity_matches_oracle(data):
     d = data.draw(st.integers(2, 6), label="dim")
     n = data.draw(st.integers(1, 10), label="words")
     seed = data.draw(st.integers(0, 3), label="seed")
-    model, rows = _model(data.draw(count_rows(n), label="counts"), d, seed)
+    counts, _ = data.draw(symmetric_counts(n), label="counts")
+    model, rows = _model(counts, d, seed)
     a, b = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
     if not any(rows[a]) or not any(rows[b]):
         with pytest.raises(EmptyContextError):
@@ -444,19 +430,23 @@ def test_parallel_context_rows_score_exactly_one_past_2_53():
     # float64 rounds them; without the Python-int check w1 scores
     # 0.9999999999999998 and w2 1.0000000000000002, ranked above w1
     c0, c1, c2 = 99189431, 93206375, 91976709
-    counts = np.zeros((6, 6), dtype=np.int64)
-    counts[[0, 1, 2, 3], 4] = c0, c1, c2, c0
-    counts[3, 5] = 10**7  # w3: w0's counts plus one extra neighbor v, not parallel
+    upper = np.zeros((6, 6), dtype=np.int64)
+    upper[[0, 1, 2, 3], 4] = c0, c1, c2, c0
+    upper[3, 5] = 10**7  # w3: w0's counts plus one extra neighbor v, not parallel
     vocab = Vocabulary(["w0", "w1", "w2", "w3", "u", "v"], dim=4, seed=0)
-    model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(counts))
+    model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(upper))
+    np.testing.assert_array_equal(model.counts.toarray(), upper + upper.T)
     matrix = vocab.bundle(model.counts)
     assert int(squared_norms(matrix)[1]) == 4 * c1 * c1 > 2**53
     rows = matrix.astype(np.int64).tolist()
+    # the counts are symmetric, so u and v have contexts too, none parallel to w0's
+    others = {w: brute_cosine(rows[i], rows[0]) for i, w in enumerate(vocab.words) if w in ("w3", "u", "v")}
+    assert all(-1 < score < 1 for score in others.values())
     got = similar_words(model, "w0", top_n=5)
     assert [(m.word, m.score) for m in got[:2]] == [("w1", 1.0), ("w2", 1.0)]
-    assert [m.word for m in got] == ["w1", "w2", "w3"]  # u and v have empty contexts
-    assert got[2].score < 1.0
-    assert got[2].score == pytest.approx(brute_cosine(rows[3], rows[0]), abs=1e-12)
+    assert [m.word for m in got[2:]] == sorted(others, key=others.get, reverse=True)
+    assert [m.score for m in got[2:]] == pytest.approx(sorted(others.values(), reverse=True), abs=1e-12)
     got = context_arithmetic(model, [], ["w0"], top_n=5)
-    assert [(m.word, m.score) for m in got[1:]] == [("w1", -1.0), ("w2", -1.0)]
-    assert got[0].word == "w3" and got[0].score == pytest.approx(-brute_cosine(rows[3], rows[0]), abs=1e-12)
+    assert [(m.word, m.score) for m in got[3:]] == [("w1", -1.0), ("w2", -1.0)]
+    assert [m.word for m in got[:3]] == sorted(others, key=others.get)
+    assert [m.score for m in got[:3]] == pytest.approx(sorted(-score for score in others.values())[::-1], abs=1e-12)

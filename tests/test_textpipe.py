@@ -691,16 +691,18 @@ def test_vocabulary_load_rejects_bad_files(tmp_path):
     def write(meta_text):
         meta = np.frombuffer(meta_text.encode(), dtype=np.uint8)
         counts = {"indptr": [0, 0], "indices": np.zeros(0, dtype=np.int32), "data": np.zeros(0, dtype=np.int64)}
-        np.savez(p, meta=meta, occurrences=np.zeros(1, dtype=np.int64), **counts)
+        np.savez(p, meta=meta, norms_sq=np.zeros(1, dtype=np.int64), **counts)
 
-    good = {"format_version": 2, "dim": 8, "seed": 0, "half_window": 1, "words": ["a"]}
+    good = {"format_version": 4, "dim": 8, "seed": 0, "half_window": 1, "words": ["a"]}
     write(json.dumps(good))
     assert ContextModel.load(p).vocabulary.words == ("a",)
     for bad in (
         "not json",
         json.dumps([1, 2]),
         json.dumps({**good, "format_version": 1}),
-        json.dumps({"format_version": 2, "dim": 8, "half_window": 1}),
+        json.dumps({**good, "format_version": 2}),
+        json.dumps({**good, "format_version": 3}),
+        json.dumps({"format_version": 4, "dim": 8, "half_window": 1}),
         json.dumps({**good, "words": ["a", "a"]}),
         json.dumps({**good, "dim": 0}),
         # a string is not a word list, and a float or a bool is not an integer
@@ -712,6 +714,8 @@ def test_vocabulary_load_rejects_bad_files(tmp_path):
         json.dumps({**good, "dim": True}),
         json.dumps({**good, "seed": True}),
         json.dumps({**good, "half_window": True}),
+        # the stored norms are checked in int64 against dim
+        json.dumps({**good, "dim": 2**70}),
     ):
         write(bad)
         with pytest.raises(CorpusFormatError):
