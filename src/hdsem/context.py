@@ -6,18 +6,21 @@ excluded) contribute their sign vectors to the word's context row.  The
 row is therefore an integer bundle, and the model is its sparse
 co-occurrence counts, symmetric like the window: the matrix of rows is
 the counts times the vocabulary's sign matrix.  The build counts each
-pair once, in the upper triangle, which a model mirrors into the full
-counts; it also holds each row's exact squared norm.  A saved model
-(format 4, the only one that loads) stores the triangle and the norms.
+pair once, in the upper triangle, and a model keeps that triangle, each
+word's row total and each row's exact squared norm.  A saved model
+(format 4, the only one that loads) stores the triangle, in the
+narrowest unsigned integer types that hold it, and the norms.
 
-No query forms the matrix of rows.  context_similarity bundles the two
-rows it compares and scores them through core.nearest, as the top-1
-score of one against the other.  Context arithmetic bundles only its
-operand rows into a query q and gets every row's dot with q as the
-counts times the sign vectors' dots with q, then ranks the dots against
-the stored norms through core.rank.  Every dot is an exact integer, so
-ranking is reproducible bit for bit; context_stats reads the counts
-alone.
+No query forms the full counts or the matrix of rows.  A word's count
+row is its row of the triangle plus its column above the diagonal.
+context_similarity bundles the two rows it compares and scores them
+through core.nearest, as the top-1 score of one against the other.
+Context arithmetic bundles only its operand rows into a query q and
+gets every row's dot with q as the counts times the sign vectors' dots
+with q, taken from the triangle and its transpose, then ranks the dots
+against the stored norms through core.rank.  Every dot is an exact
+integer, so ranking is reproducible bit for bit; context_stats reads
+the row totals and the triangle's structure alone.
 """
 
 import json
@@ -30,7 +33,7 @@ import scipy.sparse
 from . import core
 from .core import exact_dots, nearest, rank, squared_norms
 from .errors import CorpusFormatError, EmptyContextError, EmptyQueryError, UnknownWordError
-from .textpipe import Vocabulary, bundle_bound
+from .textpipe import Vocabulary
 
 MODEL_FORMAT_VERSION = 4
 
@@ -47,22 +50,21 @@ def _check_counts(counts, n):
         raise ValueError(f"counts must be a canonical ({n}, {n}) CSR matrix of integer counts >= 1")
 
 
-def _check_norms(norms_sq, counts, dim):
-    """ValueError unless norms_sq could be the squared norms of the counts' bundles.
+def _check_norms(norms_sq, totals, dim):
+    """ValueError unless norms_sq could be the squared norms of bundles with these row totals.
 
     Every entry of a row's bundle is a sum of as many signs as the row's
     total T, so it is congruent to T mod 2 and at most T in size: the
     row's squared norm is at most d T^2 (so 0 when T is 0), congruent to
     d T mod 2, and at least d when T is odd.
     """
-    n = counts.shape[0]
+    n = len(totals)
     if not isinstance(norms_sq, np.ndarray) or norms_sq.dtype != np.int64 or norms_sq.shape != (n,):
         raise ValueError(f"norms_sq must be an int64 array of length {n}")
     # the checks below compute with dim in int64
     if dim >= 2**63:
         raise ValueError("dim must be below 2^63")
-    totals = np.asarray(counts.sum(axis=1, dtype=np.int64)).ravel()
-    # totals < 2^31 (bundle_bound), so totals^2 fits int64 where d * totals^2 may not
+    # totals < 2^31 (the constructor checks), so totals^2 fits int64 where d * totals^2 may not
     whole, part = np.divmod(norms_sq, dim)
     if (
         np.any(norms_sq < 0)
@@ -79,8 +81,10 @@ class ContextModel:
     counts[i, j] is how often word j fell in a window around word i, so
     the counts are symmetric.  A model is made from their upper triangle
     (i <= j), which the constructor validates (canonical integer counts
-    >= 1, none below the diagonal, within bundle_bound so that the
-    queries can bundle them) and mirrors into the full counts.  Word i's
+    >= 1, none below the diagonal, within the bundle kernel's int32 range
+    so that the queries can bundle them) and keeps as `upper`, with int64
+    counts, alongside each word's row total in the full counts (`totals`,
+    its row and column sums less its diagonal count `diag`).  Word i's
     context row, the sum of its neighbors' sign vectors, is row i of
     vocabulary.bundle(counts), and norms_sq[i] is its exact int64 squared
     norm, the one derived array a model keeps: every ranked query needs
@@ -89,7 +93,7 @@ class ContextModel:
     given, they are checked against the invariants of _check_norms.
     """
 
-    __slots__ = ("vocabulary", "half_window", "counts", "norms_sq")
+    __slots__ = ("vocabulary", "half_window", "upper", "totals", "diag", "norms_sq")
 
     def __init__(self, vocabulary, half_window, upper, norms_sq=None):
         if half_window < 1:
@@ -99,17 +103,50 @@ class ContextModel:
         _check_counts(upper, n)
         if np.any(upper.indices < np.repeat(np.arange(n), np.diff(upper.indptr))):
             raise ValueError("counts below the diagonal")
-        # the mirrored strict upper triangle fills in the rest
-        counts = upper + scipy.sparse.triu(upper, k=1).T
-        bundle_bound(counts)
-        if norms_sq is None:
-            norms_sq = squared_norms(vocabulary.bundle(counts))
-        else:
-            _check_norms(norms_sq, counts, vocabulary.dim)
+        # bundle stores rows in at most int32; each count is checked first,
+        # so that the int64 sums below cannot wrap
+        if upper.data.max(initial=0) >= 2**31:
+            raise ValueError("bundle counts exceed int32 range")
+        # a saved file may hold narrow or unsigned counts; uint64 counts
+        # would multiply int64 sign dots in float64
+        upper.data = upper.data.astype(np.int64, copy=False)
+        self.diag = upper.diagonal()
+        self.totals = (
+            np.asarray(upper.sum(axis=1, dtype=np.int64)).ravel()
+            + np.asarray(upper.sum(axis=0, dtype=np.int64)).ravel()
+            - self.diag
+        )
+        if self.totals.max(initial=0) >= 2**31:
+            raise ValueError("bundle counts exceed int32 range")
         self.vocabulary = vocabulary
         self.half_window = int(half_window)
-        self.counts = counts
+        self.upper = upper
+        if norms_sq is None:
+            norms_sq = squared_norms(vocabulary.bundle(self.counts))
+        else:
+            _check_norms(norms_sq, self.totals, vocabulary.dim)
         self.norms_sq = norms_sq
+
+    @property
+    def counts(self):
+        """The full symmetric counts, the triangle mirrored; no load or query forms them."""
+        return self.upper + scipy.sparse.triu(self.upper, k=1).T
+
+    def count_rows(self, ids):
+        """The full count rows of these word ids, as CSR: each word's row of
+        the triangle, after its column above the diagonal."""
+        upper = self.upper
+        cols, data, ends = [], [], [0]
+        for i in ids:
+            start, stop = upper.indptr[i], upper.indptr[i + 1]
+            # the rows before i that count word i
+            above = np.flatnonzero(upper.indices[:start] == i)
+            cols += [np.searchsorted(upper.indptr, above, side="right") - 1, upper.indices[start:stop]]
+            data += [upper.data[above], upper.data[start:stop]]
+            ends.append(ends[-1] + len(above) + stop - start)
+        return scipy.sparse.csr_matrix(
+            (np.concatenate(data), np.concatenate(cols), ends), shape=(len(ids), upper.shape[1])
+        )
 
     def save(self, path):
         meta = {
@@ -124,15 +161,16 @@ class ContextModel:
         meta_bytes = np.frombuffer(
             json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8
         )
-        upper = scipy.sparse.triu(self.counts, format="csr")
+        upper = self.upper
         # a file handle, since savez would append .npz to a bare path
         with open(path, "wb") as fh:
             np.savez_compressed(
                 fh,
                 meta=meta_bytes,
                 indptr=upper.indptr,
-                indices=upper.indices,
-                data=upper.data,
+                # the narrowest types that hold every word index and count
+                indices=upper.indices.astype(np.min_scalar_type(max(upper.shape[1] - 1, 0))),
+                data=upper.data.astype(np.min_scalar_type(upper.data.max(initial=0))),
                 norms_sq=self.norms_sq,
             )
 
@@ -224,7 +262,7 @@ def context_similarity(model, word_a, word_b):
     (the cosine is undefined for a zero vector).
     """
     ids = [model.vocabulary.index_of(word) for word in (word_a, word_b)]
-    rows = model.vocabulary.bundle(model.counts[ids])
+    rows = model.vocabulary.bundle(model.count_rows(ids))
     norms_sq = squared_norms(rows)
     if not norms_sq.all():
         raise EmptyContextError("cosine undefined for a zero vector")
@@ -247,10 +285,11 @@ def context_arithmetic(model, plus, minus=(), top_n=5):
     operand rows are bundled, into the query q.  Row i's dot with q is
     counts[i] @ y for y = S q, the dots of the sign vectors S with q, so
     y is computed exactly in blocks of sign rows and the dots in int64,
-    while bundle_bound(counts) * sum(|q|), which bounds every partial
-    sum, stays below 2^63 (else ValueError).  The dots rank against the
-    stored norms, and an operand row whose stored norm differs from its
-    own raises CorpusFormatError.
+    as upper @ y + (upper.T @ y - diag * y), while the largest row total
+    times sum(|q|), which bounds every partial sum, stays below 2^63
+    (else ValueError).  The dots rank against the stored norms, and an
+    operand row whose stored norm differs from its own raises
+    CorpusFormatError.
     """
     plus = list(plus)
     minus = list(minus)
@@ -260,7 +299,7 @@ def context_arithmetic(model, plus, minus=(), top_n=5):
     operands = [vocab.index_of(w) for w in plus + minus]
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    rows = vocab.bundle(model.counts[operands]).astype(np.int64)
+    rows = vocab.bundle(model.count_rows(operands)).astype(np.int64)
     for i, norm_sq in zip(operands, squared_norms(rows)):
         if norm_sq != model.norms_sq[i]:
             raise CorpusFormatError(f"stored squared norm of {vocab.words[i]!r} does not match its context row")
@@ -268,20 +307,22 @@ def context_arithmetic(model, plus, minus=(), top_n=5):
     query = signs @ rows
     if not query.any():
         raise EmptyQueryError("query context vector is zero")
-    if bundle_bound(model.counts) * int(np.abs(query).sum()) >= 2**63:
+    if int(model.totals.max(initial=0)) * int(np.abs(query).sum()) >= 2**63:
         raise ValueError("context dots exceed int64 range")
     # a block's int8 signs and their float32 copy take about BLOCK_BYTES;
     # float32 signs let exact_dots take its float32 tier wherever that is exact
     step = max(1, core.BLOCK_BYTES // (5 * vocab.dim))
     sign_norms = np.full(step, vocab.dim, dtype=np.int64)
-    # the dots read y only at the words that some row counts
-    used = np.flatnonzero(np.bincount(model.counts.indices, minlength=len(vocab)))
+    # the dots read y only at the words that some row counts, which are
+    # the words with counts of their own, since the counts are symmetric
+    used = np.flatnonzero(model.totals)
     y = np.zeros(len(vocab), dtype=np.int64)
     for w in range(0, len(used), step):
         block = vocab.sign_matrix(used[w : w + step]).astype(np.float32)
         y[used[w : w + step]] = exact_dots(block, sign_norms[: len(block)], query[None])[0]
-    # uint64 counts, which a saved file may hold, would multiply int64 y in float64
-    dots = model.counts.astype(np.int64, copy=False) @ y
+    # each row's part of the triangle, then its column's less the diagonal
+    # counted twice, so every partial sum stays within its row total
+    dots = model.upper @ y + (model.upper.T @ y - model.diag * y)
     # the ranking is stable, so without the operands its top rows are the others' in order
     [ranked] = rank(dots[None], top_n + len(operands), squared_norms(query[None]), model.norms_sq)
     ranked = [(i, score) for i, score in ranked if i not in operands][:top_n]
@@ -306,7 +347,8 @@ def context_stats(model):
     Ties on total resolve to the lower vocabulary index so output
     order is reproducible.
     """
-    totals = np.asarray(model.counts.sum(axis=1, dtype=np.int64)).ravel()
-    distinct = np.diff(model.counts.indptr)
+    upper, totals = model.upper, model.totals
+    # a word's neighbors in its row of the triangle and in its column, once on the diagonal
+    distinct = np.diff(upper.indptr) + np.bincount(upper.indices, minlength=len(totals)) - (model.diag > 0)
     order = np.lexsort((np.arange(len(totals)), -totals))
     return [ContextStatsRow(model.vocabulary.words[i], int(totals[i]), int(distinct[i])) for i in order]

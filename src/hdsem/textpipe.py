@@ -21,8 +21,9 @@ co-occurrence counts.  It is also the one place that decides how bundle
 rows are stored: float32 while no row's total count passes 2^24 and
 int32 above that, exact either way, and every holder keeps the rows as
 bundle returns them.  Below a total of 2^15 the product itself runs in
-int16.  bundle_bound() is its one range check, which a
-context model also runs on the counts it holds.
+int16.  bundle_bound() is its one range check; a context model
+holds only the triangle of its counts, so it applies the same int32
+range to those counts and to its words' full row totals.
 """
 
 import functools

@@ -115,6 +115,13 @@ def brute_context_counts(words, half_window):
     return counts
 
 
+def brute_context_stats(words, counts):
+    """(word, row total, distinct neighbors) for every row of full count
+    lists, largest total first, ties to the lower index."""
+    rows = [(word, sum(row), sum(1 for c in row if c)) for word, row in zip(words, counts)]
+    return [rows[i] for i in sorted(range(len(rows)), key=lambda i: (-rows[i][1], i))]
+
+
 def brute_tokenize(text):
     """Lowercase word tokens by character classification, no regex.
 

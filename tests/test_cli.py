@@ -168,6 +168,29 @@ def test_counts_past_the_bundle_kernel_exit_3(tmp_path, capsys, counts, query):
     assert err.startswith("error: ") and err.count("\n") == 1 and "int32" in err
 
 
+# a file may store its arrays in narrow or unsigned types, and the same
+# checks reject them with the same messages
+NARROW_REJECTIONS = {
+    "uint64-2^31": ([0, 1, 1], [0], np.array([2**31], dtype=np.uint64), "int32"),
+    "uint64-2^63": ([0, 1, 1], [0], np.array([2**63], dtype=np.uint64), "int32"),
+    "uint64-row-sum-wraps": ([0, 2, 2], [0, 1], np.array([2**62, 2**62], dtype=np.uint64), "int32"),
+    "int8-negative": ([0, 1, 1], [1], np.array([-1], dtype=np.int8), "integer counts >= 1"),
+    "uint8-stored-zero": ([0, 1, 1], [1], np.array([0], dtype=np.uint8), "integer counts >= 1"),
+    "uint8-below-diagonal": ([0, 0, 1], [0], np.array([1], dtype=np.uint8), "counts below the diagonal"),
+}
+
+
+@pytest.mark.parametrize("indptr, indices, data, message", NARROW_REJECTIONS.values(), ids=NARROW_REJECTIONS.keys())
+@pytest.mark.parametrize("query", [["similar", "a"], ["arith", "plus", "a"], ["stats"]])
+def test_narrow_and_unsigned_counts_keep_their_rejections(tmp_path, capsys, indptr, indices, data, message, query):
+    model = tmp_path / "m.npz"
+    narrow = {"indptr": np.array(indptr, dtype=np.uint8), "indices": np.array(indices, dtype=np.uint8), "data": data}
+    _save_model(model, **{**EMPTY_V4, **narrow})
+    code, out, err = run_cli(["context", query[0], "--model", str(model), *query[1:]], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize(
     "exc, message",
     [
@@ -428,6 +451,26 @@ def test_context_build_bundles_every_row_once_and_queries_their_operands(tmp_pat
     calls.clear()
     assert run_cli(["context", "arith", "--model", str(model), "plus", "cat", "minus", "dog"], capsys)[0] == 0
     assert calls == [("bundle", 2), ("squared_norms", 2), ("squared_norms", 1)]
+
+
+CONTEXT_QUERIES = [["similar", "cat"], ["arith", "plus", "cat", "day", "minus", "dog"], ["stats"]]
+
+
+def test_context_queries_never_form_the_full_counts(tmp_path, capsys, monkeypatch):
+    # the build mirrors the triangle once, for the norms; stats and the
+    # queries read the triangle, its row totals and its diagonal alone
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    model = tmp_path / "m.npz"
+    assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)[0] == 0
+    want = [run_cli(["context", *query, "--model", str(model)], capsys) for query in CONTEXT_QUERIES]
+
+    def mirrored(model):
+        raise AssertionError("the full counts were formed")
+
+    monkeypatch.setattr(ContextModel, "counts", property(mirrored))
+    assert [run_cli(["context", *query, "--model", str(model)], capsys) for query in CONTEXT_QUERIES] == want
+    assert [code for code, _, _ in want] == [0] * len(CONTEXT_QUERIES)
 
 
 def test_query_with_a_contradicted_stored_norm_exits_3(tmp_path, capsys):

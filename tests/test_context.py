@@ -7,11 +7,16 @@ realistic dimension with pinned seeds.
 
 import json
 import random
+import tempfile
 import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdsem.context import (
     ContextModel,
@@ -32,7 +37,14 @@ from hdsem.errors import (
 )
 from hdsem.textpipe import Vocabulary, build_vocabulary, tokenize
 
-from oracles import brute_context_counts, brute_cosine, brute_membership, reference_signs
+from oracles import (
+    brute_context_counts,
+    brute_context_stats,
+    brute_cosine,
+    brute_membership,
+    brute_top,
+    reference_signs,
+)
 
 # exact binomial value: probe bundled once among 140 context pairs at d=1000,
 # P(score > 1/2) = P(Binom(139000, 1/2) >= 69251)
@@ -383,6 +395,85 @@ def test_context_stats_tie_goes_to_first_appearance():
     assert [r.word for r in rows] == ["b", "a"]
 
 
+# ------------------------------------------------- queries on the triangle
+
+
+@st.composite
+def full_counts(draw, n):
+    """Symmetric n x n counts as lists: random counts with diagonal ones,
+    then spoke words whose one neighbor is a hub, at multipliers 1, 3 and
+    6, so that their rows are parallel, and words with no counts at all.
+    The last word counts nothing on the diagonal, so its row of the
+    triangle is empty and its counts lie in its column alone, as do a
+    spoke's above the hub."""
+    counts = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            counts[i][j] = counts[j][i] = draw(st.sampled_from([0, 0, 1, 2, 5]))
+    counts[-1][-1] = 0
+    hub = draw(st.integers(0, n - 1))
+    for k in range(n):
+        kind = draw(st.sampled_from(["random", "spoke", "empty"]))
+        if k == hub or kind == "random":
+            continue
+        for j in range(n):
+            counts[k][j] = counts[j][k] = 0
+        if kind == "spoke":
+            counts[k][hub] = counts[hub][k] = draw(st.sampled_from([1, 3, 6]))
+    return counts
+
+
+def _brute_ranking(words, rows, plus, minus, top_n):
+    """context_arithmetic's matches by brute force over full rows, None for a zero query."""
+    query = [sum(rows[i][k] for i in plus) - sum(rows[i][k] for i in minus) for k in range(len(rows[0]))]
+    if not any(query):
+        return None
+    scores = [None if i in plus + minus or not any(r) else brute_cosine(r, query) for i, r in enumerate(rows)]
+    return [WordMatch(r + 1, words[i], scores[i]) for r, i in enumerate(brute_top(scores, top_n))]
+
+
+@given(data=st.data(), reload=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_triangle_queries_match_the_full_counts(data, reload):
+    # every query reads the triangle alone; the oracles read the full counts
+    d = data.draw(st.integers(1, 40), label="dim")
+    n = data.draw(st.integers(1, 8), label="words")
+    seed = data.draw(st.integers(0, 3), label="seed")
+    counts = data.draw(full_counts(n), label="counts")
+    words = [f"w{i}" for i in range(n)]
+    signs = [reference_signs(d, seed, j) for j in range(n)]
+    rows = [[sum(c * s[k] for c, s in zip(row, signs)) for k in range(d)] for row in counts]
+    model = ContextModel(Vocabulary(words, dim=d, seed=seed), 1, scipy.sparse.csr_matrix(np.triu(counts)))
+    if reload:
+        with tempfile.TemporaryDirectory() as tmp:
+            model.save(Path(tmp) / "model.npz")
+            model = ContextModel.load(Path(tmp) / "model.npz")
+    assert model.totals.tolist() == [sum(row) for row in counts]
+    assert [astuple(row) for row in context_stats(model)] == brute_context_stats(words, counts)
+    operand = st.integers(0, n - 1)
+    plus = data.draw(st.lists(operand, max_size=3), label="plus")
+    minus = data.draw(st.lists(operand, min_size=0 if plus else 1, max_size=2), label="minus")
+    top_n = data.draw(st.integers(1, n + 2), label="top_n")
+    for args, call in (
+        ((plus[:1], []), lambda: similar_words(model, words[plus[0]], top_n=top_n)),
+        ((plus, minus), lambda: context_arithmetic(model, [words[i] for i in plus], [words[i] for i in minus], top_n)),
+    ):
+        if not args[0] and not args[1]:
+            continue
+        want = _brute_ranking(words, rows, *args, top_n)
+        if want is None:
+            with pytest.raises(EmptyQueryError):
+                call()
+        else:
+            assert call() == want
+    a, b = data.draw(st.tuples(operand, operand), label="pair")
+    if not any(rows[a]) or not any(rows[b]):
+        with pytest.raises(EmptyContextError):
+            context_similarity(model, words[a], words[b])
+    else:
+        assert context_similarity(model, words[a], words[b]) == brute_cosine(rows[a], rows[b])
+
+
 # ------------------------------------------------------------- persistence
 
 
@@ -437,6 +528,41 @@ def test_model_save_load_round_trip(tmp_path, text, half_window):
     assert sorted(again) == sorted(members)
     for name, array in members.items():
         assert (again[name].dtype, again[name].tobytes()) == (array.dtype, array.tobytes()), name
+
+
+def test_wide_format_4_file_loads_like_its_narrow_rewrite(tmp_path):
+    # format-4 files once held int64 counts and int32 indices; the narrow
+    # rewrite holds 300 words' indices and counts past 255 in uint16
+    rng = random.Random(5)
+    stream = [f"w{i}" for i in range(299)] + [rng.choice(["the", f"w{rng.randrange(299)}"]) for _ in range(3000)]
+    vocab = build_vocabulary(stream, dim=64, seed=9)
+    assert len(vocab) == 300
+    model = build_context_model(stream, vocab, half_window=3)
+    narrow, wide = tmp_path / "narrow.npz", tmp_path / "wide.npz"
+    model.save(narrow)
+    members = _saved_members(narrow)
+    assert (members["indices"].dtype, members["data"].dtype) == (np.uint16, np.uint16)
+    assert members["data"].max() > 255
+    np.savez_compressed(
+        wide, **{**members, "indices": members["indices"].astype(np.int32), "data": members["data"].astype(np.int64)}
+    )
+    loaded = [ContextModel.load(path) for path in (wide, narrow)]
+    for got in loaded:
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got.upper, attr), getattr(model.upper, attr)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), attr
+        np.testing.assert_array_equal(got.totals, model.totals)
+        np.testing.assert_array_equal(got.diag, model.diag)
+        np.testing.assert_array_equal(got.norms_sq, model.norms_sq)
+        assert context_stats(got) == context_stats(model)
+        for word in vocab.words[:40]:
+            assert similar_words(got, word, top_n=5) == similar_words(model, word, top_n=5)
+        assert context_arithmetic(got, ["the", "w1"], ["w2"]) == context_arithmetic(model, ["the", "w1"], ["w2"])
+        # either file saves as the narrow one again
+        got.save(tmp_path / "again.npz")
+        again = _saved_members(tmp_path / "again.npz")
+        for name, array in members.items():
+            assert (again[name].dtype, again[name].tobytes()) == (array.dtype, array.tobytes()), name
 
 
 def test_model_load_missing_file(tmp_path):

@@ -118,11 +118,13 @@ BENCH_BOOK_COUNTS = {
     "data": ("int64", "71e9b411d1937a79c450d58d977e6124a4226eeace02523c56d9434d1afeb9f2"),
 }
 
-# sha256 of each array the format-4 file of that model holds
+# sha256 of each array the format-4 file of that model holds: indices
+# and data in the narrowest types that hold them (1960 words after the
+# first, counts up to 452)
 BENCH_BOOK_SAVED = {
     "indptr": ("int32", "2aec5dfd872fd6a1908e6c994bb62a57567696d3475c13180aada4f1e8d38855"),
-    "indices": ("int32", "4aa7514521c4aa78cbbaf53ab0e3fa4c7e703b34c9a510d541957d00264c70ae"),
-    "data": ("int64", "6e9c7554c880205d3258436f8e946dcdaa39d61288e8d7522eaf59121070a729"),
+    "indices": ("uint16", "0ed0565eb8ffafdc959fe5fe2ba422d3b549fb9352e143536267c4fe26f576b0"),
+    "data": ("uint16", "d90a835adc7c7cd2dcd1013a14afa02aef67134c911aeab8182b28a6a0876452"),
     "norms_sq": ("int64", "b66fa9fdfa6dd691e24dd5615fb010c5cd8a4d933c0d14e5e4e313f360cfee85"),
 }
 
