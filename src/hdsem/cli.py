@@ -155,7 +155,7 @@ def cmd_rho_curve(args):
 def cmd_context_build(args):
     if args.window < 2 or args.window % 2:
         raise ValueError("--window is the total window span and must be an even number >= 2")
-    with open(args.input, encoding="utf-8") as fh:
+    with open(args.input, encoding="utf-8-sig") as fh:
         text = fh.read()
     config = _pipeline_config(args, stopwords_by_default=True)
     tokens = preprocess(text, config)
@@ -217,7 +217,7 @@ def cmd_context_stats(args):
 
 
 def cmd_sentence_query(args):
-    with open(args.input, encoding="utf-8") as fh:
+    with open(args.input, encoding="utf-8-sig") as fh:
         text = fh.read()
     config = _pipeline_config(args, stopwords_by_default=True)
     index = build_sentence_index(text, args.dim, args.seed, config=config)

@@ -6,13 +6,15 @@ excluded) contribute their sign vectors to the word's context row.  The
 row is therefore an integer bundle, and the model is its sparse
 co-occurrence counts, symmetric like the window: the matrix of rows is
 the counts times the vocabulary's sign matrix.  The build counts each
-pair once, in the upper triangle, and a model keeps that triangle, each
-word's row total and each row's exact squared norm.  A saved model
-(format 4, the only one that loads) stores the triangle, in the
-narrowest unsigned integer types that hold it, and the norms.
+pair once, in the upper triangle, and mirrors that into the full
+counts once, the only place they exist, to bundle every row for its
+exact squared norm.  A model keeps the triangle, each word's row total
+and the norms; a saved model (format 4, the only one that loads) stores
+the triangle, in the narrowest unsigned integer types that hold it,
+and the norms.
 
-No query forms the full counts or the matrix of rows.  A word's count
-row is its row of the triangle plus its column above the diagonal.
+No load or query forms the full counts or the matrix of rows.  A word's
+count row is its row of the triangle plus its column above the diagonal.
 context_similarity bundles the two rows it compares and scores them
 through core.nearest, as the top-1 score of one against the other.
 Context arithmetic bundles only its operand rows into a query q and
@@ -25,6 +27,7 @@ the row totals and the triangle's structure alone.
 
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,13 +92,13 @@ class ContextModel:
     vocabulary.bundle(counts), and norms_sq[i] is its exact int64 squared
     norm, the one derived array a model keeps: every ranked query needs
     all of them, while its dots come from the counts and the query alone.
-    Without norms_sq they are computed here, by bundling every row once;
-    given, they are checked against the invariants of _check_norms.
+    build_context_model bundles every row once to compute them, a load
+    reads them, and either way they must pass _check_norms.
     """
 
     __slots__ = ("vocabulary", "half_window", "upper", "totals", "diag", "norms_sq")
 
-    def __init__(self, vocabulary, half_window, upper, norms_sq=None):
+    def __init__(self, vocabulary, half_window, upper, norms_sq):
         if half_window < 1:
             raise ValueError("half_window must be >= 1")
         upper = scipy.sparse.csr_matrix(upper)
@@ -121,16 +124,8 @@ class ContextModel:
         self.vocabulary = vocabulary
         self.half_window = int(half_window)
         self.upper = upper
-        if norms_sq is None:
-            norms_sq = squared_norms(vocabulary.bundle(self.counts))
-        else:
-            _check_norms(norms_sq, self.totals, vocabulary.dim)
+        _check_norms(norms_sq, self.totals, vocabulary.dim)
         self.norms_sq = norms_sq
-
-    @property
-    def counts(self):
-        """The full symmetric counts, the triangle mirrored; no load or query forms them."""
-        return self.upper + scipy.sparse.triu(self.upper, k=1).T
 
     def count_rows(self, ids):
         """The full count rows of these word ids, as CSR: each word's row of
@@ -178,11 +173,13 @@ class ContextModel:
     def load(cls, path):
         """A saved model, format 4 only: the older formats exit 3, and context build rebuilds them."""
         try:
-            with np.load(path, allow_pickle=False) as data:
+            # np.load leaves a path it opened open when the zip directory fails to parse
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
                 members = {name: data[name] for name in data.files}
         except (FileNotFoundError, PermissionError, IsADirectoryError):
             raise
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        # zlib.error: a damaged member; NotImplementedError: a zip version or method zipfile lacks
+        except (OSError, ValueError, zipfile.BadZipFile, zlib.error, NotImplementedError) as exc:
             raise CorpusFormatError(f"context model {path}: not a readable npz file ({exc})") from None
         try:
             meta = json.loads(bytes(members["meta"]).decode("utf-8"))
@@ -251,8 +248,9 @@ def build_context_model(tokens, vocabulary, half_window=5):
         np.maximum(ids[:-k], ids[k:], out=hi[start:stop])
     # summed as the lower triangle, whose rows sort faster (frequent words have the small ids)
     upper = scipy.sparse.csr_matrix((np.where(lo == hi, 2, 1), (hi, lo)), shape=(n, n)).T.tocsr()
-    del lo, hi  # not held while the norms bundle every row
-    return ContextModel(vocabulary, half_window, upper)
+    del lo, hi  # not held while the full counts, formed here alone, bundle every row
+    norms_sq = squared_norms(vocabulary.bundle(upper + scipy.sparse.triu(upper, k=1).T))
+    return ContextModel(vocabulary, half_window, upper, norms_sq)
 
 
 def context_similarity(model, word_a, word_b):

@@ -70,11 +70,11 @@ def _parse_word_lines(text):
 
 
 def load_stopwords(path=None):
-    """Load a stop list; the bundled English list when path is None."""
+    """Load a stop list, the bundled English list when path is None; a file's byte-order mark is dropped."""
     if path is None:
         text = _read_data_text("stopwords_en.txt")
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     return frozenset(_parse_word_lines(text))
 

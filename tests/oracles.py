@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way (pure Python
 ints, dict counting) straight from the documented contracts, with no numpy
 and no imports from hdsem, so the production code and these oracles can
-only agree by both being right.
+only agree by both being right.  The one exception is mirror_counts, which
+gives the tests the full counts of a context model in scipy's own layout.
 """
 
 import math
@@ -113,6 +114,19 @@ def brute_context_counts(words, half_window):
             if other != pos:
                 ctr[words[other]] += 1
     return counts
+
+
+def mirror_counts(upper):
+    """The full symmetric counts of a context model's upper triangle, as CSR.
+
+    The triangle plus the transpose of its part above the diagonal: the
+    arrays and dtypes the build bundles for its norms, int32 indices and
+    indptr and the triangle's own count dtype.
+    """
+    import scipy.sparse
+
+    upper = scipy.sparse.csr_matrix(upper)
+    return upper + scipy.sparse.triu(upper, k=1).T
 
 
 def brute_context_stats(words, counts):

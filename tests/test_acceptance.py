@@ -30,6 +30,7 @@ from oracles import (
     brute_bundle,
     brute_context_counts,
     brute_membership,
+    mirror_counts,
     reference_signs,
 )
 
@@ -240,9 +241,10 @@ def test_exact_small_instance_oracles():
         model = build_context_model(stream, vocab, half_window=half_window)
         expected_counts = brute_context_counts(stream, half_window)
         signs = vocab.sign_matrix().astype(np.int64)
-        matrix = vocab.bundle(model.counts)
-        totals = np.asarray(model.counts.sum(axis=1)).ravel()
-        distinct = np.diff(model.counts.indptr)
+        counts = mirror_counts(model.upper)
+        matrix = vocab.bundle(counts)
+        totals = np.asarray(counts.sum(axis=1)).ravel()
+        distinct = np.diff(counts.indptr)
         for word, ctr in expected_counts.items():
             i = vocab.index_of(word)
             row = np.zeros(32, dtype=np.int64)

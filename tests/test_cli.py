@@ -10,16 +10,20 @@ import random
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hdsem import cli, context, core
 from hdsem.cli import main
 from hdsem.context import ContextModel
 from hdsem.core import squared_norms
 from hdsem.textpipe import Vocabulary, stopword_digest
+
+from oracles import mirror_counts
 
 
 def run_cli(argv, capsys):
@@ -116,7 +120,8 @@ def test_format_2_and_3_models_exit_3(tmp_path, capsys, version):
     with np.load(model) as saved:
         meta = json.loads(bytes(saved["meta"]).decode())
     meta["format_version"] = version
-    counts = {"indptr": loaded.counts.indptr, "indices": loaded.counts.indices, "data": loaded.counts.data}
+    full = mirror_counts(loaded.upper)
+    counts = {"indptr": full.indptr, "indices": full.indices, "data": full.data}
     extra = {"occurrences": np.ones(len(meta["words"]), dtype=np.int64)} if version == 2 else {}
     _save_model(model, meta, **counts, **extra)
     for query in (["similar", "cat"], ["arith", "plus", "cat", "minus", "dog"], ["stats", "--threshold", "2"]):
@@ -458,17 +463,26 @@ CONTEXT_QUERIES = [["similar", "cat"], ["arith", "plus", "cat", "day", "minus", 
 
 def test_context_queries_never_form_the_full_counts(tmp_path, capsys, monkeypatch):
     # the build mirrors the triangle once, for the norms; stats and the
-    # queries read the triangle, its row totals and its diagonal alone
+    # queries read the triangle, its row totals and its diagonal alone, so
+    # they add no two sparse matrices, take no triangle of one and make
+    # none dense
     doc = tmp_path / "d.txt"
     doc.write_text(DOC)
     model = tmp_path / "m.npz"
-    assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)[0] == 0
+    build = ["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"]
+    assert run_cli(build, capsys)[0] == 0
     want = [run_cli(["context", *query, "--model", str(model)], capsys) for query in CONTEXT_QUERIES]
 
-    def mirrored(model):
+    def mirrored(*args, **kwargs):
         raise AssertionError("the full counts were formed")
 
-    monkeypatch.setattr(ContextModel, "counts", property(mirrored))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "toarray", "todense"):
+        # spmatrix comes before the sparse base class in every *_matrix MRO
+        monkeypatch.setattr(scipy.sparse.spmatrix, name, mirrored, raising=False)
+    for name in ("triu", "tril"):
+        monkeypatch.setattr(scipy.sparse, name, mirrored)
+    with pytest.raises(AssertionError, match="full counts"):
+        main(build)
     assert [run_cli(["context", *query, "--model", str(model)], capsys) for query in CONTEXT_QUERIES] == want
     assert [code for code, _, _ in want] == [0] * len(CONTEXT_QUERIES)
 
@@ -488,6 +502,31 @@ def test_query_with_a_contradicted_stored_norm_exits_3(tmp_path, capsys):
     code, out, err = run_cli(["context", "similar", "--model", str(model), "cat"], capsys)
     assert (code, out) == (3, "")
     assert err == "error: stored squared norm of 'cat' does not match its context row\n"
+
+
+@pytest.mark.parametrize("corruption", ["deflate-block-type", "zip-version"])
+def test_corrupted_model_file_exits_3(tmp_path, capsys, corruption):
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    model = tmp_path / "m.npz"
+    assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)[0] == 0
+    raw = bytearray(model.read_bytes())
+    with zipfile.ZipFile(model) as zf:
+        member = zf.getinfo("indices.npy")
+    if corruption == "deflate-block-type":
+        # the local header is 30 bytes, then the name and the extra field
+        lengths = raw[member.header_offset + 26 : member.header_offset + 30]
+        start = member.header_offset + 30 + int.from_bytes(lengths[:2], "little") + int.from_bytes(lengths[2:], "little")
+        # the first deflate block's header: type 3, which is reserved
+        raw[start] = 0xFF
+    else:
+        # "version needed to extract" in the central directory: 25.5, past what zipfile reads
+        raw[raw.index(b"PK\x01\x02") + 6] = 0xFF
+    model.write_bytes(raw)
+    for query in CONTEXT_QUERIES:
+        code, out, err = run_cli(["context", query[0], "--model", str(model), *query[1:]], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not a readable npz file" in err
 
 
 def test_context_build_writes_the_path_given(tmp_path, capsys):
@@ -554,6 +593,26 @@ def test_context_build_custom_stopwords(tmp_path, capsys):
     stop.write_bytes("caf\u00e9\n".encode("latin-1"))
     code, _, err = run_cli([*argv, str(stop)], capsys)
     assert code == 3 and "codec can't decode" in err
+
+
+def test_byte_order_marks_reach_no_output(tmp_path, capsys):
+    # a document and a stop list that start with a byte-order mark give
+    # the outputs of the same files without one
+    outputs = []
+    for mark in ("", "\ufeff"):
+        doc, stop, model = tmp_path / f"d{mark}.txt", tmp_path / f"s{mark}.txt", tmp_path / f"m{mark}.npz"
+        doc.write_text(mark + DOC, encoding="utf-8")
+        stop.write_text(mark + "the\ncat\n", encoding="utf-8")
+        build = ["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64", "--stopwords", str(stop)]
+        assert run_cli(build, capsys)[0] == 0
+        with np.load(model) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        query = run_cli(["sentence-query", "--input", str(doc), "--dim", "64", "the cat sat"], capsys)
+        outputs.append((meta["words"], meta["stopword_digest"], query))
+    assert outputs[1] == outputs[0]
+    words, digest, (code, out, _) = outputs[0]
+    assert "the" not in words and digest == stopword_digest({"the", "cat"})
+    assert code == 0 and out.splitlines()[1].endswith(",0,The cat sat near the dog.")
 
 
 def test_context_arith_bad_terms_exits_1(tmp_path, capsys):

@@ -43,6 +43,7 @@ from oracles import (
     brute_cosine,
     brute_membership,
     brute_top,
+    mirror_counts,
     reference_signs,
 )
 
@@ -57,19 +58,24 @@ def make_model(text, dim, seed, half_window):
     return build_context_model(toks, vocab, half_window=half_window)
 
 
+def triangle_model(vocab, upper):
+    """A half-window-1 model of this upper triangle, with norms bundled from its mirror."""
+    return ContextModel(vocab, 1, upper, squared_norms(vocab.bundle(mirror_counts(upper))))
+
+
 def context_rows(model):
     """Every word's context row, as the queries bundle them."""
-    return model.vocabulary.bundle(model.counts)
+    return model.vocabulary.bundle(mirror_counts(model.upper))
 
 
 def context_totals(model):
     """Per word, the (occurrence, neighbor) pairs its row sums, int64."""
-    return np.asarray(model.counts.sum(axis=1, dtype=np.int64)).ravel()
+    return np.asarray(mirror_counts(model.upper).sum(axis=1, dtype=np.int64)).ravel()
 
 
 def context_distinct(model):
     """Per word, its distinct neighbor words."""
-    return np.diff(model.counts.indptr)
+    return np.diff(mirror_counts(model.upper).indptr)
 
 
 def word_signs(vocab, word):
@@ -186,7 +192,7 @@ def test_build_short_streams_match_counting_oracle(length):
     stream = [rng.choice("abc") for _ in range(length)]
     vocab = Vocabulary(["a", "b", "c"], dim=16, seed=0)
     for half_window in range(1, 11):
-        counts = build_context_model(stream, vocab, half_window=half_window).counts
+        counts = mirror_counts(build_context_model(stream, vocab, half_window=half_window).upper)
         np.testing.assert_array_equal(counts.toarray(), _oracle_counts(stream, vocab, half_window))
         assert counts.has_canonical_format
         assert (counts != counts.T).nnz == 0
@@ -206,7 +212,7 @@ def test_build_window_past_the_stream_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    np.testing.assert_array_equal(model.counts.toarray(), _oracle_counts(stream, vocab, 10**6))
+    np.testing.assert_array_equal(mirror_counts(model.upper).toarray(), _oracle_counts(stream, vocab, 10**6))
     assert peak < 1 << 20, peak
 
 
@@ -338,7 +344,7 @@ def _bound_model(m):
     counts[2, 4] = counts[4, 2] = c2
     rows = [[sum(int(c) * s[k] for c, s in zip(row, signs)) for k in range(8)] for row in counts]
     assert rows[2] == signs[3]
-    return ContextModel(vocab, 1, scipy.sparse.triu(counts)), rows
+    return triangle_model(vocab, scipy.sparse.triu(counts)), rows
 
 
 def test_arithmetic_int64_dot_bound():
@@ -443,7 +449,7 @@ def test_triangle_queries_match_the_full_counts(data, reload):
     words = [f"w{i}" for i in range(n)]
     signs = [reference_signs(d, seed, j) for j in range(n)]
     rows = [[sum(c * s[k] for c, s in zip(row, signs)) for k in range(d)] for row in counts]
-    model = ContextModel(Vocabulary(words, dim=d, seed=seed), 1, scipy.sparse.csr_matrix(np.triu(counts)))
+    model = triangle_model(Vocabulary(words, dim=d, seed=seed), scipy.sparse.csr_matrix(np.triu(counts)))
     if reload:
         with tempfile.TemporaryDirectory() as tmp:
             model.save(Path(tmp) / "model.npz")
@@ -502,15 +508,16 @@ def test_model_save_load_round_trip(tmp_path, text, half_window):
     members = _saved_members(path)
     assert sorted(members) == ["data", "indices", "indptr", "meta", "norms_sq"]
     assert json.loads(bytes(members["meta"]).decode())["format_version"] == 4
-    upper = scipy.sparse.csr_matrix((members["data"], members["indices"], members["indptr"]), shape=model.counts.shape)
-    np.testing.assert_array_equal(upper.toarray(), np.triu(model.counts.toarray()))
+    upper = scipy.sparse.csr_matrix((members["data"], members["indices"], members["indptr"]), shape=model.upper.shape)
+    np.testing.assert_array_equal(upper.toarray(), np.triu(mirror_counts(model.upper).toarray()))
     np.testing.assert_array_equal(members["norms_sq"], squared_norms(context_rows(model)))
     loaded = ContextModel.load(path)
     for derive in (context_rows, lambda m: squared_norms(context_rows(m)), context_totals, context_distinct):
         np.testing.assert_array_equal(derive(loaded), derive(model))
-    np.testing.assert_array_equal(loaded.counts.toarray(), model.counts.toarray())
+    counts, loaded_counts = mirror_counts(model.upper), mirror_counts(loaded.upper)
+    np.testing.assert_array_equal(loaded_counts.toarray(), counts.toarray())
     for attr in ("indptr", "indices", "data"):
-        assert getattr(loaded.counts, attr).dtype == getattr(model.counts, attr).dtype
+        assert getattr(loaded_counts, attr).dtype == getattr(counts, attr).dtype
     np.testing.assert_array_equal(loaded.norms_sq, model.norms_sq)
     assert loaded.vocabulary.words == model.vocabulary.words
     assert loaded.vocabulary.dim == model.vocabulary.dim
@@ -717,18 +724,24 @@ def test_query_rejects_a_stored_norm_its_operand_contradicts(tmp_path):
 def test_model_constructor_validation():
     vocab = Vocabulary(["a", "b"], dim=8, seed=0)
     good = scipy.sparse.csr_matrix(np.array([[1, 3], [0, 0]], dtype=np.int64))
-    model = ContextModel(vocab, 1, good)
+    model = triangle_model(vocab, good)
     # the triangle mirrors into the full counts
-    np.testing.assert_array_equal(model.counts.toarray(), [[1, 3], [3, 0]])
+    np.testing.assert_array_equal(mirror_counts(model.upper).toarray(), [[1, 3], [3, 0]])
     assert context_totals(model).tolist() == [4, 3]
-    for half_window, counts in (
-        (0, good),
-        (1, scipy.sparse.csr_matrix((2, 3), dtype=np.int64)),  # not (V, V)
-        (1, good.astype(np.float64)),
-        (1, scipy.sparse.csr_matrix(([0, 1], [1, 1], [0, 1, 2]), shape=(2, 2))),  # a stored zero
-        (1, scipy.sparse.csr_matrix(([1, 1], [1, 1], [0, 2, 2]), shape=(2, 2))),  # duplicate
+    norms_sq = model.norms_sq
+    for half_window, counts, norms in (
+        (0, good, norms_sq),
+        (1, scipy.sparse.csr_matrix((2, 3), dtype=np.int64), norms_sq),  # not (V, V)
+        (1, good.astype(np.float64), norms_sq),
+        (1, scipy.sparse.csr_matrix(([0, 1], [1, 1], [0, 1, 2]), shape=(2, 2)), norms_sq),  # a stored zero
+        (1, scipy.sparse.csr_matrix(([1, 1], [1, 1], [0, 2, 2]), shape=(2, 2)), norms_sq),  # duplicate
         # a count below the diagonal, which the mirrored triangle would drop
-        (1, scipy.sparse.csr_matrix(np.array([[0, 3], [1, 0]], dtype=np.int64))),
+        (1, scipy.sparse.csr_matrix(np.array([[0, 3], [1, 0]], dtype=np.int64)), norms_sq),
+        # the norms are required and checked on every path, not only on load
+        (1, good, None),
+        (1, good, norms_sq + 1),  # d * total is even for both words
     ):
         with pytest.raises(ValueError):
-            ContextModel(vocab, half_window, counts)
+            ContextModel(vocab, half_window, counts, norms)
+    with pytest.raises(TypeError):
+        ContextModel(vocab, 1, good)

@@ -25,7 +25,7 @@ from hdsem.sentences import SentenceIndex, query_sentences
 from hdsem.spam import ClassifyResult, Message, SpamFilter, classify_many
 from hdsem.textpipe import PipelineConfig, Vocabulary
 
-from oracles import brute_cosine, brute_top, reference_signs
+from oracles import brute_cosine, brute_top, mirror_counts, reference_signs
 from recorders import ProductRecorder
 
 WORDS = ("alpha", "beta", "gamma", "delta")
@@ -81,7 +81,8 @@ def _model(counts, dim, seed=0):
     vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
     signs = [reference_signs(dim, seed, j) for j in range(n)]
     rows = [[sum(c * s[k] for c, s in zip(row, signs)) for k in range(dim)] for row in counts]
-    return ContextModel(vocab, 1, scipy.sparse.triu(np.array(counts, dtype=np.int64))), rows
+    upper = scipy.sparse.triu(np.array(counts, dtype=np.int64))
+    return ContextModel(vocab, 1, upper, squared_norms(vocab.bundle(mirror_counts(upper)))), rows
 
 
 def _signs(vocab, words):
@@ -434,9 +435,9 @@ def test_parallel_context_rows_score_exactly_one_past_2_53():
     upper[[0, 1, 2, 3], 4] = c0, c1, c2, c0
     upper[3, 5] = 10**7  # w3: w0's counts plus one extra neighbor v, not parallel
     vocab = Vocabulary(["w0", "w1", "w2", "w3", "u", "v"], dim=4, seed=0)
-    model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(upper))
-    np.testing.assert_array_equal(model.counts.toarray(), upper + upper.T)
-    matrix = vocab.bundle(model.counts)
+    model = ContextModel(vocab, 1, scipy.sparse.csr_matrix(upper), squared_norms(vocab.bundle(mirror_counts(upper))))
+    np.testing.assert_array_equal(mirror_counts(model.upper).toarray(), upper + upper.T)
+    matrix = vocab.bundle(mirror_counts(model.upper))
     assert int(squared_norms(matrix)[1]) == 4 * c1 * c1 > 2**53
     rows = matrix.astype(np.int64).tolist()
     # the counts are symmetric, so u and v have contexts too, none parallel to w0's

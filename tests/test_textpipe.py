@@ -33,7 +33,7 @@ from hdsem.textpipe import (
     tokenize,
 )
 
-from oracles import brute_bundle, brute_tokenize, reference_signs
+from oracles import brute_bundle, brute_tokenize, mirror_counts, reference_signs
 
 
 # ---------------------------------------------------------------- tokenize
@@ -92,6 +92,13 @@ def test_load_stopwords_from_path(tmp_path):
     p = tmp_path / "sw.txt"
     p.write_text("# comment\nFoo\n\nbar\n")
     assert load_stopwords(p) == frozenset({"foo", "bar"})
+
+
+def test_load_stopwords_drops_a_byte_order_mark(tmp_path):
+    # a mark left on the first word would keep "the" in every stream
+    p = tmp_path / "sw.txt"
+    p.write_text("\ufeffthe\ncat\n", encoding="utf-8")
+    assert load_stopwords(p) == frozenset({"the", "cat"})
 
 
 def test_stopword_digest_order_independent():
@@ -644,7 +651,7 @@ def test_bundles_never_unpack_the_whole_vocabulary(monkeypatch):
     assert unpacked[4:] == [2]
     assert [m.word for m in similar_words(model, "a")] == ["b"]
     assert unpacked[5:] == [1, 2]
-    assert np.asarray(model.counts.sum(axis=1)).ravel().tolist() == [2, 2, 0, 0]
+    assert np.asarray(mirror_counts(model.upper).sum(axis=1)).ravel().tolist() == [2, 2, 0, 0]
 
 
 def test_bow_matrix_empty_inputs():
