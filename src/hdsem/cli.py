@@ -109,6 +109,8 @@ def _resolve_ks(args):
         return ks
     lo = 2 if args.k_min is None else args.k_min
     hi = args.dim if args.k_max is None else args.k_max
+    if lo < 1:
+        raise ValueError(f"--k-min must be >= 1, got {lo}")
     if lo > hi:
         raise ValueError(f"--k-min {lo} exceeds --k-max {hi}")
     return tuple(range(lo, hi + 1))

@@ -173,8 +173,8 @@ class ContextModel:
     def load(cls, path):
         """A saved model, format 4 only: the older formats exit 3, and context build rebuilds them."""
         try:
-            # np.load leaves a path it opened open when the zip directory fails to parse
-            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            # only as a zip archive: np.load would read a .npy file as one array
+            with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as data:
                 members = {name: data[name] for name in data.files}
         except (FileNotFoundError, PermissionError, IsADirectoryError):
             raise
@@ -311,13 +311,12 @@ def context_arithmetic(model, plus, minus=(), top_n=5):
     # float32 signs let exact_dots take its float32 tier wherever that is exact
     step = max(1, core.BLOCK_BYTES // (5 * vocab.dim))
     sign_norms = np.full(step, vocab.dim, dtype=np.int64)
-    # the dots read y only at the words that some row counts, which are
-    # the words with counts of their own, since the counts are symmetric
-    used = np.flatnonzero(model.totals)
-    y = np.zeros(len(vocab), dtype=np.int64)
-    for w in range(0, len(used), step):
-        block = vocab.sign_matrix(used[w : w + step]).astype(np.float32)
-        y[used[w : w + step]] = exact_dots(block, sign_norms[: len(block)], query[None])[0]
+    # y at every word, a slice of words at a time; the dots read it only
+    # at the words that some row counts
+    y = np.empty(len(vocab), dtype=np.int64)
+    for w in range(0, len(vocab), step):
+        block = vocab.sign_matrix(slice(w, w + step)).astype(np.float32)
+        y[w : w + step] = exact_dots(block, sign_norms[: len(block)], query[None])[0]
     # each row's part of the triangle, then its column's less the diagonal
     # counted twice, so every partial sum stays within its row total
     dots = model.upper @ y + (model.upper.T @ y - model.diag * y)

@@ -126,8 +126,9 @@ class RhoCurveConfig:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not self.ks:
             raise ValueError("ks must be non-empty")
-        if any(k < 1 for k in self.ks):
-            raise ValueError(f"every k must be >= 1, got {self.ks}")
+        bad = next((k for k in self.ks if k < 1), None)
+        if bad is not None:
+            raise ValueError(f"every k must be >= 1, got {bad}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         # every comparison with NaN is false, so no trial would count as a hit

@@ -14,16 +14,16 @@ word's random sign vector from (seed, index), so the word list, dim and
 seed (what a saved context model stores) reconstruct every word vector
 exactly.  encode() is the one path from tokens to row ids; it skips
 words the vocabulary lacks.  packed() holds the vectors as sign words
-and sign_matrix() unpacks chosen rows of them.  bundle() is the one
-kernel that turns sparse counts into integer bundles: bow_matrix()
-calls it on each document's word counts, and the context queries on
-co-occurrence counts.  It is also the one place that decides how bundle
-rows are stored: float32 while no row's total count passes 2^24 and
-int32 above that, exact either way, and every holder keeps the rows as
-bundle returns them.  Below a total of 2^15 the product itself runs in
-int16.  bundle_bound() is its one range check; a context model
-holds only the triangle of its counts, so it applies the same int32
-range to those counts and to its words' full row totals.
+and sign_matrix() unpacks whole rows of them.  bundle() is the one
+kernel that turns sparse counts into integer bundles, from column slices
+of packed(): bow_matrix() calls it on each document's word counts, and
+the context queries on co-occurrence counts.  It is also the one place
+that decides how bundle rows are stored: float32 while no row's total
+count passes 2^24 and int32 above that, exact either way, and every
+holder keeps the rows as bundle returns them.  Below a total of 2^15 the
+product itself runs in int16.  bundle_bound() is its one range check; a
+context model holds only the triangle of its counts, so it applies the
+same int32 range to those counts and to its words' full row totals.
 """
 
 import functools
@@ -274,14 +274,9 @@ class Vocabulary:
             self._packed.flags.writeable = False
         return self._packed
 
-    def sign_matrix(self, rows=None, start=0, stop=None):
-        """Unpacked sign vectors of the given rows (every word when None), int8 [k, dim].
-
-        start and stop unpack only those columns, from the words holding them."""
-        stop = self.dim if stop is None else min(stop, self.dim)
-        first = start // 64
-        words = self.packed()[slice(None) if rows is None else rows, first : -(-stop // 64)]
-        return packed_signs(words, stop - 64 * first)[:, start - 64 * first :]
+    def sign_matrix(self, rows):
+        """Unpacked sign vectors of the rows an index array or slice picks, int8 [k, dim]."""
+        return packed_signs(self.packed()[rows], self.dim)
 
     def bundle(self, counts):
         """Sum of counts[i, w] times word w's sign vector per row, exact [m, dim].
@@ -292,11 +287,11 @@ class Vocabulary:
         total, which bounds every partial sum of a row: while it is at most
         2^24 the rows are float32, up to 2^31 - 1 int32, and either way
         every entry is exact.  The sparse product runs in int16 while the
-        total is below 2^15, else in the rows' own dtype.  Only the sign
-        rows of the words the counts use are unpacked, one column slice at
-        a time, a multiple of 64 columns wide and no wider than the words
-        of a vector, so that a slice's int8 signs and their copy in the
-        product dtype, (1 + itemsize) bytes per entry, take about
+        total is below 2^15, else in the rows' own dtype.  The sign rows
+        of the words the counts use are unpacked from packed() one column
+        slice at a time, a multiple of 64 columns (whole sign words) and at
+        most a vector wide, so that a slice's int8 signs and their copy in
+        the product dtype, (1 + itemsize) bytes per entry, take about
         core.BLOCK_BYTES, and so does each row block's product.
         """
         total = bundle_bound(counts)
@@ -319,7 +314,8 @@ class Vocabulary:
         rows = max(1, core.BLOCK_BYTES // (product.itemsize * step))
         blocks = [(r, counts[r : r + rows]) for r in range(0, len(out), rows)]
         for c in range(0, self.dim, step):
-            block = self.sign_matrix(used, c, c + step).astype(product)
+            block = packed_signs(self.packed()[used, c // 64 : (c + step) // 64], min(step, self.dim - c))
+            block = block.astype(product)
             for r, part in blocks:
                 out[r : r + rows, c : c + step] = part @ block
         return out

@@ -240,7 +240,7 @@ def test_exact_small_instance_oracles():
         vocab = build_vocabulary(stream, dim=32, seed=case)
         model = build_context_model(stream, vocab, half_window=half_window)
         expected_counts = brute_context_counts(stream, half_window)
-        signs = vocab.sign_matrix().astype(np.int64)
+        signs = vocab.sign_matrix(slice(None)).astype(np.int64)
         counts = mirror_counts(model.upper)
         matrix = vocab.bundle(counts)
         totals = np.asarray(counts.sum(axis=1)).ravel()

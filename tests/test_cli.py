@@ -384,6 +384,17 @@ def test_rho_curve_bad_k_exits_1(capsys):
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [["--k-min", "-100000", "--k-max", "1"], ["--k-min", "0", "--k-max", "3"], ["--k", "0,3,-5"]]
+)
+def test_rho_curve_k_below_1_exits_1_in_one_short_line(capsys, argv):
+    # a --k-min below 1 is refused before its range exists, and a bad --k
+    # list names its first bad k, not the whole list
+    code, out, err = run_cli(["rho-curve", "--dim", "8", "--trials", "2", *argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
+
+
 # ----------------------------------------------------------------- context
 
 
@@ -527,6 +538,20 @@ def test_corrupted_model_file_exits_3(tmp_path, capsys, corruption):
         code, out, err = run_cli(["context", query[0], "--model", str(model), *query[1:]], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "not a readable npz file" in err
+
+
+@pytest.mark.parametrize("kind", ["npy", "text"])
+def test_model_file_that_is_no_zip_archive_exits_3(tmp_path, capsys, kind):
+    # np.load would read a .npy file as one array and a text file as a pickle
+    model = tmp_path / f"m.{kind}"
+    if kind == "npy":
+        np.save(model, np.arange(5))
+    else:
+        model.write_text("hello world\n")
+    for query in CONTEXT_QUERIES:
+        code, out, err = run_cli(["context", query[0], "--model", str(model), *query[1:]], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: context model {model}: not a readable npz file (File is not a zip file)\n"
 
 
 def test_context_build_writes_the_path_given(tmp_path, capsys):

@@ -166,7 +166,7 @@ def test_build_single_token_empty_context():
     matrix = context_rows(model)
     np.testing.assert_array_equal(matrix, np.zeros((1, 32), dtype=np.int64))
     assert context_totals(model)[0] == 0
-    assert exact_dots(matrix, squared_norms(matrix), vocab.sign_matrix()).tolist() == [[0]]
+    assert exact_dots(matrix, squared_norms(matrix), vocab.sign_matrix(slice(None))).tolist() == [[0]]
     with pytest.raises(EmptyContextError):
         context_similarity(model, "a", "a")
 
@@ -252,7 +252,7 @@ def test_contains_probability_at_140_pairs():
         model = build_context_model(stream, vocab, half_window=70)
         assert context_totals(model)[vocab.index_of("c")] == 140
         row = context_rows(model)[[vocab.index_of("c")]]
-        scores = exact_dots(row, squared_norms(row), vocab.sign_matrix())[:, 0] / 1000
+        scores = exact_dots(row, squared_norms(row), vocab.sign_matrix(slice(None)))[:, 0] / 1000
         hits += sum(scores[vocab.index_of(f)] > 0.5 for f in fillers)
     rate = hits / (builds * per)
     assert abs(rate - P_CONTAINS_140_D1000) < 0.03

@@ -345,7 +345,7 @@ def test_scaling_convention_equivalence():
     dim, seed = 500, 77
     vocab = _vocab(20, dim, seed)
     bundle = vocab.bow_matrix([np.arange(20)])[0]
-    q = vocab.sign_matrix()[3]
+    q = vocab.sign_matrix(slice(None))[3]
     [int_path] = _membership(bundle, q[None], dim)
     scaled_q = q / math.sqrt(dim)
     scaled_bundle = bundle.astype(np.float64) / math.sqrt(dim)

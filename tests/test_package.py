@@ -1,12 +1,16 @@
-"""Package metadata: one version string, and a public API that resolves."""
+"""Package metadata: one version string, a public API that resolves, and benchmark names that resolve and run."""
 
 import ast
+import cProfile
 import importlib
 import json
 import re
 from pathlib import Path
 
 import hdsem
+from hdsem.cli import main
+
+from test_cli import CONTEXT_QUERIES, DOC, corpus_dir
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -71,3 +75,36 @@ def test_every_name_the_benchmark_calls_resolves():
             assert hasattr(obj, attr), f"hdsem.{name}"
             obj = getattr(obj, attr)
         assert callable(obj), f"hdsem.{name}"
+
+
+def test_every_function_the_benchmark_times_is_called(tmp_path, capsys):
+    # a timed function that no command calls any more leaves its benchmark
+    # reading empty; the profiler records calls by code object, so a call
+    # through a name another module imported counts too
+    _, timed = _benchmark_names()
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    model = str(tmp_path / "m.npz")
+    commands = [
+        ["context", "build", "--input", str(doc), "--out", model, "--dim", "64", "--window", "2"],
+        *(["context", query[0], "--model", model, *query[1:]] for query in CONTEXT_QUERIES),
+        ["sentence-query", "--input", str(doc), "--dim", "64", "cat dog"],
+        ["spam-eval", "--corpus-dir", str(corpus_dir(tmp_path)), "--dim", "64"],
+        ["membership-sim", "--dim", "64", "--k", "3", "--trials", "2"],
+        ["rho-curve", "--dim", "64", "--k", "2", "--trials", "2"],
+    ]
+    profiler = cProfile.Profile()
+    for argv in commands:
+        assert profiler.runcall(main, argv) == 0, argv
+    capsys.readouterr()
+    called = {entry.code for entry in profiler.getstats()}
+
+    def code(name):
+        layer, *attrs = name.split(".")
+        obj = importlib.import_module(f"hdsem.{layer}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        return getattr(obj, "__func__", obj).__code__
+
+    assert len(timed) == 20
+    assert [name for name in sorted(timed) if code(name) not in called] == []

@@ -352,7 +352,7 @@ def _crafted_index(scale):
     """
     dim = 8
     vocab = Vocabulary(["a", "b"], dim=dim, seed=3)
-    qs, bs = vocab.sign_matrix().astype(np.int64)
+    qs, bs = vocab.sign_matrix(slice(None)).astype(np.int64)
     flip = qs.copy()
     flip[0] = -flip[0]
     rows = np.array(

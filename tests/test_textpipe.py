@@ -405,7 +405,7 @@ def test_vocabulary_vector_at_range():
 
 def test_sign_matrix_values():
     vocab = Vocabulary(["x", "y"], dim=70, seed=3)
-    s = vocab.sign_matrix()
+    s = vocab.sign_matrix(slice(None))
     assert s.shape == (2, 70)
     assert set(np.unique(s)) <= {-1, 1}
     assert s[0].tolist() == reference_signs(70, 3, vocab.index_of("x"))
@@ -414,31 +414,22 @@ def test_sign_matrix_values():
     np.testing.assert_array_equal(vocab.bundle(scipy.sparse.identity(2, dtype=np.int64, format="csr")), s)
 
 
-@pytest.mark.parametrize("start, stop", [(0, 64), (0, 200), (64, 128), (3, 70), (60, 68), (128, 200), (130, 999)])
-def test_sign_matrix_columns(start, stop):
-    vocab = Vocabulary(["x", "y", "z"], dim=200, seed=4)
-    want = vocab.sign_matrix()[:, start:stop]
-    np.testing.assert_array_equal(vocab.sign_matrix(None, start, stop), want)
-    np.testing.assert_array_equal(vocab.sign_matrix([2, 0], start, stop), want[[2, 0]])
-
-
 def test_bundle_in_column_slices(monkeypatch):
     # a budget of 64 4-byte columns over the 3 used words makes 64-column
-    # slices, the last one 8 columns wide
+    # slices of one sign word each, the last one 8 columns wide
     vocab = Vocabulary(["u", "v", "w", "unused"], dim=200, seed=6)
     counts = scipy.sparse.csr_matrix(np.array([[1, 2, 0, 0], [0, 0, 5, 0], [3, 0, 1, 0]], dtype=np.int64))
-    want = counts.toarray() @ vocab.sign_matrix().astype(np.int64)
+    want = counts.toarray() @ vocab.sign_matrix(slice(None)).astype(np.int64)
     slices = []
-    sign_matrix = Vocabulary.sign_matrix
 
-    def recording(self, rows=None, start=0, stop=None):
-        slices.append((len(rows), start, stop))
-        return sign_matrix(self, rows, start, stop)
+    def recording(words, dim):
+        slices.append((len(words), 64 * words.shape[1], dim))
+        return packed_signs(words, dim)
 
     monkeypatch.setattr(core, "BLOCK_BYTES", 4 * 64 * 3)
-    monkeypatch.setattr(Vocabulary, "sign_matrix", recording)
+    monkeypatch.setattr(textpipe, "packed_signs", recording)
     np.testing.assert_array_equal(vocab.bundle(counts), want)
-    assert slices == [(3, 0, 64), (3, 64, 128), (3, 128, 192), (3, 192, 256)]
+    assert slices == [(3, 64, 64), (3, 64, 64), (3, 64, 64), (3, 64, 8)]
 
 
 def test_bundle_rows_sized_from_the_capped_slice(monkeypatch):
@@ -447,7 +438,7 @@ def test_bundle_rows_sized_from_the_capped_slice(monkeypatch):
     # 9 KiB, run as one row block
     vocab = Vocabulary([f"w{i}" for i in range(12)], dim=128, seed=7)
     counts = scipy.sparse.csr_matrix(np.random.default_rng(7).integers(1, 3, size=(36, 12)))
-    want = counts.toarray() @ vocab.sign_matrix().astype(np.int64)
+    want = counts.toarray() @ vocab.sign_matrix(slice(None)).astype(np.int64)
     blocks = []
     matmul = scipy.sparse.csr_matrix.__matmul__
 
@@ -464,7 +455,7 @@ def test_bow_matrix_against_sign_sums():
     vocab = Vocabulary(["u", "v", "w"], dim=64, seed=5)
     docs = [vocab.encode(["u", "v", "v"]), vocab.encode(["w"]), np.array([], dtype=np.int64)]
     bow = vocab.bow_matrix(docs)
-    s = vocab.sign_matrix().astype(np.int64)
+    s = vocab.sign_matrix(slice(None)).astype(np.int64)
     np.testing.assert_array_equal(bow[0], s[0] + 2 * s[1])
     np.testing.assert_array_equal(bow[1], s[2])
     np.testing.assert_array_equal(bow[2], np.zeros(64, dtype=np.int64))
@@ -514,8 +505,37 @@ def test_bundle_matches_int64_product_near_the_float32_bound(case):
     got = vocab.bundle(counts)
     dense = counts.toarray()
     assert got.dtype == (np.float32 if dense.sum(axis=1).max(initial=0) <= 2**24 else np.int32)
-    want = dense @ vocab.sign_matrix().astype(np.int64)
+    want = dense @ vocab.sign_matrix(slice(None)).astype(np.int64)
     assert got.tolist() == want.tolist()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_bundle_column_slices_match_the_int64_product(data):
+    # a budget of k sign words of int8 signs and their int16 copy per used
+    # word makes slices k words wide; the last is short when k does not
+    # divide the vector's words or d is no multiple of 64
+    dim = data.draw(st.integers(1, 300), label="dim")
+    n = data.draw(st.integers(1, 12), label="words")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    row = st.dictionaries(st.integers(0, n - 1), st.integers(1, 5), max_size=6)
+    rows = data.draw(st.lists(row, min_size=1, max_size=5), label="rows")
+    k = data.draw(st.integers(1, core.words_per_vector(dim)), label="words per slice")
+    vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=seed)
+    counts = _csr_counts(n, rows)
+    want = counts.toarray() @ np.array([reference_signs(dim, seed, i) for i in range(n)], dtype=np.int64)
+    widths = []
+
+    def recording(words, dim):
+        widths.append(dim)
+        return packed_signs(words, dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "BLOCK_BYTES", 3 * 64 * k * max(1, len(np.unique(counts.indices))))
+        mp.setattr(textpipe, "packed_signs", recording)
+        got = vocab.bundle(counts)
+    assert got.tolist() == want.tolist()
+    assert widths == ([min(64 * k, dim - c) for c in range(0, dim, 64 * k)] if counts.nnz else [])
 
 
 @pytest.mark.parametrize("total", [2**24, 2**24 + 1, 2**31 - 1, 2**31])
@@ -570,7 +590,7 @@ def test_bundle_matches_int64_product_near_the_int16_bound(case):
     counts = _csr_counts(n, rows)
     got = vocab.bundle(counts)
     assert got.dtype == np.float32  # every row total is far below 2^24
-    assert got.tolist() == (counts.toarray() @ vocab.sign_matrix().astype(np.int64)).tolist()
+    assert got.tolist() == (counts.toarray() @ vocab.sign_matrix(slice(None)).astype(np.int64)).tolist()
 
 
 @pytest.mark.parametrize("row", [[2**15 - 1], [2**14, 2**14 - 1], [2**15], [2**14, 2**14]])
@@ -582,18 +602,17 @@ def test_bundle_at_the_int16_bound(monkeypatch, row):
     # copy over them makes 128-column slices while the product runs in
     # int16, 64-column ones in float32.
     vocab = Vocabulary(["x", "y"], dim=200, seed=2)
-    signs = vocab.sign_matrix().astype(np.int64)
+    signs = vocab.sign_matrix(slice(None)).astype(np.int64)
     assert {2, -2} <= set(signs.sum(axis=0).tolist())
     counts = scipy.sparse.csr_matrix(np.array([row + [0] * (2 - len(row)), [1, 1]], dtype=np.int64))
     slices = []
-    sign_matrix = Vocabulary.sign_matrix
 
-    def recording(self, rows=None, start=0, stop=None):
-        slices.append(stop - start)
-        return sign_matrix(self, rows, start, stop)
+    def recording(words, dim):
+        slices.append(64 * words.shape[1])
+        return packed_signs(words, dim)
 
     monkeypatch.setattr(core, "BLOCK_BYTES", 3 * 128 * 2)
-    monkeypatch.setattr(Vocabulary, "sign_matrix", recording)
+    monkeypatch.setattr(textpipe, "packed_signs", recording)
     got = vocab.bundle(counts)
     assert got.dtype == np.float32
     assert got.tolist() == (counts.toarray() @ signs).tolist()
@@ -645,12 +664,13 @@ def test_bundles_never_unpack_the_whole_vocabulary(monkeypatch):
     assert unpacked[2:] == [4, 1]
     # a context build bundles every row for its norms, and a query its
     # operand row, each unpacking only the words that are some word's
-    # neighbor; the query then unpacks those again for their dots with it
+    # neighbor; the query then unpacks every word's signs, a slice of
+    # words at a time, for their dots with it
     vocab = Vocabulary(["a", "b", "y", "z"], dim=256, seed=1)
     model = build_context_model(["a", "b", "a"], vocab, half_window=1)
     assert unpacked[4:] == [2]
     assert [m.word for m in similar_words(model, "a")] == ["b"]
-    assert unpacked[5:] == [1, 2]
+    assert unpacked[5:] == [1, 4]
     assert np.asarray(mirror_counts(model.upper).sum(axis=1)).ravel().tolist() == [2, 2, 0, 0]
 
 
@@ -734,7 +754,7 @@ def test_word_vectors_pairwise_near_orthogonal():
     # one seed stay mutually near-orthogonal at realistic dimension
     n, dim = 5000, 1000
     vocab = Vocabulary([f"w{i}" for i in range(n)], dim=dim, seed=7)
-    signs = vocab.sign_matrix().astype(np.float32)
+    signs = vocab.sign_matrix(slice(None)).astype(np.float32)
     total = 0.0
     total_sq = 0.0
     max_abs = 0.0
