@@ -26,8 +26,6 @@ the row totals and the triangle's structure alone.
 """
 
 import json
-import zipfile
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,21 +169,22 @@ class ContextModel:
 
     @classmethod
     def load(cls, path):
-        """A saved model, format 4 only: the older formats exit 3, and context build rebuilds them."""
+        """A saved model, format 4 only: a path that cannot be opened raises its OSError (exit 2), and any
+        other fault in the file, an older format included, raises CorpusFormatError (exit 3)."""
         try:
             # only as a zip archive: np.load would read a .npy file as one array
             with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as data:
                 members = {name: data[name] for name in data.files}
         except (FileNotFoundError, PermissionError, IsADirectoryError):
             raise
-        # zlib.error: a damaged member; NotImplementedError: a zip version or method zipfile lacks
-        except (OSError, ValueError, zipfile.BadZipFile, zlib.error, NotImplementedError) as exc:
+        # whatever numpy, zipfile or zlib raise on damaged bytes
+        except Exception as exc:
             raise CorpusFormatError(f"context model {path}: not a readable npz file ({exc})") from None
         try:
             meta = json.loads(bytes(members["meta"]).decode("utf-8"))
         except KeyError:
             raise CorpusFormatError(f"context model {path}: missing arrays ['meta']") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except Exception as exc:
             raise CorpusFormatError(f"context model {path}: bad metadata ({exc})") from None
         version = meta.get("format_version") if isinstance(meta, dict) else None
         if version != MODEL_FORMAT_VERSION:

@@ -323,13 +323,16 @@ class Vocabulary:
     def bow_matrix(self, documents):
         """Sum of word vectors per document through bundle, [m, dim].
 
-        documents is a sequence of index arrays as produced by encode().
-        Repeated indices add their vector once per occurrence.  The rows
-        are float32 while no document holds more than 2^24 tokens and
-        int32 above that, as bundle returns them.
+        documents is a sequence of integer word id arrays as encode()
+        makes them (else IndexError); a repeated id adds its vector once
+        per occurrence.  The rows are float32 while no document holds more
+        than 2^24 tokens and int32 above that, as bundle returns them.
         """
-        docs = [np.asarray(doc, dtype=np.int64) for doc in documents]
-        cols = np.concatenate(docs) if docs else np.zeros(0, dtype=np.int64)
+        docs = [np.asarray(doc) for doc in documents]
+        # a float or bool id would truncate to a word's; an empty document may have any dtype
+        if any(doc.size and doc.dtype.kind not in "iu" for doc in docs):
+            raise IndexError("document ids must be integers")
+        cols = np.concatenate(docs, dtype=np.int64, casting="unsafe") if docs else np.zeros(0, dtype=np.int64)
         if len(cols) and (cols.min() < 0 or cols.max() >= len(self.words)):
             raise IndexError("document index out of vocabulary range")
         rows = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])

@@ -515,15 +515,37 @@ def test_query_with_a_contradicted_stored_norm_exits_3(tmp_path, capsys):
     assert err == "error: stored squared norm of 'cat' does not match its context row\n"
 
 
-@pytest.mark.parametrize("corruption", ["deflate-block-type", "zip-version"])
-def test_corrupted_model_file_exits_3(tmp_path, capsys, corruption):
-    doc = tmp_path / "d.txt"
-    doc.write_text(DOC)
-    model = tmp_path / "m.npz"
-    assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)[0] == 0
-    raw = bytearray(model.read_bytes())
+def _npy(shape, descr="<i8", data=b""):
+    """A version 1.0 .npy member whose header claims this shape and descr, followed by data."""
+    header = f"{{'descr': '{descr}', 'fortran_order': False, 'shape': {shape}}}".encode("latin1")
+    # the length field covers the padding, so a cut text still reads in full
+    header = header.ljust(64 * (len(header) // 64 + 2) - 11) + b"\n"
+    return np.lib.format.magic(1, 0) + len(header).to_bytes(2, "little") + header + data
+
+
+# a member replaced by bytes its reader fails on
+BAD_MEMBERS = {
+    # the shape tuple never closes, which numpy's header reader tokenizes
+    "npy-header-cut": ("indices.npy", _npy("(5")),
+    # 8 TiB of int64 that a few bytes of data cannot fill
+    "npy-header-2**40": ("indices.npy", _npy((2**40,), data=bytes(16))),
+    # deeper than the JSON decoder recurses
+    "meta-nested-arrays": ("meta.npy", _npy((200_000,), "|u1", b"[" * 100_000 + b"]" * 100_000)),
+}
+
+
+def _corrupt_model(model, corruption):
+    """Damage a saved model in place, one way its readers fail."""
     with zipfile.ZipFile(model) as zf:
         member = zf.getinfo("indices.npy")
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    if corruption in BAD_MEMBERS:
+        name, data = BAD_MEMBERS[corruption]
+        with zipfile.ZipFile(model, "w") as zf:
+            for other, raw in {**members, name: data}.items():
+                zf.writestr(other, raw)
+        return
+    raw = bytearray(model.read_bytes())
     if corruption == "deflate-block-type":
         # the local header is 30 bytes, then the name and the extra field
         lengths = raw[member.header_offset + 26 : member.header_offset + 30]
@@ -534,10 +556,40 @@ def test_corrupted_model_file_exits_3(tmp_path, capsys, corruption):
         # "version needed to extract" in the central directory: 25.5, past what zipfile reads
         raw[raw.index(b"PK\x01\x02") + 6] = 0xFF
     model.write_bytes(raw)
+
+
+CORRUPTIONS = {
+    "deflate-block-type": "not a readable npz file",
+    "zip-version": "not a readable npz file",
+    "npy-header-cut": "not a readable npz file",
+    "npy-header-2**40": "not a readable npz file",
+    "meta-nested-arrays": "bad metadata",
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupted_model_file_exits_3(tmp_path, capsys, corruption):
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    model = tmp_path / "m.npz"
+    assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)[0] == 0
+    _corrupt_model(model, corruption)
     for query in CONTEXT_QUERIES:
         code, out, err = run_cli(["context", query[0], "--model", str(model), *query[1:]], capsys)
         assert (code, out) == (3, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and "not a readable npz file" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and CORRUPTIONS[corruption] in err
+
+
+def test_model_file_with_a_cut_npy_header_exits_3_in_a_child_process(tmp_path, capsys):
+    doc = tmp_path / "d.txt"
+    doc.write_text(DOC)
+    model = tmp_path / "m.npz"
+    assert run_cli(["context", "build", "--input", str(doc), "--out", str(model), "--dim", "64"], capsys)[0] == 0
+    _corrupt_model(model, "npy-header-cut")
+    argv = [sys.executable, "-m", "hdsem", "context", "stats", "--model", str(model)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr and "not a readable npz file" in proc.stderr
 
 
 @pytest.mark.parametrize("kind", ["npy", "text"])

@@ -287,9 +287,12 @@ def test_bundle_validation():
     with pytest.raises(ValueError):
         Vocabulary(["a"], dim=0, seed=0)
     vocab = _vocab(2, 8, 0)
-    for bad in ([2], [-1], [0, 5]):
+    # a float or bool id is no word id, though it would truncate to one
+    for bad in ([2], [-1], [0, 5], [1.7], [True]):
         with pytest.raises(IndexError):
             vocab.bow_matrix([[0], bad])
+    # an empty document has no id to check, whatever its dtype
+    assert vocab.bow_matrix([[], np.zeros(0)]).tolist() == [[0] * 8] * 2
 
 
 # ---------------------------------------------------------------- membership

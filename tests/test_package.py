@@ -37,6 +37,15 @@ def test_readme_api_list_is_all():
     assert sorted(listed) == sorted(hdsem.__all__)
 
 
+def test_every_script_compiles():
+    # no test imports or runs them, so a syntax error, or a construct newer
+    # than the Python that runs this test, would otherwise ship unnoticed
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert scripts
+    for path in scripts:
+        compile(path.read_text(encoding="utf-8"), str(path), "exec", dont_inherit=True)
+
+
 def _benchmark_names():
     """The hdsem.<layer> attribute chains the benchmark calls or hooks, and those it times.
 
